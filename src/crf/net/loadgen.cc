@@ -6,8 +6,8 @@
 #include <cmath>
 #include <thread>
 
+#include "crf/core/machine_roster.h"
 #include "crf/net/client.h"
-#include "crf/serve/event_log.h"
 #include "crf/util/byte_io.h"
 
 namespace crf {
@@ -105,7 +105,7 @@ bool RunLoadGen(const CellTrace& cell, const PredictorSpec& spec,
   const int num_machines = cell.num_machines();
   const int block = std::max((num_machines + num_shards - 1) / num_shards, 1);
 
-  const EventLog log(cell);
+  const MachineTaskColumns cols(cell);
   const int threads = std::min(options.client_threads, num_shards);
   std::vector<ThreadSamples> samples(threads);
   const auto t0 = std::chrono::steady_clock::now();
@@ -124,15 +124,14 @@ bool RunLoadGen(const CellTrace& cell, const PredictorSpec& spec,
         IngestBatchRequest request;
         AdmissionCheckRequest admission;
         admission.task_limit = 0.25;
-        EventLog::MachineCursor cursor = log.CreateCursor(0);
+        MachineRoster walk;
         // Thread k owns shards k, k+threads, k+2*threads, ... — disjoint
         // shard sets, so server-side shard locks never contend.
         for (int s = k; s < num_shards; s += threads) {
           const int begin = std::min(s * block, num_machines);
           const int end = std::min((s + 1) * block, num_machines);
           for (int m = begin; m < end; ++m) {
-            cursor = log.CreateCursor(m);
-            cursor.Seek(from);
+            walk.StartTraceWalk(cols, cell.machine_tasks(m), from);
             for (Interval t = from; t < until;) {
               const Interval stop =
                   std::min<Interval>(t + options.batch_ticks, until);
@@ -142,7 +141,7 @@ bool RunLoadGen(const CellTrace& cell, const PredictorSpec& spec,
               request.window_until = until;
               request.events.clear();
               for (Interval tau = t; tau < stop; ++tau) {
-                cursor.EmitTick(tau, request.events);
+                walk.AdvanceTrace(cols, tau, m, &request.events);
               }
               const auto b0 = std::chrono::steady_clock::now();
               const auto response = client.IngestBatch(request, &thread_error);

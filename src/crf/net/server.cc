@@ -15,7 +15,6 @@
 #include <iterator>
 
 #include "crf/serve/checkpoint.h"
-#include "crf/util/check.h"
 
 namespace crf {
 namespace {
@@ -232,8 +231,7 @@ void OvercommitServer::ConnectionLoop(int fd, ConnectionStats* stats) {
       }
       response.clear();
       if (status == FrameStatus::kMalformed) {
-        net_metrics_.OnRejectedFrame();
-        AppendError(error, response);
+        Reject(error, response);
         SendAll(fd, response.data(), response.size());
         stats->RecordBytesOut(response.size());
         open = false;
@@ -288,8 +286,12 @@ bool OvercommitServer::HandleFrame(WireOp op, std::span<const uint8_t> payload,
     case WireOp::kError:
       break;
   }
+  return Reject("op not valid as a request", out);
+}
+
+bool OvercommitServer::Reject(const std::string& message, std::vector<uint8_t>& out) {
   net_metrics_.OnRejectedFrame();
-  AppendError("op not valid as a request", out);
+  AppendError(message, out);
   return false;
 }
 
@@ -305,8 +307,7 @@ void OvercommitServer::HandleHello(std::span<const uint8_t> payload,
                                    std::vector<uint8_t>& out) {
   HelloRequest request;
   if (!DecodePayload(payload, request)) {
-    net_metrics_.OnRejectedFrame();
-    AppendError("malformed hello payload", out);
+    Reject("malformed hello payload", out);
     return;
   }
   HelloResponse response;
@@ -328,17 +329,13 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
                                     std::vector<uint8_t>& out) {
   IngestBatchRequest request;
   if (!DecodePayload(payload, request)) {
-    net_metrics_.OnRejectedFrame();
-    AppendError("malformed ingest-batch payload", out);
-    return false;
+    return Reject("malformed ingest-batch payload", out);
   }
   if (request.machine >= replayer_.cell().num_machines()) {
-    net_metrics_.OnRejectedFrame();
-    AppendError("ingest-batch machine " + std::to_string(request.machine) +
-                    " out of range (cell has " +
-                    std::to_string(replayer_.cell().num_machines()) + " machines)",
-                out);
-    return false;
+    return Reject("ingest-batch machine " + std::to_string(request.machine) +
+                      " out of range (cell has " +
+                      std::to_string(replayer_.cell().num_machines()) + " machines)",
+                  out);
   }
   const int shard_index = replayer_.shard_of(request.machine);
   NetShard& shard = shards_[shard_index];
@@ -353,23 +350,19 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
     // that keeps push-mode arithmetic identical to AdvanceShard.
     if (shard.window_until < 0) {
       if (shard.completed_until >= 0) {
-        AppendError("ingest window through tick " + std::to_string(shard.completed_until) +
-                        " is complete on this shard but not yet committed cell-wide",
-                    out);
-        net_metrics_.OnRejectedFrame();
-        return false;
+        return Reject("ingest window through tick " + std::to_string(shard.completed_until) +
+                          " is complete on this shard but not yet committed cell-wide",
+                      out);
       }
       // next_tick only moves under all shard locks (TryCommitWindow), and we
       // hold one, so this read is stable.
       const Interval from = replayer_.next_tick();
       if (request.window_until <= from ||
           request.window_until > replayer_.cell().num_intervals) {
-        AppendError("ingest window_until " + std::to_string(request.window_until) +
-                        " outside (" + std::to_string(from) + ", " +
-                        std::to_string(replayer_.cell().num_intervals) + "]",
-                    out);
-        net_metrics_.OnRejectedFrame();
-        return false;
+        return Reject("ingest window_until " + std::to_string(request.window_until) +
+                          " outside (" + std::to_string(from) + ", " +
+                          std::to_string(replayer_.cell().num_intervals) + "]",
+                      out);
       }
       shard.window_from = from;
       shard.window_until = request.window_until;
@@ -377,40 +370,32 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
       shard.machine_tick = from;
     }
     if (request.window_until != shard.window_until) {
-      AppendError("ingest window_until " + std::to_string(request.window_until) +
-                      " does not match the shard's open window (" +
-                      std::to_string(shard.window_until) + ")",
-                  out);
-      net_metrics_.OnRejectedFrame();
-      return false;
+      return Reject("ingest window_until " + std::to_string(request.window_until) +
+                        " does not match the shard's open window (" +
+                        std::to_string(shard.window_until) + ")",
+                    out);
     }
     if (shard.next_machine >= shard.end_machine) {
-      AppendError("shard has no machine left to stream in this window", out);
-      net_metrics_.OnRejectedFrame();
-      return false;
+      return Reject("shard has no machine left to stream in this window", out);
     }
     if (request.machine != shard.next_machine) {
-      AppendError("ingest-batch machine " + std::to_string(request.machine) +
-                      " out of order (shard expects machine " +
-                      std::to_string(shard.next_machine) + ")",
-                  out);
-      net_metrics_.OnRejectedFrame();
-      return false;
+      return Reject("ingest-batch machine " + std::to_string(request.machine) +
+                        " out of order (shard expects machine " +
+                        std::to_string(shard.next_machine) + ")",
+                    out);
     }
     if (request.from_tick != shard.machine_tick || request.until_tick > shard.window_until) {
-      AppendError("ingest-batch ticks [" + std::to_string(request.from_tick) + ", " +
-                      std::to_string(request.until_tick) + ") do not continue machine " +
-                      std::to_string(request.machine) + " (expected from tick " +
-                      std::to_string(shard.machine_tick) + ", window ends at " +
-                      std::to_string(shard.window_until) + ")",
-                  out);
-      net_metrics_.OnRejectedFrame();
-      return false;
+      return Reject("ingest-batch ticks [" + std::to_string(request.from_tick) + ", " +
+                        std::to_string(request.until_tick) + ") do not continue machine " +
+                        std::to_string(request.machine) + " (expected from tick " +
+                        std::to_string(shard.machine_tick) + ", window ends at " +
+                        std::to_string(shard.window_until) + ")",
+                    out);
     }
 
-    // Validate and apply tick by tick. Each tick's batch is checked against
-    // the machine's live roster BEFORE it reaches the service, so malformed
-    // input can never trip IngestTick's CHECKs.
+    // Apply tick by tick. The replayer validates each tick's batch against
+    // the machine's roster as it applies it (MachineRoster::Apply), so a
+    // malformed tick is rejected whole, leaving every earlier tick applied.
     const OvercommitService& service = replayer_.service();
     const auto t0 = std::chrono::steady_clock::now();
     size_t i = 0;
@@ -420,83 +405,21 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
         ++end;
       }
       const std::span<const StreamEvent> tick_events(request.events.data() + i, end - i);
-
-      // Phase split: departures, then arrivals, then samples.
-      size_t d = 0;
-      while (d < tick_events.size() &&
-             tick_events[d].kind == StreamEventKind::kTaskDeparture) {
-        ++d;
-      }
-      size_t a = d;
-      while (a < tick_events.size() && tick_events[a].kind == StreamEventKind::kTaskArrival) {
-        ++a;
-      }
-      for (size_t k = a; k < tick_events.size(); ++k) {
-        if (tick_events[k].kind != StreamEventKind::kUsageSample) {
-          AppendError("ingest-batch events out of canonical order at tick " +
-                          std::to_string(tau) +
-                          " (expected departures, arrivals, then samples)",
+      std::string error;
+      if (!replayer_.PushMachineTick(request.machine, tau, tick_events, &error)) {
+        return Reject("ingest-batch machine " + std::to_string(request.machine) + ": " + error,
                       out);
-          net_metrics_.OnRejectedFrame();
-          return false;
-        }
       }
-
-      // Re-derive the expected post-update roster.
-      const std::span<const int32_t> roster = service.Roster(request.machine);
-      shard.scratch_roster.assign(roster.begin(), roster.end());
-      for (size_t k = 0; k < d; ++k) {
-        const auto it = std::find(shard.scratch_roster.begin(), shard.scratch_roster.end(),
-                                  tick_events[k].task_index);
-        if (it == shard.scratch_roster.end()) {
-          AppendError("departure of task " + std::to_string(tick_events[k].task_index) +
-                          " not resident on machine " + std::to_string(request.machine) +
-                          " at tick " + std::to_string(tau),
-                      out);
-          net_metrics_.OnRejectedFrame();
-          return false;
-        }
-        shard.scratch_roster.erase(it);
-      }
-      for (size_t k = d; k < a; ++k) {
-        if (std::find(shard.scratch_roster.begin(), shard.scratch_roster.end(),
-                      tick_events[k].task_index) != shard.scratch_roster.end()) {
-          AppendError("arrival of task " + std::to_string(tick_events[k].task_index) +
-                          " already resident on machine " + std::to_string(request.machine) +
-                          " at tick " + std::to_string(tau),
-                      out);
-          net_metrics_.OnRejectedFrame();
-          return false;
-        }
-        shard.scratch_roster.push_back(tick_events[k].task_index);
-      }
-      const size_t num_samples = tick_events.size() - a;
-      bool samples_ok = num_samples == shard.scratch_roster.size();
-      for (size_t k = 0; samples_ok && k < num_samples; ++k) {
-        samples_ok = tick_events[a + k].task_index == shard.scratch_roster[k];
-      }
-      if (!samples_ok) {
-        AppendError("ingest-batch usage samples at tick " + std::to_string(tau) +
-                        " do not match machine " + std::to_string(request.machine) +
-                        "'s roster (" + std::to_string(num_samples) + " samples, " +
-                        std::to_string(shard.scratch_roster.size()) + " resident tasks)",
-                    out);
-        net_metrics_.OnRejectedFrame();
-        return false;
-      }
-
-      response.prediction = replayer_.PushMachineTick(request.machine, tau, tick_events);
       // Advance the streaming cursor with every applied tick, not once per
-      // batch: a validation error on a later tick must leave the cursor on
-      // the applied prefix, so a resumed stream continues at the first
-      // unapplied tick instead of re-pushing ticks the replayer already
-      // holds (which would CHECK-abort in IngestTick).
+      // batch: an error on a later tick must leave the cursor on the applied
+      // prefix, so a resumed stream continues at the first unapplied tick.
       shard.machine_tick = tau + 1;
       i = end;
     }
     const auto t1 = std::chrono::steady_clock::now();
     shard.elapsed_seconds += std::chrono::duration<double>(t1 - t0).count();
 
+    response.prediction = service.Predict(request.machine);
     response.limit_sum = service.LimitSum(request.machine);
     response.last_tick = service.LastTick(request.machine);
     stats->RecordBatch(static_cast<int64_t>(request.events.size()));
@@ -521,11 +444,9 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
     std::lock_guard<std::mutex> lock(window_mutex_);
     std::string error;
     if (!TryCommitWindow(&error) && !error.empty()) {
-      AppendError("window commit at tick " + std::to_string(completed_window_until) +
-                      " failed: " + error,
-                  out);
-      net_metrics_.OnRejectedFrame();
-      return false;
+      return Reject("window commit at tick " + std::to_string(completed_window_until) +
+                        " failed: " + error,
+                    out);
     }
   }
 
@@ -587,9 +508,7 @@ bool OvercommitServer::HandleMachineQuery(std::span<const uint8_t> payload,
   MachineQueryRequest request;
   if (!DecodePayload(payload, request) ||
       request.machine >= replayer_.cell().num_machines()) {
-    net_metrics_.OnRejectedFrame();
-    AppendError("malformed machine-query payload", out);
-    return false;
+    return Reject("malformed machine-query payload", out);
   }
   MachineQueryResponse response;
   {
@@ -639,9 +558,7 @@ bool OvercommitServer::HandleAdmission(std::span<const uint8_t> payload,
   AdmissionCheckRequest request;
   if (!DecodePayload(payload, request) ||
       request.machine >= replayer_.cell().num_machines()) {
-    net_metrics_.OnRejectedFrame();
-    AppendError("malformed admission-check payload", out);
-    return false;
+    return Reject("malformed admission-check payload", out);
   }
   AdmissionCheckResponse response;
   {
@@ -728,8 +645,7 @@ bool OvercommitServer::HandleShutdown(std::span<const uint8_t> payload,
                                       std::vector<uint8_t>& out) {
   ShutdownRequest request;
   if (!DecodePayload(payload, request)) {
-    net_metrics_.OnRejectedFrame();
-    AppendError("malformed shutdown payload", out);
+    Reject("malformed shutdown payload", out);
     stop_.store(true, std::memory_order_release);
     return false;
   }

@@ -18,16 +18,18 @@
 // committed boundary are bit-identical to an in-process Advance over the
 // same trace.
 //
-// Every byte off the wire is validated before it reaches the replayer: the
-// frame layer checks magic/version/length/checksum, the payload decoders
-// bounds-check each field, and the ingest handler re-derives the expected
-// roster per tick (departures ∈ roster, arrivals ∉ roster, exactly one
-// sample per resident task in roster order) — so malformed input produces a
-// kError response and a closed connection, never a CHECK-abort in the
-// service. A protocol error mid-batch leaves the validly-applied prefix
-// ingested (the replayer stays consistent) and drops the connection; the
-// shard's streaming cursor tracks the applied prefix tick by tick, so a
-// reconnecting client resumes at the first unapplied tick.
+// Every byte off the wire is validated: the frame layer checks
+// magic/version/length/checksum, the payload decoders bounds-check each
+// field, the ingest handler enforces the window protocol above, and each
+// tick's events are checked against the machine's roster by the kernel that
+// applies them (MachineRoster::Apply: departures resident and carrying their
+// arrival limit, arrivals not resident, exactly one sample per resident task
+// in roster order). A rejected tick changes nothing, so malformed input
+// produces a kError response and a closed connection, never a CHECK-abort.
+// A protocol error mid-batch leaves the validly-applied prefix ingested and
+// drops the connection; the shard's streaming cursor tracks the applied
+// prefix tick by tick, so a reconnecting client resumes at the first
+// unapplied tick.
 
 #ifndef CRF_NET_SERVER_H_
 #define CRF_NET_SERVER_H_
@@ -112,8 +114,6 @@ class OvercommitServer {
     // Wall-clock seconds spent in ingest on this shard (folded into
     // ServeMetrics at snapshot/shutdown).
     double elapsed_seconds = 0.0;
-    // Roster validation scratch (reused; no steady-state allocations).
-    std::vector<int32_t> scratch_roster;
   };
 
   // One finished connection worker, joinable once `done` is set.
@@ -166,6 +166,9 @@ class OvercommitServer {
   bool SealLocked(bool seal, ShutdownResponse* response, std::string* error);
 
   void AppendError(const std::string& message, std::vector<uint8_t>& out);
+  // Counts a rejected frame and appends its error response; returns false
+  // (the connection closes).
+  bool Reject(const std::string& message, std::vector<uint8_t>& out);
 
   StreamReplayer& replayer_;
   NetServerOptions options_;
@@ -177,7 +180,6 @@ class OvercommitServer {
   // lock; the multi-lock paths take window_mutex_ first, then shard locks
   // in shard order.
   std::mutex window_mutex_;
-  Interval current_window_until_ = -1;  // -1: no window open anywhere
   std::vector<NetShard> shards_;
 
   NetMetrics net_metrics_;

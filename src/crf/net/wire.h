@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "crf/serve/event.h"
+#include "crf/trace/stream_event.h"
 #include "crf/util/byte_io.h"
 #include "crf/util/time_grid.h"
 
@@ -121,7 +121,7 @@ struct HelloResponse {
 // streamed toward the common window boundary `window_until` (see
 // server.h for the shard ordering protocol). Events carry their tick and
 // must be non-decreasing within the range; per tick the canonical order of
-// event.h applies (departures, arrivals, usage samples). The events' machine
+// stream_event.h applies (departures, arrivals, usage samples). The events' machine
 // field is implied by `machine` and not sent.
 struct IngestBatchRequest {
   int32_t machine = -1;

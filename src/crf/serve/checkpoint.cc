@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "crf/util/atomic_file.h"
 #include "crf/util/byte_io.h"
 
 namespace crf {
@@ -194,19 +195,17 @@ bool SaveCheckpoint(const StreamReplayer& replayer, const std::string& path,
   header.payload_bytes = payload.size();
   header.payload_hash = Fnv1a64(payload.bytes());
 
-  FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return SetError(error, "cannot open " + path + " for writing");
-  }
-  bool ok = std::fwrite(&header, sizeof(header), 1, file) == 1;
-  ok = ok && (trace_name.empty() ||
-              std::fwrite(trace_name.data(), 1, trace_name.size(), file) == trace_name.size());
-  ok = ok && std::fwrite(spec_blob.bytes().data(), 1, spec_blob.size(), file) ==
-                 spec_blob.size();
-  ok = ok && std::fwrite(payload.bytes().data(), 1, payload.size(), file) == payload.size();
-  ok = std::fclose(file) == 0 && ok;
-  if (!ok) {
-    return SetError(error, "short write to " + path);
+  // Atomic: a crash or failed write mid-seal leaves the previous checkpoint
+  // at `path` intact, so a run may seal over the file it resumed from.
+  std::string write_error;
+  if (!WriteFileAtomic(
+          path,
+          {std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&header), sizeof(header)),
+           std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(trace_name.data()),
+                                    trace_name.size()),
+           spec_blob.bytes(), payload.bytes()},
+          &write_error)) {
+    return SetError(error, "cannot write checkpoint: " + write_error);
   }
   return true;
 }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <span>
+#include <string>
 
 #include "crf/util/byte_io.h"
 #include "crf/util/check.h"
@@ -13,7 +14,8 @@ namespace crf {
 
 StreamReplayer::StreamReplayer(const CellTrace& cell, const PredictorSpec& spec,
                                const ReplayOptions& options)
-    : log_(cell),
+    : cell_(&cell),
+      columns_(cell),
       options_(options),
       service_(spec, cell.num_machines()),
       metrics_(options.num_shards) {
@@ -22,9 +24,9 @@ StreamReplayer::StreamReplayer(const CellTrace& cell, const PredictorSpec& spec,
 
   const int num_machines = cell.num_machines();
   const Interval num_intervals = cell.num_intervals;
-  cursors_.reserve(num_machines);
+  walks_.resize(num_machines);
   for (int m = 0; m < num_machines; ++m) {
-    cursors_.push_back(log_.CreateCursor(m));
+    walks_[m].StartTraceWalk(columns_, cell.machine_tasks(m));
   }
   accums_.resize(num_machines);
 
@@ -46,42 +48,44 @@ void StreamReplayer::EnsureOracle(ShardState& shard, int machine) {
     return;
   }
   if (options_.use_total_usage_oracle) {
-    ComputeTotalUsageOracleInto(log_.cell(), machine, options_.horizon, shard.oracle_scratch,
+    ComputeTotalUsageOracleInto(*cell_, machine, options_.horizon, shard.oracle_scratch,
                                 shard.oracle);
   } else {
-    ComputePeakOracleInto(log_.cell(), machine, options_.horizon, shard.oracle_scratch,
+    ComputePeakOracleInto(*cell_, machine, options_.horizon, shard.oracle_scratch,
                           shard.oracle);
   }
   shard.oracle_machine = machine;
 }
 
-double StreamReplayer::ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, int machine,
-                                 Interval tau, std::span<const StreamEvent> events) {
+bool StreamReplayer::ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, int machine,
+                               Interval tau, std::span<const StreamEvent> events,
+                               std::string* error) {
+  // A rejected batch leaves no trace: metrics count applied ticks only.
+  const uint64_t tick_number = shard_metrics.ticks + 1;
+  const int period = options_.latency_sample_period;
+  const bool timed = period > 0 && tick_number % static_cast<uint64_t>(period) == 0;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
+  if (!service_.IngestTick(machine, tau, events, error)) {
+    return false;
+  }
+  if (timed) {
+    const double ns = std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+    shard_metrics.predict_latency_log2_ns.Add(ns > 1.0 ? std::log2(ns) : 0.0, ns);
+  }
   shard_metrics.sequence += events.size();
-  ++shard_metrics.ticks;
+  shard_metrics.ticks = tick_number;
   shard_metrics.max_batch_events =
       std::max(shard_metrics.max_batch_events, static_cast<int64_t>(events.size()));
 
-  const int period = options_.latency_sample_period;
-  double prediction;
-  if (period > 0 && shard_metrics.ticks % static_cast<uint64_t>(period) == 0) {
-    const auto t0 = std::chrono::steady_clock::now();
-    prediction = service_.IngestTick(machine, tau, events);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    shard_metrics.predict_latency_log2_ns.Add(ns > 1.0 ? std::log2(ns) : 0.0, ns);
-  } else {
-    prediction = service_.IngestTick(machine, tau, events);
-  }
-
+  const double prediction = service_.Predict(machine);
   const double oracle_value = shard.oracle[tau];
   const double limit_sum = service_.LimitSum(machine);
   const bool occupied = !service_.Roster(machine).empty();
   accums_[machine].risk.Record(prediction, oracle_value, limit_sum, occupied);
   shard.cell_limit[tau] += limit_sum;
   shard.cell_prediction[tau] += prediction;
-  return prediction;
+  return true;
 }
 
 void StreamReplayer::AdvanceShard(int shard_index, Interval from, Interval until) {
@@ -94,25 +98,25 @@ void StreamReplayer::AdvanceShard(int shard_index, Interval from, Interval until
   // madvise — the block in flight stays a few MB while the strand count
   // falls from O(machines) to O(machines / block).
   constexpr int kDropBlock = 128;
-  const bool drop_pages = options_.drop_mapped_pages && until == log_.num_intervals() &&
-                          log_.cell().is_mapped();
+  const bool drop_pages = options_.drop_mapped_pages && until == cell_->num_intervals &&
+                          cell_->is_mapped();
   int drop_from = shard.begin_machine;
 
   for (int m = shard.begin_machine; m < shard.end_machine; ++m) {
     EnsureOracle(shard, m);
-    EventLog::MachineCursor& cursor = cursors_[m];
 
     for (Interval tau = from; tau < until; ++tau) {
       shard.events.clear();
-      cursor.EmitTick(tau, shard.events);
-      ApplyTick(shard, shard_metrics, m, tau, shard.events);
+      walks_[m].AdvanceTrace(columns_, tau, m, &shard.events);
+      std::string error;
+      CRF_CHECK(ApplyTick(shard, shard_metrics, m, tau, shard.events, &error)) << error;
     }
 
     // The machine-outer loop consumes each machine's stream exactly once per
     // Advance window; once the final tick is done, its bulk pages will never
     // be read again.
     if (drop_pages && (m + 1 - drop_from >= kDropBlock || m + 1 == shard.end_machine)) {
-      log_.cell().DropMachinePages(drop_from, m + 1);
+      cell_->DropMachinePages(drop_from, m + 1);
       drop_from = m + 1;
     }
   }
@@ -120,7 +124,7 @@ void StreamReplayer::AdvanceShard(int shard_index, Interval from, Interval until
 
 void StreamReplayer::Advance(Interval until) {
   CRF_CHECK_GE(until, next_tick_);
-  CRF_CHECK_LE(until, log_.num_intervals());
+  CRF_CHECK_LE(until, cell_->num_intervals);
   if (until == next_tick_) {
     return;
   }
@@ -144,23 +148,26 @@ void StreamReplayer::Advance(Interval until) {
   next_tick_ = until;
 }
 
-double StreamReplayer::PushMachineTick(int machine, Interval tau,
-                                       std::span<const StreamEvent> events) {
+bool StreamReplayer::PushMachineTick(int machine, Interval tau,
+                                     std::span<const StreamEvent> events, std::string* error) {
   CRF_CHECK_GE(machine, 0);
-  CRF_CHECK_LT(machine, log_.num_machines());
-  CRF_CHECK_GE(tau, next_tick_);
-  CRF_CHECK_LT(tau, log_.num_intervals());
+  CRF_CHECK_LT(machine, cell_->num_machines());
+  if (tau < next_tick_ || tau >= cell_->num_intervals) {
+    *error = "tick " + std::to_string(tau) + " outside the open range [" +
+             std::to_string(next_tick_) + ", " + std::to_string(cell_->num_intervals) + ")";
+    return false;
+  }
   const int s = shard_of(machine);
   ShardState& shard = shards_[s];
   EnsureOracle(shard, machine);
-  return ApplyTick(shard, metrics_.shard(s), machine, tau, events);
+  return ApplyTick(shard, metrics_.shard(s), machine, tau, events, error);
 }
 
 bool StreamReplayer::CommitPushedWindow(Interval until) {
-  if (until <= next_tick_ || until > log_.num_intervals()) {
+  if (until <= next_tick_ || until > cell_->num_intervals) {
     return false;
   }
-  for (int m = 0; m < log_.num_machines(); ++m) {
+  for (int m = 0; m < cell_->num_machines(); ++m) {
     if (service_.LastTick(m) != until - 1) {
       return false;
     }
@@ -171,11 +178,11 @@ bool StreamReplayer::CommitPushedWindow(Interval until) {
 
 SimResult StreamReplayer::Finish() {
   CRF_CHECK(Done());
-  const Interval num_intervals = log_.num_intervals();
-  const int num_machines = log_.num_machines();
+  const Interval num_intervals = cell_->num_intervals;
+  const int num_machines = cell_->num_machines();
 
   SimResult result;
-  result.cell_name = log_.cell().name;
+  result.cell_name = cell_->name;
   result.predictor_name = spec().Name();
   result.machines.resize(num_machines);
   for (int m = 0; m < num_machines; ++m) {
@@ -234,14 +241,14 @@ void StreamReplayer::SaveStateTo(ByteWriter& out) const {
     out.WriteVec(shard.cell_limit);
     out.WriteVec(shard.cell_prediction);
   }
-  for (int m = 0; m < log_.num_machines(); ++m) {
+  for (int m = 0; m < cell_->num_machines(); ++m) {
     service_.SaveMachine(m, out);
     accums_[m].risk.SaveState(out);
   }
 }
 
 bool StreamReplayer::LoadStateFrom(ByteReader& in, Interval resume_tick) {
-  const Interval num_intervals = log_.num_intervals();
+  const Interval num_intervals = cell_->num_intervals;
   if (resume_tick < 0 || resume_tick > num_intervals) {
     in.Fail();
     return false;
@@ -269,7 +276,7 @@ bool StreamReplayer::LoadStateFrom(ByteReader& in, Interval resume_tick) {
       return false;
     }
   }
-  for (int m = 0; m < log_.num_machines(); ++m) {
+  for (int m = 0; m < cell_->num_machines(); ++m) {
     if (!service_.LoadMachine(m, in)) {
       return false;
     }
@@ -278,16 +285,12 @@ bool StreamReplayer::LoadStateFrom(ByteReader& in, Interval resume_tick) {
     }
   }
 
-  // Reposition cursors and cross-check the restored rosters against the
+  // Restart the trace walks and cross-check the restored rosters against the
   // trace-derived resident sets — a corrupted roster that survived the
   // payload checksum is caught here.
-  for (int m = 0; m < log_.num_machines(); ++m) {
-    EventLog::MachineCursor& cursor = cursors_[m];
-    cursor.Seek(resume_tick);
-    const std::span<const int32_t> roster = service_.Roster(m);
-    const std::vector<int32_t>& active = cursor.active();
-    if (roster.size() != active.size() ||
-        !std::equal(roster.begin(), roster.end(), active.begin())) {
+  for (int m = 0; m < cell_->num_machines(); ++m) {
+    walks_[m].StartTraceWalk(columns_, cell_->machine_tasks(m), resume_tick);
+    if (!std::ranges::equal(service_.Roster(m), walks_[m].indices())) {
       in.Fail();
       return false;
     }

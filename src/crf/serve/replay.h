@@ -1,10 +1,10 @@
 // StreamReplayer: sharded streaming replay of a sealed trace (DESIGN.md §7).
 //
-// Drives the full serve pipeline: an EventLog turns the trace into
-// per-machine event streams, an OvercommitService maintains incremental
-// predictor state, and per-machine accumulators score every published
-// prediction against the clairvoyant oracle — the streaming differential
-// twin of the batch SimulateCell.
+// Drives the full serve pipeline: per-machine trace walks
+// (crf/core/machine_roster.h) turn the trace into event streams, an
+// OvercommitService maintains incremental predictor state, and per-machine
+// accumulators score every published prediction against the clairvoyant
+// oracle — the streaming differential twin of the batch SimulateCell.
 //
 // Sharding and determinism: machines are split into `num_shards` contiguous
 // blocks. A shard is the unit of parallelism AND the unit of event ordering
@@ -27,12 +27,13 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "crf/core/machine_roster.h"
 #include "crf/core/oracle.h"
 #include "crf/core/predictor_factory.h"
 #include "crf/risk/risk_accumulator.h"
-#include "crf/serve/event_log.h"
 #include "crf/serve/serve_metrics.h"
 #include "crf/serve/service.h"
 #include "crf/sim/metrics.h"
@@ -83,10 +84,10 @@ class StreamReplayer {
   // Processes ticks [next_tick(), until) on every machine. `until` must not
   // exceed the trace length or precede next_tick().
   void Advance(Interval until);
-  void AdvanceToEnd() { Advance(log_.num_intervals()); }
+  void AdvanceToEnd() { Advance(cell_->num_intervals); }
 
   Interval next_tick() const { return next_tick_; }
-  bool Done() const { return next_tick_ == log_.num_intervals(); }
+  bool Done() const { return next_tick_ == cell_->num_intervals; }
 
   // Scores into a SimResult (requires Done()): per-machine metrics are
   // bit-identical to batch SimulateMachine; the cell savings series merges
@@ -102,7 +103,7 @@ class StreamReplayer {
 
   // --- Push-mode ingest (the network tier's entry points) ---------------
   //
-  // Instead of pulling events from the internal EventLog cursors, an owner
+  // Instead of pulling events from the internal trace walks, an owner
   // may push externally supplied event batches. To keep every number
   // bit-identical to Advance, pushes must replicate AdvanceShard's loop
   // structure exactly: within a shard, machines are driven one at a time in
@@ -121,11 +122,14 @@ class StreamReplayer {
   // The shard owning `machine` (same contiguous-block map as Advance).
   int shard_of(int machine) const { return machine / machine_block_; }
 
-  // Ingests one machine's canonical event batch for interval `tau` and
-  // returns the published prediction. The batch must already be validated
-  // (roster-consistent, canonical order) — malformed input CHECK-aborts,
-  // exactly like OvercommitService::IngestTick.
-  double PushMachineTick(int machine, Interval tau, std::span<const StreamEvent> events);
+  // Ingests one machine's event batch for interval `tau`; the service's
+  // Predict() then holds the published prediction. A tick outside
+  // [next_tick(), num_intervals) or a batch MachineRoster::Apply rejects
+  // returns false with a diagnostic and changes nothing — no metric, no
+  // accumulator — so the caller can report it and keep serving. `machine`
+  // must be in range (the caller routes it to its shard first).
+  bool PushMachineTick(int machine, Interval tau, std::span<const StreamEvent> events,
+                       std::string* error);
 
   // Advances next_tick() to `until` after every machine has been pushed
   // through tick until-1. Returns false (leaving state unchanged) if any
@@ -134,14 +138,14 @@ class StreamReplayer {
 
   const PredictorSpec& spec() const { return service_.spec(); }
   const ReplayOptions& options() const { return options_; }
-  const CellTrace& cell() const { return log_.cell(); }
+  const CellTrace& cell() const { return *cell_; }
   const OvercommitService& service() const { return service_; }
 
   // Checkpoint payload: the complete resumable state — per-shard sequence
   // counters and partial series, per-machine service state and metric
-  // accumulators. Cursor positions are re-derived from next_tick on load
-  // (EventLog::MachineCursor::Seek), and the restored rosters are validated
-  // against the trace-derived resident sets. LoadStateFrom returns false on
+  // accumulators. Trace walks are restarted at next_tick on load, and the
+  // restored rosters are validated against their trace-derived resident
+  // sets. LoadStateFrom returns false on
   // any malformed or inconsistent payload (the replayer must be discarded).
   void SaveStateTo(ByteWriter& out) const;
   bool LoadStateFrom(ByteReader& in, Interval resume_tick);
@@ -181,15 +185,18 @@ class StreamReplayer {
   // Computes the scoring oracle for `machine` into `shard.oracle` (cached by
   // shard.oracle_machine).
   void EnsureOracle(ShardState& shard, int machine);
-  // The shared per-tick body of Advance and push-mode ingest: metrics,
-  // latency-sampled IngestTick, risk recording, cell series accumulation.
-  double ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, int machine,
-                   Interval tau, std::span<const StreamEvent> events);
+  // The shared per-tick body of Advance and push-mode ingest: latency-
+  // sampled IngestTick, then (only if it applied) metrics, risk recording and
+  // cell series accumulation.
+  bool ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, int machine, Interval tau,
+                 std::span<const StreamEvent> events, std::string* error);
 
-  EventLog log_;
+  const CellTrace* cell_;
+  MachineTaskColumns columns_;
   ReplayOptions options_;
   OvercommitService service_;
-  std::vector<EventLog::MachineCursor> cursors_;
+  // Per-machine trace walks producing the replayed event streams.
+  std::vector<MachineRoster> walks_;
   std::vector<MachineAccum> accums_;
   std::vector<ShardState> shards_;
   ServeMetrics metrics_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "crf/util/atomic_file.h"
 #include "crf/util/check.h"
 
 namespace crf {
@@ -118,13 +119,8 @@ void ServeMetrics::SetExtraSection(const std::string& key, const std::string& js
 }
 
 bool ServeMetrics::WriteJson(const std::string& path) const {
-  FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
-  }
-  const std::string json = ToJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), file) == json.size();
-  return std::fclose(file) == 0 && ok;
+  std::string error;
+  return WriteFileAtomic(path, ToJson(), &error);
 }
 
 }  // namespace crf

@@ -1,7 +1,7 @@
 #include "crf/serve/service.h"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "crf/util/byte_io.h"
 #include "crf/util/check.h"
@@ -22,71 +22,30 @@ OvercommitService::OvercommitService(const PredictorSpec& spec, int num_machines
   }
 }
 
-double OvercommitService::IngestTick(int machine, Interval tau,
-                                     std::span<const StreamEvent> events) {
+bool OvercommitService::IngestTick(int machine, Interval tau,
+                                   std::span<const StreamEvent> events, std::string* error) {
   MachineState& state = machines_[machine];
-  CRF_CHECK_GT(tau, state.last_tick);
-
-  size_t i = 0;
-  // 1. Departures: subtract limits in event order (the batch engine's
-  // departure-time order), then compact the roster preserving order.
-  state.departed.clear();
-  for (; i < events.size() && events[i].kind == StreamEventKind::kTaskDeparture; ++i) {
-    state.limit_sum -= events[i].limit;
-    state.departed.push_back(events[i].task_index);
+  if (tau <= state.last_tick) {
+    *error = "tick " + std::to_string(tau) + " does not follow the last ingested tick " +
+             std::to_string(state.last_tick);
+    return false;
   }
-  if (!state.departed.empty()) {
-    size_t out = 0;
-    for (size_t r = 0; r < state.roster_index.size(); ++r) {
-      const int32_t index = state.roster_index[r];
-      const bool gone = std::find(state.departed.begin(), state.departed.end(), index) !=
-                        state.departed.end();
-      if (!gone) {
-        state.roster_index[out] = index;
-        state.roster[out] = state.roster[r];
-        ++out;
-      }
-    }
-    state.roster_index.resize(out);
-    state.roster.resize(out);
+  if (!state.roster.Apply(tau, events, error)) {
+    return false;
   }
-
-  // 2. Arrivals: append to the roster, add limits.
-  for (; i < events.size() && events[i].kind == StreamEventKind::kTaskArrival; ++i) {
-    const StreamEvent& event = events[i];
-    state.roster_index.push_back(event.task_index);
-    state.roster.push_back({event.task_id, 0.0, event.limit});
-    state.limit_sum += event.limit;
-  }
-  if (state.roster.empty()) {
-    state.limit_sum = 0.0;  // Kill incremental drift; the true sum is exactly 0.
-  }
-
-  // 3. Usage samples: exactly one per resident task, in roster order.
-  const size_t first_sample = i;
-  for (; i < events.size(); ++i) {
-    const StreamEvent& event = events[i];
-    CRF_CHECK(event.kind == StreamEventKind::kUsageSample);
-    const size_t slot = i - first_sample;
-    CRF_CHECK_LT(slot, state.roster_index.size());
-    CRF_CHECK_EQ(event.task_index, state.roster_index[slot]);
-    state.roster[slot].usage = event.usage;
-  }
-  CRF_CHECK_EQ(i - first_sample, state.roster.size());
-
-  state.predictor->Observe(tau, state.roster);
+  state.predictor->Observe(tau, state.roster.samples());
   state.last_prediction = state.predictor->PredictPeak();
   state.last_tick = tau;
-  return state.last_prediction;
+  return true;
 }
 
 void OvercommitService::SaveMachine(int machine, ByteWriter& out) const {
   const MachineState& state = machines_[machine];
   out.Write<int32_t>(state.last_tick);
-  out.Write<double>(state.limit_sum);
+  out.Write<double>(state.roster.limit_sum());
   out.Write<double>(state.last_prediction);
-  out.WriteVec(state.roster_index);
-  out.WriteVec(state.roster);
+  out.WriteVec(state.roster.indices());
+  out.WriteVec(state.roster.samples());
   state.predictor->SaveState(out);
 }
 
@@ -116,10 +75,8 @@ bool OvercommitService::LoadMachine(int machine, ByteReader& in) {
     return false;
   }
   state.last_tick = last_tick;
-  state.limit_sum = limit_sum;
   state.last_prediction = last_prediction;
-  state.roster_index = std::move(roster_index);
-  state.roster = std::move(roster);
+  state.roster.Restore(std::move(roster_index), std::move(roster), limit_sum);
   return true;
 }
 

@@ -1,22 +1,15 @@
 // OvercommitService: incremental per-machine predictor state (DESIGN.md §7).
 //
-// The online half of the serve layer. Each machine owns a predictor instance
-// (built from one PredictorSpec via PredictorFactory), a resident-task
-// roster mirroring the batch engine's `active` list, and the incrementally
-// maintained limit sum. IngestTick applies one machine's events for one
-// interval — departures, arrivals, then usage samples in roster order — and
-// runs one Observe/PredictPeak round, in exactly the arithmetic order of the
-// batch SimulateMachine loop, so the published prediction stream is
-// bit-identical to the batch engine's.
+// Each machine owns a predictor (built from one PredictorSpec), a
+// MachineRoster — the resident-set kernel the batch engine walks — and its
+// last published prediction. IngestTick applies one interval's events
+// through MachineRoster::Apply, in the batch walk's arithmetic order, then
+// runs one Observe/PredictPeak round, so the prediction stream is
+// bit-identical to the batch engine's. Steady state allocates nothing.
 //
-// Per-machine updates cost O(events + log w) amortized (the predictor's
-// window insert is the log factor) and allocate nothing in steady state: the
-// roster and scratch vectors reuse their high-water capacity.
-//
-// Thread-safety: calls for DISTINCT machines may run concurrently (state is
-// strictly per-machine); calls for the same machine must be serialized by
-// the caller — the replayer does so by owning each machine in exactly one
-// shard.
+// Thread-safety: calls for DISTINCT machines may run concurrently; calls for
+// one machine must be serialized (the replayer owns each machine in exactly
+// one shard).
 
 #ifndef CRF_SERVE_SERVICE_H_
 #define CRF_SERVE_SERVICE_H_
@@ -24,10 +17,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "crf/core/machine_roster.h"
 #include "crf/core/predictor_factory.h"
-#include "crf/serve/event.h"
+#include "crf/trace/stream_event.h"
 
 namespace crf {
 
@@ -38,20 +33,22 @@ class OvercommitService {
  public:
   OvercommitService(const PredictorSpec& spec, int num_machines);
 
-  // Applies machine `machine`'s canonical event batch for interval `tau`
-  // (see event.h for the required order) and runs one predictor round.
-  // Returns the published prediction. Ticks per machine must be ingested in
-  // increasing order; the batch must contain exactly one usage sample per
-  // resident task, in roster order (CHECK-enforced: a malformed batch is a
-  // producer bug, not recoverable input).
-  double IngestTick(int machine, Interval tau, std::span<const StreamEvent> events);
+  // Applies machine `machine`'s event batch for interval `tau` (canonical
+  // order of stream_event.h) and runs one predictor round; Predict() then
+  // returns the published prediction. Returns false with a diagnostic, and
+  // leaves the machine untouched, when `tau` does not follow the machine's
+  // last ingested tick or MachineRoster::Apply rejects the batch.
+  bool IngestTick(int machine, Interval tau, std::span<const StreamEvent> events,
+                  std::string* error);
 
   // The last published prediction / the machine's resident limit sum.
   double Predict(int machine) const { return machines_[machine].last_prediction; }
-  double LimitSum(int machine) const { return machines_[machine].limit_sum; }
+  double LimitSum(int machine) const { return machines_[machine].roster.limit_sum(); }
   Interval LastTick(int machine) const { return machines_[machine].last_tick; }
   // Resident roster (trace task indices, roster order) for validation.
-  std::span<const int32_t> Roster(int machine) const { return machines_[machine].roster_index; }
+  std::span<const int32_t> Roster(int machine) const {
+    return machines_[machine].roster.indices();
+  }
 
   int num_machines() const { return static_cast<int>(machines_.size()); }
   const PredictorSpec& spec() const { return spec_; }
@@ -66,17 +63,9 @@ class OvercommitService {
  private:
   struct MachineState {
     std::unique_ptr<PeakPredictor> predictor;
-    // Parallel roster arrays: trace task index (stable identity) and the
-    // sample handed to the predictor. Roster order mirrors the batch
-    // engine's `active` list.
-    std::vector<int32_t> roster_index;
-    std::vector<TaskSample> roster;
-    double limit_sum = 0.0;
+    MachineRoster roster;
     double last_prediction = 0.0;
     Interval last_tick = -1;
-    // Scratch for the departure compaction (reused, zero steady-state
-    // allocations).
-    std::vector<int32_t> departed;
   };
 
   PredictorSpec spec_;

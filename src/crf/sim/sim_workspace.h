@@ -1,9 +1,9 @@
 // Per-thread scratch for the fused simulation engine.
 //
 // SimulateMachine runs once per machine per sweep point — millions of times
-// in a full evaluation — so its working set (event lists, resident set,
-// sample buffer, oracle buffers, the predictor instance itself) lives in a
-// thread-local workspace. Buffers grow to the high-water size of the
+// in a full evaluation — so its working set (the machine roster, oracle
+// buffers, the predictor instance itself) lives in a thread-local
+// workspace. Buffers grow to the high-water size of the
 // machines a thread has simulated and are reused, so the steady-state path
 // performs zero heap allocations per machine.
 
@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "crf/core/machine_roster.h"
 #include "crf/core/oracle.h"
 #include "crf/core/predictor_factory.h"
 #include "crf/core/sweep_bank.h"
@@ -27,12 +28,9 @@ struct SimWorkspace {
   OracleScratch oracle_scratch;
   std::vector<double> oracle;
 
-  // Per-machine event lists: task indices sorted by arrival / by departure.
-  std::vector<int32_t> arrivals;
-  std::vector<int32_t> departures;
-  // Resident task indices and the sample buffer handed to the predictor.
-  std::vector<int32_t> active;
-  std::vector<TaskSample> samples;
+  // The machine's trace walk: event lists, resident set, and the sample
+  // buffer handed to the predictor.
+  MachineRoster roster;
 
   // Per-machine risk accounting (crf/risk), Reset() per machine. One for the
   // single-spec engine, one per spec for the multi-spec engine (grown to the

@@ -1,22 +1,15 @@
 #include "crf/sim/simulator.h"
 
-#include <algorithm>
 #include <span>
 #include <vector>
 
+#include "crf/core/machine_roster.h"
 #include "crf/sim/sim_workspace.h"
-#include "crf/trace/machine_events.h"
 #include "crf/util/check.h"
 #include "crf/util/thread_pool.h"
 
 namespace crf {
 namespace {
-
-// The column view and event ordering live in crf/trace/machine_events.h,
-// shared with the streaming replayer (crf/serve): both engines must derive
-// the same event permutation for their floating-point accumulation over the
-// resident set to be bit-identical.
-using TaskColumns = MachineTaskColumns;
 
 // The oracle depends only on (cell, machine, horizon, kind): take the shared
 // memoized series when a cache is supplied, otherwise compute into the
@@ -39,12 +32,21 @@ std::span<const double> FetchOracle(const CellTrace& cell, int machine_index,
   return ws.oracle;
 }
 
-// Event lists: arrivals by start, departures by departure time. The resident
-// set and its limit sum then evolve incrementally — per-interval work is
-// only the sample fill, with no rescans on event-free intervals.
-void BuildEventLists(const TaskColumns& cols, std::span<const int32_t> task_indices,
-                     SimWorkspace& ws) {
-  BuildMachineEventLists(cols, task_indices, ws.arrivals, ws.departures);
+// The per-machine walk both engines share: the trace walk runs through the
+// workspace roster (crf/core/machine_roster.h), and `score_tick(tau, roster,
+// oracle_value)` scores each interval.
+template <typename ScoreTick>
+void WalkMachine(const CellTrace& cell, int machine_index, const SimOptions& options,
+                 SimWorkspace& ws, ScoreTick score_tick) {
+  OracleCache::Series cached;
+  const std::span<const double> oracle = FetchOracle(cell, machine_index, options, ws, cached);
+  const MachineTaskColumns cols(cell);
+  MachineRoster& roster = ws.roster;
+  roster.StartTraceWalk(cols, cell.machine_tasks(machine_index));
+  for (Interval tau = 0; tau < cell.num_intervals; ++tau) {
+    roster.AdvanceTrace(cols, tau);
+    score_tick(tau, roster, oracle[tau]);
+  }
 }
 
 }  // namespace
@@ -53,160 +55,80 @@ MachineMetrics SimulateMachine(const CellTrace& cell, int machine_index,
                                const PredictorSpec& spec, const SimOptions& options,
                                std::vector<double>* cell_limit,
                                std::vector<double>* cell_prediction) {
-  const Interval num_intervals = cell.num_intervals;
   SimWorkspace& ws = SimWorkspace::ThreadLocal();
-
-  OracleCache::Series cached;
-  const std::span<const double> oracle = FetchOracle(cell, machine_index, options, ws, cached);
-
   PeakPredictor* predictor = ws.GetPredictor(spec);
-
-  const TaskColumns cols(cell);
-  BuildEventLists(cols, cell.machine_tasks(machine_index), ws);
-
-  std::vector<int32_t>& active = ws.active;
-  std::vector<TaskSample>& samples = ws.samples;
-  active.clear();
-  samples.clear();
-
-  size_t next_arrival = 0;
-  size_t next_departure = 0;
-  double limit_sum = 0.0;
   RiskAccumulator& risk = ws.risk;
   risk.Reset();
 
-  for (Interval tau = 0; tau < num_intervals; ++tau) {
-    // Retire departed tasks (event-driven: the compaction scan runs only on
-    // intervals where a departure actually occurs).
-    if (next_departure < ws.departures.size() &&
-        cols.DepartureTime(ws.departures[next_departure]) <= tau) {
-      while (next_departure < ws.departures.size() &&
-             cols.DepartureTime(ws.departures[next_departure]) <= tau) {
-        limit_sum -= cols.limit[ws.departures[next_departure]];
-        ++next_departure;
-      }
-      active.erase(std::remove_if(active.begin(), active.end(),
-                                  [&cols, tau](int32_t i) {
-                                    return cols.DepartureTime(i) <= tau;
-                                  }),
-                   active.end());
-    }
-    // Admit arrivals.
-    while (next_arrival < ws.arrivals.size() &&
-           cols.start[ws.arrivals[next_arrival]] <= tau) {
-      const int32_t index = ws.arrivals[next_arrival++];
-      active.push_back(index);
-      limit_sum += cols.limit[index];
-    }
-    if (active.empty()) {
-      limit_sum = 0.0;  // Kill incremental drift; the true sum is exactly 0.
-    }
-
-    samples.clear();
-    for (const int32_t task_index : active) {
-      samples.push_back(
-          {cols.id[task_index], cols.UsageAt(task_index, tau), cols.limit[task_index]});
-    }
-
-    predictor->Observe(tau, samples);
-    const double prediction = predictor->PredictPeak();
-    const double oracle_value = oracle[tau];
-
-    risk.Record(prediction, oracle_value, limit_sum, !active.empty());
-    if (cell_limit != nullptr) {
-      (*cell_limit)[tau] += limit_sum;
-    }
-    if (cell_prediction != nullptr) {
-      (*cell_prediction)[tau] += prediction;
-    }
-  }
+  WalkMachine(cell, machine_index, options, ws,
+              [&](Interval tau, const MachineRoster& roster, double oracle_value) {
+                predictor->Observe(tau, roster.samples());
+                const double prediction = predictor->PredictPeak();
+                risk.Record(prediction, oracle_value, roster.limit_sum(), !roster.empty());
+                if (cell_limit != nullptr) {
+                  (*cell_limit)[tau] += roster.limit_sum();
+                }
+                if (cell_prediction != nullptr) {
+                  (*cell_prediction)[tau] += prediction;
+                }
+              });
 
   MachineMetrics metrics;
-  FinalizeMachineMetrics(risk, machine_index, num_intervals, metrics);
+  FinalizeMachineMetrics(risk, machine_index, cell.num_intervals, metrics);
   return metrics;
-}
-
-SimResult SimulateCell(const CellTrace& cell, const PredictorSpec& spec,
-                       const SimOptions& options) {
-  CRF_CHECK_GT(cell.num_intervals, 0);
-  const int num_machines = cell.num_machines();
-  const Interval num_intervals = cell.num_intervals;
-
-  SimResult result;
-  result.cell_name = cell.name;
-  result.predictor_name = spec.Name();
-  result.machines.resize(num_machines);
-
-  // Per-thread partial series, reduced once after the join — no mutex and
-  // no O(T) merge per machine.
-  ThreadPool& pool = ThreadPool::Default();
-  const int slots = options.parallel ? pool.num_threads() : 1;
-  std::vector<std::vector<double>> limit_slots(slots);
-  std::vector<std::vector<double>> prediction_slots(slots);
-
-  auto run_machine = [&](int slot, int m) {
-    std::vector<double>& limit = limit_slots[slot];
-    std::vector<double>& prediction = prediction_slots[slot];
-    if (limit.empty()) {
-      limit.assign(num_intervals, 0.0);
-      prediction.assign(num_intervals, 0.0);
-    }
-    result.machines[m] = SimulateMachine(cell, m, spec, options, &limit, &prediction);
-  };
-
-  if (options.parallel) {
-    pool.ParallelForIndexed(num_machines, run_machine);
-  } else {
-    for (int m = 0; m < num_machines; ++m) {
-      run_machine(0, m);
-    }
-  }
-
-  std::vector<double> cell_limit(num_intervals, 0.0);
-  std::vector<double> cell_prediction(num_intervals, 0.0);
-  for (int slot = 0; slot < slots; ++slot) {
-    if (limit_slots[slot].empty()) {
-      continue;
-    }
-    for (Interval t = 0; t < num_intervals; ++t) {
-      cell_limit[t] += limit_slots[slot][t];
-      cell_prediction[t] += prediction_slots[slot][t];
-    }
-  }
-
-  result.cell_savings_series = CellSavingsSeries(cell_limit, cell_prediction);
-  return result;
 }
 
 namespace {
 
-// One machine, whole grid: the multi-spec twin of SimulateMachine. Walks the
-// trace once; the SweepBank answers every spec per interval. Writes
+// Runs `simulate(m, series)` for every machine — on the default pool when
+// options.parallel — where `series` is the calling thread slot's
+// `num_series` partial per-interval series (zeroed on first use). Returns
+// each series summed over the slots in slot order: no mutex, no O(T) merge
+// per machine, and the same bits at any pool size.
+template <typename SimulateOne>
+std::vector<std::vector<double>> RunMachines(const CellTrace& cell, const SimOptions& options,
+                                             int num_series, SimulateOne simulate) {
+  CRF_CHECK_GT(cell.num_intervals, 0);
+  ThreadPool& pool = ThreadPool::Default();
+  const std::vector<double> zeros(cell.num_intervals, 0.0);
+  std::vector<std::vector<std::vector<double>>> partial(options.parallel ? pool.num_threads()
+                                                                         : 1);
+  auto run_machine = [&](int slot, int m) {
+    if (partial[slot].empty()) {
+      partial[slot].assign(num_series, zeros);
+    }
+    simulate(m, partial[slot]);
+  };
+  if (options.parallel) {
+    pool.ParallelForIndexed(cell.num_machines(), run_machine);
+  } else {
+    for (int m = 0; m < cell.num_machines(); ++m) {
+      run_machine(0, m);
+    }
+  }
+  std::vector<std::vector<double>> total(num_series, zeros);
+  for (const std::vector<std::vector<double>>& slot : partial) {
+    for (size_t i = 0; i < slot.size(); ++i) {
+      for (Interval t = 0; t < cell.num_intervals; ++t) {
+        total[i][t] += slot[i][t];
+      }
+    }
+  }
+  return total;
+}
+
+// One machine, whole grid: the multi-spec twin of SimulateMachine. The
+// SweepBank answers every spec per interval. Writes
 // results[s].machines[machine_index] for each spec and accumulates the
-// machine's per-interval limit sum (shared — it is spec-independent) and
-// per-spec predictions into the caller's series.
+// machine's per-interval limit sum (shared — it is spec-independent) into
+// series[0] and spec s's predictions into series[1 + s].
 void SimulateMachineMulti(const CellTrace& cell, int machine_index, const SweepPlan& plan,
                           const SimOptions& options, std::span<SimResult> results,
-                          std::vector<double>* cell_limit,
-                          std::vector<std::vector<double>>* cell_predictions) {
-  const Interval num_intervals = cell.num_intervals;
+                          std::span<std::vector<double>> series) {
   const int num_specs = plan.num_specs();
   SimWorkspace& ws = SimWorkspace::ThreadLocal();
-
-  OracleCache::Series cached;
-  const std::span<const double> oracle = FetchOracle(cell, machine_index, options, ws, cached);
-
   SweepBank& bank = ws.GetSweepBank(plan);
   bank.BeginMachine();
-
-  const TaskColumns cols(cell);
-  BuildEventLists(cols, cell.machine_tasks(machine_index), ws);
-
-  std::vector<int32_t>& active = ws.active;
-  std::vector<TaskSample>& samples = ws.samples;
-  active.clear();
-  samples.clear();
-
   if (ws.multi_risk.size() < static_cast<size_t>(num_specs)) {
     ws.multi_risk.resize(num_specs);
   }
@@ -214,67 +136,41 @@ void SimulateMachineMulti(const CellTrace& cell, int machine_index, const SweepP
     ws.multi_risk[s].Reset();
   }
 
-  size_t next_arrival = 0;
-  size_t next_departure = 0;
-  double limit_sum = 0.0;
-
-  for (Interval tau = 0; tau < num_intervals; ++tau) {
-    // Retire departed tasks (event-driven: the compaction scan runs only on
-    // intervals where a departure actually occurs).
-    if (next_departure < ws.departures.size() &&
-        cols.DepartureTime(ws.departures[next_departure]) <= tau) {
-      while (next_departure < ws.departures.size() &&
-             cols.DepartureTime(ws.departures[next_departure]) <= tau) {
-        limit_sum -= cols.limit[ws.departures[next_departure]];
-        ++next_departure;
-      }
-      active.erase(std::remove_if(active.begin(), active.end(),
-                                  [&cols, tau](int32_t i) {
-                                    return cols.DepartureTime(i) <= tau;
-                                  }),
-                   active.end());
-    }
-    // Admit arrivals.
-    while (next_arrival < ws.arrivals.size() &&
-           cols.start[ws.arrivals[next_arrival]] <= tau) {
-      const int32_t index = ws.arrivals[next_arrival++];
-      active.push_back(index);
-      limit_sum += cols.limit[index];
-    }
-    if (active.empty()) {
-      limit_sum = 0.0;  // Kill incremental drift; the true sum is exactly 0.
-    }
-
-    samples.clear();
-    for (const int32_t task_index : active) {
-      samples.push_back(
-          {cols.id[task_index], cols.UsageAt(task_index, tau), cols.limit[task_index]});
-    }
-
-    bank.Observe(tau, samples);
-    const std::span<const double> predictions = bank.Predictions();
-    const double oracle_value = oracle[tau];
-    const bool occupied = !active.empty();
-    if (cell_limit != nullptr) {
-      (*cell_limit)[tau] += limit_sum;
-    }
-
-    for (int s = 0; s < num_specs; ++s) {
-      const double prediction = predictions[s];
-      ws.multi_risk[s].Record(prediction, oracle_value, limit_sum, occupied);
-      if (cell_predictions != nullptr) {
-        (*cell_predictions)[s][tau] += prediction;
-      }
-    }
-  }
+  WalkMachine(cell, machine_index, options, ws,
+              [&](Interval tau, const MachineRoster& roster, double oracle_value) {
+                bank.Observe(tau, roster.samples());
+                const std::span<const double> predictions = bank.Predictions();
+                const double limit_sum = roster.limit_sum();
+                series[0][tau] += limit_sum;
+                for (int s = 0; s < num_specs; ++s) {
+                  ws.multi_risk[s].Record(predictions[s], oracle_value, limit_sum,
+                                          !roster.empty());
+                  series[1 + s][tau] += predictions[s];
+                }
+              });
 
   for (int s = 0; s < num_specs; ++s) {
-    FinalizeMachineMetrics(ws.multi_risk[s], machine_index, num_intervals,
+    FinalizeMachineMetrics(ws.multi_risk[s], machine_index, cell.num_intervals,
                            results[s].machines[machine_index]);
   }
 }
 
 }  // namespace
+
+SimResult SimulateCell(const CellTrace& cell, const PredictorSpec& spec,
+                       const SimOptions& options) {
+  SimResult result;
+  result.cell_name = cell.name;
+  result.predictor_name = spec.Name();
+  result.machines.resize(cell.num_machines());
+  const std::vector<std::vector<double>> series =
+      RunMachines(cell, options, 2, [&](int m, std::vector<std::vector<double>>& partial) {
+        result.machines[m] =
+            SimulateMachine(cell, m, spec, options, &partial[0], &partial[1]);
+      });
+  result.cell_savings_series = CellSavingsSeries(series[0], series[1]);
+  return result;
+}
 
 std::vector<SimResult> SimulateCellMulti(const CellTrace& cell,
                                          std::span<const PredictorSpec> specs,
@@ -285,66 +181,18 @@ std::vector<SimResult> SimulateCellMulti(const CellTrace& cell,
   }
   const SweepPlan plan(specs);
   const int num_specs = plan.num_specs();
-  const int num_machines = cell.num_machines();
-  const Interval num_intervals = cell.num_intervals;
-
   std::vector<SimResult> results(num_specs);
   for (int s = 0; s < num_specs; ++s) {
     results[s].cell_name = cell.name;
     results[s].predictor_name = specs[s].Name();
-    results[s].machines.resize(num_machines);
+    results[s].machines.resize(cell.num_machines());
   }
-
-  // Per-thread partial series, reduced once after the join. The limit series
-  // is spec-independent, so one per slot; predictions get one per (slot,
-  // spec).
-  ThreadPool& pool = ThreadPool::Default();
-  const int slots = options.parallel ? pool.num_threads() : 1;
-  std::vector<std::vector<double>> limit_slots(slots);
-  std::vector<std::vector<std::vector<double>>> prediction_slots(slots);
-
-  const std::span<SimResult> results_span(results);
-  auto run_machine = [&](int slot, int m) {
-    std::vector<double>& limit = limit_slots[slot];
-    std::vector<std::vector<double>>& predictions = prediction_slots[slot];
-    if (limit.empty()) {
-      limit.assign(num_intervals, 0.0);
-      predictions.assign(num_specs, std::vector<double>(num_intervals, 0.0));
-    }
-    SimulateMachineMulti(cell, m, plan, options, results_span, &limit, &predictions);
-  };
-
-  if (options.parallel) {
-    pool.ParallelForIndexed(num_machines, run_machine);
-  } else {
-    for (int m = 0; m < num_machines; ++m) {
-      run_machine(0, m);
-    }
-  }
-
-  std::vector<double> cell_limit(num_intervals, 0.0);
-  std::vector<double> cell_prediction(num_intervals, 0.0);
+  const std::vector<std::vector<double>> series = RunMachines(
+      cell, options, 1 + num_specs, [&](int m, std::vector<std::vector<double>>& partial) {
+        SimulateMachineMulti(cell, m, plan, options, results, partial);
+      });
   for (int s = 0; s < num_specs; ++s) {
-    std::fill(cell_prediction.begin(), cell_prediction.end(), 0.0);
-    if (s == 0) {
-      for (int slot = 0; slot < slots; ++slot) {
-        if (limit_slots[slot].empty()) {
-          continue;
-        }
-        for (Interval t = 0; t < num_intervals; ++t) {
-          cell_limit[t] += limit_slots[slot][t];
-        }
-      }
-    }
-    for (int slot = 0; slot < slots; ++slot) {
-      if (prediction_slots[slot].empty()) {
-        continue;
-      }
-      for (Interval t = 0; t < num_intervals; ++t) {
-        cell_prediction[t] += prediction_slots[slot][s][t];
-      }
-    }
-    results[s].cell_savings_series = CellSavingsSeries(cell_limit, cell_prediction);
+    results[s].cell_savings_series = CellSavingsSeries(series[0], series[1 + s]);
   }
   return results;
 }

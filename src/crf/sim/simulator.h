@@ -7,9 +7,9 @@
 // (U_i[t], t >= tau) and compares. Scheduling decisions are NOT simulated:
 // placements come fixed from the trace, exactly as in the paper's simulator.
 //
-// The engine is a fused, allocation-free pass per machine: arrival and
-// departure event lists are derived once, the resident set and its limit sum
-// are maintained incrementally (work happens only at events, not every
+// The engine is a fused, allocation-free pass per machine: the resident set
+// and its limit sum are maintained incrementally by the MachineRoster trace
+// walk (crf/core/machine_roster.h; work happens only at events, not every
 // interval), and all scratch lives in a thread-local SimWorkspace. Cell
 // aggregation uses per-thread partial series reduced once after the parallel
 // join. The peak oracle — which depends only on (cell, machine, horizon),

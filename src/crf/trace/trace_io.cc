@@ -10,6 +10,7 @@
 
 #include "crf/trace/trace_builder.h"
 #include "crf/trace/trace_format.h"
+#include "crf/util/atomic_file.h"
 #include "crf/util/check.h"
 #include "crf/util/csv.h"
 
@@ -467,19 +468,19 @@ void SaveCellTraceBinary(const CellTrace& cell, const std::string& path) {
   header.name_length = cell.name.size();
   header.arena_bytes = cell.arena_bytes().size();
 
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  CRF_CHECK(file != nullptr) << "cannot open " << path;
-  bool ok = std::fwrite(&header, sizeof(header), 1, file) == 1;
-  if (!cell.name.empty()) {
-    ok = ok && std::fwrite(cell.name.data(), 1, cell.name.size(), file) == cell.name.size();
-  }
   const uint64_t padding = PaddedNameLength(header.name_length) - header.name_length;
-  static constexpr char kZeros[kHeaderAlignment] = {};
-  ok = ok && std::fwrite(kZeros, 1, padding, file) == padding;
-  ok = ok && std::fwrite(cell.arena_bytes().data(), 1, cell.arena_bytes().size(), file) ==
-                 cell.arena_bytes().size();
-  ok = std::fclose(file) == 0 && ok;
-  CRF_CHECK(ok) << "write failure on " << path;
+  static constexpr uint8_t kZeros[kHeaderAlignment] = {};
+  std::string error;
+  const bool ok = WriteFileAtomic(
+      path,
+      {std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&header), sizeof(header)),
+       std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(cell.name.data()),
+                                cell.name.size()),
+       std::span<const uint8_t>(kZeros, padding),
+       std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(cell.arena_bytes().data()),
+                                cell.arena_bytes().size())},
+      &error);
+  CRF_CHECK(ok) << error;
 }
 
 std::optional<CellTrace> LoadCellTrace(const std::string& path) {

@@ -11,12 +11,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "crf/core/machine_roster.h"
 #include "crf/core/spec_parser.h"
 #include "crf/net/client.h"
 #include "crf/net/loadgen.h"
@@ -24,6 +27,7 @@
 #include "crf/serve/replay.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/util/rng.h"
+#include "roster_faults.h"
 
 namespace crf {
 namespace {
@@ -105,6 +109,50 @@ LoadGenOptions TestLoadGenOptions(int port) {
   options.batch_ticks = 7;  // deliberately misaligned with the window
   options.verify_options = TestReplayOptions();
   return options;
+}
+
+// One vector of honest events per tick of `machine` — the trace walk's own
+// stream.
+std::vector<std::vector<StreamEvent>> MachineTicks(const CellTrace& cell, int machine) {
+  const MachineTaskColumns cols(cell);
+  MachineRoster walk;
+  walk.StartTraceWalk(cols, cell.machine_tasks(machine));
+  std::vector<std::vector<StreamEvent>> ticks(cell.num_intervals);
+  for (Interval tau = 0; tau < cell.num_intervals; ++tau) {
+    walk.AdvanceTrace(cols, tau, machine, &ticks[tau]);
+  }
+  return ticks;
+}
+
+// An ingest batch of `machine`'s honest ticks [from, until).
+IngestBatchRequest HonestBatch(const std::vector<std::vector<StreamEvent>>& ticks, int machine,
+                               Interval from, Interval until, Interval window_until) {
+  IngestBatchRequest request;
+  request.machine = machine;
+  request.from_tick = from;
+  request.until_tick = until;
+  request.window_until = window_until;
+  for (Interval tau = from; tau < until; ++tau) {
+    request.events.insert(request.events.end(), ticks[tau].begin(), ticks[tau].end());
+  }
+  return request;
+}
+
+// Sends `op` and requires the server to answer with a kError frame — not a
+// success, and not a dropped connection. Returns the error message.
+template <typename Request>
+std::string ExpectErrorFrame(NetClient& client, WireOp op, const Request& request) {
+  ByteWriter payload;
+  request.EncodeTo(payload);
+  WireOp response_op = op;
+  std::span<const uint8_t> response;
+  std::string error;
+  EXPECT_TRUE(client.Call(op, payload, &response_op, &response, &error)) << error;
+  EXPECT_EQ(response_op, WireOp::kError);
+  ErrorResponse failure;
+  EXPECT_TRUE(DecodePayload(response, failure));
+  client.Close();  // the server closes its end after an error
+  return failure.message;
 }
 
 class NetServerFamilyTest : public ::testing::TestWithParam<const char*> {};
@@ -197,14 +245,8 @@ TEST(NetServerCheckpointTest, SealIsRefusedMidWindow) {
   std::string error;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port(), &error)) << error;
   // Open a window on shard 0 without finishing it: one tick of machine 0.
-  EventLog log(cell);
-  IngestBatchRequest request;
-  request.machine = 0;
-  request.from_tick = 0;
-  request.until_tick = 1;
-  request.window_until = cell.num_intervals;
-  EventLog::MachineCursor cursor = log.CreateCursor(0);
-  cursor.EmitTick(0, request.events);
+  const IngestBatchRequest request =
+      HonestBatch(MachineTicks(cell, 0), 0, 0, 1, cell.num_intervals);
   ASSERT_TRUE(client.IngestBatch(request, &error).has_value()) << error;
 
   NetClient shutdown_client;
@@ -217,9 +259,12 @@ TEST(NetServerCheckpointTest, SealIsRefusedMidWindow) {
   EXPECT_FALSE(harness.server->sealed());
 }
 
-// Protocol violations: wrong machine order within a shard, a mismatched
-// window boundary, and a tick regression each draw a kError and close only
-// the offending connection; the server remains healthy for other clients.
+// Protocol violations: wrong machine order within a shard, a departure of a
+// task that is not resident, and every roster fault (roster_faults.h) each
+// draw a kError and close only the offending connection. A roster fault
+// mid-batch leaves the shard cursor on the applied prefix. Afterwards the
+// window is finished honestly and a well-behaved client still gets clean,
+// bit-identical service.
 TEST(NetServerProtocolTest, ViolationsDrawErrorAndConnectionClose) {
   const CellTrace cell = RandomCell(404);
   std::string spec_error;
@@ -228,7 +273,30 @@ TEST(NetServerProtocolTest, ViolationsDrawErrorAndConnectionClose) {
   ServerHarness harness(cell, *spec);
   ASSERT_TRUE(harness.started);
   const int port = harness.server->port();
-  EventLog log(cell);
+  const auto ticks0 = MachineTicks(cell, 0);
+
+  // One corrupted tick of machine 0 per fault, on distinct ticks after tick
+  // 0, so every faulty batch carries an honest prefix: each tick takes the
+  // first unplaced fault that applies to it. The violations all live in the
+  // window [0, window); the loadgen streams the rest of the trace.
+  struct PlannedFault {
+    RosterFault fault;
+    Interval tick;
+  };
+  std::vector<PlannedFault> plan;
+  std::vector<RosterFault> unplaced(std::begin(kAllRosterFaults), std::end(kAllRosterFaults));
+  for (Interval tick = 1; tick + 1 < cell.num_intervals && !unplaced.empty(); ++tick) {
+    for (auto it = unplaced.begin(); it != unplaced.end(); ++it) {
+      std::vector<StreamEvent> probe = ticks0[tick];
+      if (InjectRosterFault(*it, tick, probe)) {
+        plan.push_back({*it, tick});
+        unplaced.erase(it);
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(unplaced.empty()) << unplaced.size() << " faults found no tick on machine 0";
+  const Interval window = plan.back().tick + 1;
 
   std::string error;
   {
@@ -237,23 +305,17 @@ TEST(NetServerProtocolTest, ViolationsDrawErrorAndConnectionClose) {
     ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
     MachineQueryRequest query;
     query.machine = cell.num_machines() + 5;
-    EXPECT_FALSE(client.MachineQuery(query, &error).has_value());
-    EXPECT_NE(error.find("machine"), std::string::npos) << error;
+    EXPECT_NE(ExpectErrorFrame(client, WireOp::kMachineQuery, query).find("machine"),
+              std::string::npos);
   }
   {
     // Shard protocol: the first streamed machine must be the shard's first.
     NetClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
-    IngestBatchRequest request;
-    request.machine = 1;  // shard 0 owns machines [0, 2) here; 0 must be first
-    request.from_tick = 0;
-    request.until_tick = 1;
-    request.window_until = cell.num_intervals;
-    EventLog::MachineCursor cursor = log.CreateCursor(1);
-    cursor.EmitTick(0, request.events);
-    EXPECT_FALSE(client.IngestBatch(request, &error).has_value());
-    // The connection is closed after the error: the next call fails too.
-    EXPECT_FALSE(client.CellQuery(&error).has_value());
+    // Shard 0 owns machines [0, 2) here; 0 must be first.
+    const IngestBatchRequest request = HonestBatch(MachineTicks(cell, 1), 1, 0, 1, window);
+    EXPECT_NE(ExpectErrorFrame(client, WireOp::kIngestBatch, request).find("out of order"),
+              std::string::npos);
   }
   {
     // Roster violation: a departure for a task that is not resident.
@@ -263,7 +325,7 @@ TEST(NetServerProtocolTest, ViolationsDrawErrorAndConnectionClose) {
     request.machine = 0;
     request.from_tick = 0;
     request.until_tick = 1;
-    request.window_until = cell.num_intervals;
+    request.window_until = window;
     StreamEvent bogus;
     bogus.kind = StreamEventKind::kTaskDeparture;
     bogus.task_index = 999999;
@@ -271,8 +333,37 @@ TEST(NetServerProtocolTest, ViolationsDrawErrorAndConnectionClose) {
     bogus.task_id = 999999;
     bogus.limit = 0.5;
     request.events.push_back(bogus);
-    EXPECT_FALSE(client.IngestBatch(request, &error).has_value());
-    EXPECT_NE(error.find("departure"), std::string::npos) << error;
+    EXPECT_NE(ExpectErrorFrame(client, WireOp::kIngestBatch, request).find("departure"),
+              std::string::npos);
+  }
+  // Every roster fault: ticks [applied, fault tick) apply, the faulty tick
+  // draws a kError naming the fault, and the cursor stays on the prefix.
+  Interval applied = 0;
+  for (const PlannedFault& planned : plan) {
+    SCOPED_TRACE(::testing::Message() << "fault " << static_cast<int>(planned.fault)
+                                      << " at tick " << planned.tick);
+    IngestBatchRequest request = HonestBatch(ticks0, 0, applied, planned.tick, window);
+    request.until_tick = planned.tick + 1;
+    std::vector<StreamEvent> faulty = ticks0[planned.tick];
+    ASSERT_TRUE(InjectRosterFault(planned.fault, planned.tick, faulty));
+    request.events.insert(request.events.end(), faulty.begin(), faulty.end());
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
+    const std::string message = ExpectErrorFrame(client, WireOp::kIngestBatch, request);
+    EXPECT_NE(message.find(RosterFaultKeyword(planned.fault)), std::string::npos) << message;
+    EXPECT_NE(message.find("at tick " + std::to_string(planned.tick)), std::string::npos)
+        << message;
+
+    // Re-pushing the first tick of the batch is stale now: the cursor moved
+    // to the faulty tick.
+    NetClient stale;
+    ASSERT_TRUE(stale.Connect("127.0.0.1", port, &error)) << error;
+    const std::string stale_message = ExpectErrorFrame(
+        stale, WireOp::kIngestBatch, HonestBatch(ticks0, 0, applied, applied + 1, window));
+    EXPECT_NE(stale_message.find("expected from tick " + std::to_string(planned.tick)),
+              std::string::npos)
+        << stale_message;
+    applied = planned.tick;
   }
   {
     // Raw garbage bytes: not a CRFNET1 frame, connection dropped, no crash.
@@ -293,11 +384,24 @@ TEST(NetServerProtocolTest, ViolationsDrawErrorAndConnectionClose) {
     ::close(fd);
   }
 
+  // Finish the window honestly: machine 0 from its cursor, every other
+  // machine from the window start. The window then commits cell-wide.
+  NetClient finisher;
+  ASSERT_TRUE(finisher.Connect("127.0.0.1", port, &error)) << error;
+  for (int m = 0; m < cell.num_machines(); ++m) {
+    const Interval from = m == 0 ? applied : 0;
+    ASSERT_TRUE(
+        finisher.IngestBatch(HonestBatch(MachineTicks(cell, m), m, from, window, window), &error)
+            .has_value())
+        << "machine " << m << ": " << error;
+  }
+
   // After all that abuse a well-behaved client still gets clean service.
   LoadGenReport report;
   ASSERT_TRUE(RunLoadGen(cell, *spec, TestLoadGenOptions(port), &report)) << report.error;
   EXPECT_TRUE(report.verified);
-  EXPECT_GE(harness.server->net_metrics().frames_rejected(), 1u);
+  EXPECT_GE(harness.server->net_metrics().frames_rejected(),
+            static_cast<uint64_t>(plan.size() * 2 + 3));
   harness.server->Wait();
 }
 
@@ -314,7 +418,7 @@ TEST(NetServerProtocolTest, MidBatchErrorLeavesCursorOnAppliedPrefix) {
   ServerHarness harness(cell, *spec);
   ASSERT_TRUE(harness.started);
   const int port = harness.server->port();
-  EventLog log(cell);
+  const auto ticks0 = MachineTicks(cell, 0);
 
   std::string error;
   {
@@ -322,14 +426,7 @@ TEST(NetServerProtocolTest, MidBatchErrorLeavesCursorOnAppliedPrefix) {
     // of a non-resident task: tick 0 applies, tick 1 is rejected.
     NetClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
-    IngestBatchRequest request;
-    request.machine = 0;
-    request.from_tick = 0;
-    request.until_tick = 2;
-    request.window_until = cell.num_intervals;
-    EventLog::MachineCursor cursor = log.CreateCursor(0);
-    cursor.EmitTick(0, request.events);
-    cursor.EmitTick(1, request.events);
+    IngestBatchRequest request = HonestBatch(ticks0, 0, 0, 2, cell.num_intervals);
     StreamEvent bogus;
     bogus.kind = StreamEventKind::kTaskDeparture;
     bogus.task_index = 999999;
@@ -344,13 +441,7 @@ TEST(NetServerProtocolTest, MidBatchErrorLeavesCursorOnAppliedPrefix) {
     // server must answer with an error frame, not abort.
     NetClient stale;
     ASSERT_TRUE(stale.Connect("127.0.0.1", port, &error)) << error;
-    IngestBatchRequest request;
-    request.machine = 0;
-    request.from_tick = 0;
-    request.until_tick = 1;
-    request.window_until = cell.num_intervals;
-    EventLog::MachineCursor cursor = log.CreateCursor(0);
-    cursor.EmitTick(0, request.events);
+    const IngestBatchRequest request = HonestBatch(ticks0, 0, 0, 1, cell.num_intervals);
     EXPECT_FALSE(stale.IngestBatch(request, &error).has_value());
     EXPECT_NE(error.find("expected from tick 1"), std::string::npos) << error;
   }
@@ -358,21 +449,237 @@ TEST(NetServerProtocolTest, MidBatchErrorLeavesCursorOnAppliedPrefix) {
     // Resuming at the first unapplied tick streams on cleanly.
     NetClient resume;
     ASSERT_TRUE(resume.Connect("127.0.0.1", port, &error)) << error;
-    IngestBatchRequest request;
-    request.machine = 0;
-    request.from_tick = 1;
-    request.until_tick = 2;
-    request.window_until = cell.num_intervals;
-    EventLog::MachineCursor cursor = log.CreateCursor(0);
-    std::vector<StreamEvent> scratch;
-    cursor.EmitTick(0, scratch);
-    cursor.EmitTick(1, request.events);
-    const auto response = resume.IngestBatch(request, &error);
+    const auto response =
+        resume.IngestBatch(HonestBatch(ticks0, 0, 1, 2, cell.num_intervals), &error);
     ASSERT_TRUE(response.has_value()) << error;
     EXPECT_EQ(response->last_tick, 1);
   }
   harness.server->RequestStop();
 }
+
+// Frame-sequence fuzz against a live server. A seeded driver streams the
+// window [0, W) the way a client may — shards interleaved, batches of random
+// length, connections dropped and reopened mid-window — and mixes in frames
+// that break the protocol: resuming a machine at the wrong tick, re-pushing
+// a stale tick, streaming a shard's machines out of order, a mismatched
+// window boundary, pushing to a shard whose window awaits the cell-wide
+// commit, and a roster fault mid-batch. The driver keeps a model of every
+// shard's cursor, so each honest frame must succeed and each bad one must
+// draw a kError frame while moving the cursor exactly as the model says
+// (only a roster fault applies its honest prefix). The server must never
+// abort; a clean loadgen afterwards must verify bit-identity, and a seal
+// requested mid-window is refused with a kError.
+class NetServerFuzzTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(NetServerFuzzTest, FrameSequencesNeverAbortAndKeepBitIdentity) {
+  const uint64_t seed = 900 + static_cast<uint64_t>(GetParam());
+  const CellTrace cell = RandomCell(seed);
+  std::string spec_error;
+  const auto spec = ParsePredictorSpec("max(n-sigma:5,rc-like:99)", &spec_error);
+  ASSERT_TRUE(spec.has_value()) << spec_error;
+  ServerHarness harness(cell, *spec, TempPath("fuzz.ckpt"));
+  ASSERT_TRUE(harness.started);
+  const int port = harness.server->port();
+  const Interval num_intervals = cell.num_intervals;
+  const int num_machines = cell.num_machines();
+  std::vector<std::vector<std::vector<StreamEvent>>> ticks;
+  for (int m = 0; m < num_machines; ++m) {
+    ticks.push_back(MachineTicks(cell, m));
+  }
+  Rng rng(seed);
+  const Interval window = 2 + static_cast<Interval>(rng.UniformInt(num_intervals / 2));
+
+  // The model: the server's contiguous shard blocks and each shard's cursor.
+  struct ShardModel {
+    int begin = 0;
+    int end = 0;
+    bool open = false;
+    bool completed = false;
+    int next_machine = 0;
+    Interval machine_tick = 0;
+  };
+  const int num_shards = TestReplayOptions().num_shards;
+  const int block = std::max((num_machines + num_shards - 1) / num_shards, 1);
+  std::vector<ShardModel> shards;
+  for (int s = 0; s < num_shards; ++s) {
+    ShardModel shard;
+    shard.begin = std::min(s * block, num_machines);
+    shard.end = std::min((s + 1) * block, num_machines);
+    shard.completed = shard.begin == shard.end;  // empty: nothing to stream
+    shards.push_back(shard);
+  }
+
+  NetClient clients[3];
+  std::string error;
+  const auto client_for = [&](int k) -> NetClient& {
+    if (!clients[k].connected()) {
+      EXPECT_TRUE(clients[k].Connect("127.0.0.1", port, &error)) << error;
+    }
+    return clients[k];
+  };
+
+  int honest_frames = 0;
+  int bad_frames = 0;
+  for (int step = 0; step < 20000; ++step) {
+    std::vector<int> streaming;
+    std::vector<int> awaiting_commit;
+    for (int s = 0; s < num_shards; ++s) {
+      if (!shards[s].completed) {
+        streaming.push_back(s);
+      } else if (shards[s].begin != shards[s].end) {
+        awaiting_commit.push_back(s);
+      }
+    }
+    if (streaming.empty()) {
+      break;  // the window committed cell-wide with the last shard
+    }
+    NetClient& client = client_for(static_cast<int>(rng.UniformInt(3)));
+    ShardModel& shard = shards[streaming[rng.UniformInt(streaming.size())]];
+    // The first ingest frame a shard sees opens its window, whatever else is
+    // wrong with the frame, and starts the cursor at its first machine.
+    const bool was_open = shard.open;
+    if (!was_open) {
+      shard.next_machine = shard.begin;
+      shard.machine_tick = 0;
+    }
+    const int machine = shard.next_machine;
+    const Interval from = shard.machine_tick;
+    const Interval until =
+        std::min<Interval>(from + 1 + static_cast<Interval>(rng.UniformInt(6)), window);
+    const auto& machine_ticks = ticks[machine];
+    const int kind = static_cast<int>(rng.UniformInt(10));
+    SCOPED_TRACE(::testing::Message() << "step " << step << " kind " << kind << " machine "
+                                      << machine << " ticks [" << from << ", " << until << ")");
+
+    if (kind == 0 || kind == 4 || kind == 5) {
+      // Frames that leave this shard alone: a reconnect mid-window, a
+      // window mismatch (sent only once the window is open, or it would
+      // open with the wrong boundary), and a push to another shard.
+      if (kind == 0) {
+        client.Close();
+      } else if (kind == 4 && was_open) {
+        const std::string message =
+            ExpectErrorFrame(client, WireOp::kIngestBatch,
+                             HonestBatch(machine_ticks, machine, from, until, window + 1));
+        EXPECT_NE(message.find("window"), std::string::npos) << message;
+        ++bad_frames;
+      } else if (kind == 5 && !awaiting_commit.empty()) {
+        // Push to a shard that finished the window before the cell did.
+        const ShardModel& done = shards[awaiting_commit[rng.UniformInt(awaiting_commit.size())]];
+        const std::string message =
+            ExpectErrorFrame(client, WireOp::kIngestBatch,
+                             HonestBatch(ticks[done.begin], done.begin, 0, 1, window));
+        EXPECT_NE(message.find("not yet committed"), std::string::npos) << message;
+        ++bad_frames;
+      }
+      continue;
+    }
+    shard.open = true;
+    if (kind == 1 && from + 1 < window) {
+      // Resume the machine at the wrong tick (ahead of its cursor).
+      const Interval wrong = from + 1 + static_cast<Interval>(rng.UniformInt(window - from - 1));
+      const std::string message =
+          ExpectErrorFrame(client, WireOp::kIngestBatch,
+                           HonestBatch(machine_ticks, machine, wrong, wrong + 1, window));
+      EXPECT_NE(message.find("expected from tick"), std::string::npos) << message;
+      ++bad_frames;
+    } else if (kind == 2 && from > 0) {
+      // Re-push a stale tick the server already holds.
+      const Interval stale = static_cast<Interval>(rng.UniformInt(from));
+      const std::string message =
+          ExpectErrorFrame(client, WireOp::kIngestBatch,
+                           HonestBatch(machine_ticks, machine, stale, stale + 1, window));
+      EXPECT_NE(message.find("expected from tick"), std::string::npos) << message;
+      ++bad_frames;
+    } else if (kind == 3 && (machine + 1 < shard.end || machine > shard.begin)) {
+      // Interleave machines inside a shard: the next one early, or a
+      // finished one again.
+      const int other = machine + 1 < shard.end ? machine + 1 : machine - 1;
+      const std::string message =
+          ExpectErrorFrame(client, WireOp::kIngestBatch,
+                           HonestBatch(ticks[other], other, from, until, window));
+      EXPECT_NE(message.find("out of order"), std::string::npos) << message;
+      ++bad_frames;
+    } else if (kind == 6) {
+      // A roster fault at a random tick of the batch: the honest prefix
+      // applies, the faulty tick does not.
+      const Interval faulty = from + static_cast<Interval>(rng.UniformInt(until - from));
+      IngestBatchRequest request = HonestBatch(machine_ticks, machine, from, faulty, window);
+      request.until_tick = until;
+      std::vector<StreamEvent> corrupt = machine_ticks[faulty];
+      RosterFault fault = RosterFault::kExtraSample;
+      for (int tries = 0; tries < 8; ++tries) {
+        const RosterFault pick =
+            kAllRosterFaults[rng.UniformInt(std::size(kAllRosterFaults))];
+        std::vector<StreamEvent> probe = corrupt;
+        if (InjectRosterFault(pick, faulty, probe)) {
+          fault = pick;
+          break;
+        }
+      }
+      ASSERT_TRUE(InjectRosterFault(fault, faulty, corrupt));
+      request.events.insert(request.events.end(), corrupt.begin(), corrupt.end());
+      for (Interval tau = faulty + 1; tau < until; ++tau) {
+        request.events.insert(request.events.end(), machine_ticks[tau].begin(),
+                              machine_ticks[tau].end());
+      }
+      const std::string message = ExpectErrorFrame(client, WireOp::kIngestBatch, request);
+      EXPECT_NE(message.find(RosterFaultKeyword(fault)), std::string::npos) << message;
+      shard.machine_tick = faulty;
+      ++bad_frames;
+    } else {
+      // An honest batch continues the machine.
+      const auto response =
+          client.IngestBatch(HonestBatch(machine_ticks, machine, from, until, window), &error);
+      ASSERT_TRUE(response.has_value()) << error;
+      EXPECT_EQ(response->last_tick, until - 1);
+      shard.machine_tick = until;
+      if (until == window) {
+        ++shard.next_machine;
+        shard.machine_tick = 0;
+        if (shard.next_machine == shard.end) {
+          shard.completed = true;
+          shard.open = false;
+        }
+      }
+      ++honest_frames;
+    }
+  }
+  EXPECT_GT(bad_frames, 0);
+  EXPECT_GT(honest_frames, 0);
+  for (NetClient& client : clients) {
+    client.Close();
+  }
+
+  // The model says the window committed; the server agrees.
+  NetClient control;
+  ASSERT_TRUE(control.Connect("127.0.0.1", port, &error)) << error;
+  const auto hello = control.Hello(HelloRequest{}, &error);
+  ASSERT_TRUE(hello.has_value()) << error;
+  ASSERT_EQ(hello->next_tick, window);
+
+  // A clean loadgen streams on to `until` and verifies bit-identity.
+  const Interval until = window + (num_intervals - window) / 2;
+  LoadGenOptions options = TestLoadGenOptions(port);
+  options.until = until;
+  options.send_shutdown = false;
+  LoadGenReport report;
+  ASSERT_TRUE(RunLoadGen(cell, *spec, options, &report)) << report.error;
+  EXPECT_TRUE(report.verified) << report.mismatched_machines << " machines mismatched";
+
+  // Open the next window with one tick of machine 0, then ask for a seal:
+  // refused with a kError, and the server still stops cleanly.
+  ASSERT_TRUE(
+      control.IngestBatch(HonestBatch(ticks[0], 0, until, until + 1, num_intervals), &error)
+          .has_value())
+      << error;
+  const std::string message = ExpectErrorFrame(control, WireOp::kShutdown, ShutdownRequest{});
+  EXPECT_NE(message.find("cannot seal"), std::string::npos) << message;
+  harness.server->Wait();
+  EXPECT_FALSE(harness.server->sealed());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NetServerFuzzTest, ::testing::Range(0, 6));
 
 // The window protocol: a second batch must continue the machine at its next
 // tick and keep the window boundary every shard agreed on.
@@ -383,28 +690,19 @@ TEST(NetServerProtocolTest, WindowMismatchIsRejected) {
   ASSERT_TRUE(spec.has_value()) << spec_error;
   ServerHarness harness(cell, *spec);
   ASSERT_TRUE(harness.started);
-  EventLog log(cell);
+  const auto ticks0 = MachineTicks(cell, 0);
 
   std::string error;
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port(), &error)) << error;
-  IngestBatchRequest request;
-  request.machine = 0;
-  request.from_tick = 0;
-  request.until_tick = 2;
-  request.window_until = cell.num_intervals;
-  EventLog::MachineCursor cursor = log.CreateCursor(0);
-  cursor.EmitTick(0, request.events);
-  cursor.EmitTick(1, request.events);
-  ASSERT_TRUE(client.IngestBatch(request, &error).has_value()) << error;
+  ASSERT_TRUE(
+      client.IngestBatch(HonestBatch(ticks0, 0, 0, 2, cell.num_intervals), &error).has_value())
+      << error;
 
   // Same machine, right tick, but a different window boundary.
-  request.events.clear();
-  request.from_tick = 2;
-  request.until_tick = 3;
-  request.window_until = cell.num_intervals - 1;
-  cursor.EmitTick(2, request.events);
-  EXPECT_FALSE(client.IngestBatch(request, &error).has_value());
+  EXPECT_FALSE(
+      client.IngestBatch(HonestBatch(ticks0, 0, 2, 3, cell.num_intervals - 1), &error)
+          .has_value());
   EXPECT_NE(error.find("window"), std::string::npos) << error;
   harness.server->RequestStop();
 }

@@ -6,9 +6,12 @@
 #include "crf/serve/checkpoint.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,7 +76,8 @@ std::vector<uint8_t> ReadAll(const std::string& path) {
 void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
   FILE* file = std::fopen(path.c_str(), "wb");
   ASSERT_NE(file, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  // fwrite's buffer may not be null, which an empty vector's data() can be.
+  ASSERT_EQ(bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
   std::fclose(file);
 }
 
@@ -279,6 +283,59 @@ TEST(StreamCheckpointInfoTest, HeaderInspectionReportsIdentity) {
   EXPECT_EQ(info.next_tick, fixture.cell.num_intervals / 2);
   EXPECT_EQ(info.spec_name, fixture.spec.Name());
   EXPECT_GT(info.payload_bytes, 0u);
+}
+
+// A seal that fails partway through its write — here the file-size limit
+// cuts it short, as a crash mid-seal would — must leave the previous
+// checkpoint at the path byte-identical and loadable, and no temporary file
+// behind.
+TEST(StreamCheckpointAtomicWriteTest, FailedOverwriteKeepsPreviousCheckpoint) {
+  const CellTrace cell = RandomCell(777);
+  const PredictorSpec spec = MaxSpec({NSigmaSpec(5.0, 3, 8), RcLikeSpec(99.0, 3, 8)});
+  ReplayOptions options;
+  options.num_shards = 4;
+  const std::filesystem::path dir = TempPath("atomic_dir");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string path = (dir / "seal.crfckpt").string();
+
+  StreamReplayer replayer(cell, spec, options);
+  const Interval first_cut = cell.num_intervals / 4;
+  replayer.Advance(first_cut);
+  std::string error;
+  ASSERT_TRUE(SaveCheckpoint(replayer, path, &error)) << error;
+  const std::vector<uint8_t> previous = ReadAll(path);
+
+  replayer.Advance(cell.num_intervals / 2);
+  rlimit unlimited{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &unlimited), 0);
+  rlimit capped = unlimited;
+  capped.rlim_cur = previous.size() / 2;
+  const auto previous_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const bool overwritten = SaveCheckpoint(replayer, path, &error);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &unlimited), 0);
+  std::signal(SIGXFSZ, previous_handler);
+  EXPECT_FALSE(overwritten);
+  EXPECT_NE(error.find("short write"), std::string::npos) << error;
+
+  EXPECT_EQ(ReadAll(path), previous);
+  auto restored = LoadCheckpoint(path, cell, options, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(restored->next_tick(), first_cut);
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "seal.crfckpt");
+    ++files;
+  }
+  EXPECT_EQ(files, 1);
+
+  // Without the cap the same overwrite lands whole.
+  ASSERT_TRUE(SaveCheckpoint(replayer, path, &error)) << error;
+  restored = LoadCheckpoint(path, cell, options, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(restored->next_tick(), cell.num_intervals / 2);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -71,6 +71,7 @@
 #include "crf/trace/trace_io.h"
 #include "crf/trace/trace_stats.h"
 #include "crf/util/arg_parse.h"
+#include "crf/util/atomic_file.h"
 #include "crf/util/table.h"
 
 namespace crf {
@@ -552,13 +553,11 @@ int CmdServe(Args& args) {
     if (!server.Start(&error)) {
       return Fail(error);
     }
-    if (port_file.has_value()) {
-      std::FILE* out = std::fopen(port_file->c_str(), "w");
-      if (out == nullptr) {
-        return Fail("cannot write --port-file " + *port_file);
-      }
-      std::fprintf(out, "%d\n", server.port());
-      std::fclose(out);
+    // Atomic, so a script polling for a non-empty file never reads a partial
+    // port number.
+    if (port_file.has_value() &&
+        !WriteFileAtomic(*port_file, std::to_string(server.port()) + "\n", &error)) {
+      return Fail("cannot write --port-file: " + error);
     }
     std::fprintf(stderr,
                  "crf: serving %s (%s) on %s:%d, %d shards, next tick %d/%d\n",
