@@ -98,7 +98,7 @@ void BM_TaskHistoryPush(benchmark::State& state) {
     benchmark::DoNotOptimize(history.size());
   }
 }
-BENCHMARK(BM_TaskHistoryPush)->Arg(120)->Arg(1200);
+BENCHMARK(BM_TaskHistoryPush)->Arg(24)->Arg(120)->Arg(1200)->Arg(2016);
 
 void BM_TaskHistoryPercentile(benchmark::State& state) {
   TaskHistory history(static_cast<int>(state.range(0)));
@@ -110,7 +110,7 @@ void BM_TaskHistoryPercentile(benchmark::State& state) {
     benchmark::DoNotOptimize(history.Percentile(99.0));
   }
 }
-BENCHMARK(BM_TaskHistoryPercentile)->Arg(120)->Arg(1200);
+BENCHMARK(BM_TaskHistoryPercentile)->Arg(24)->Arg(120)->Arg(1200)->Arg(2016);
 
 // One-machine oracle computation over a day trace; measures the
 // segment-sliding-max algorithm.

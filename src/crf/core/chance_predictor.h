@@ -15,8 +15,8 @@
 // warm-up counter, kept in a roster of parallel vectors in the caller's
 // sample order, revalidated with one id comparison per task and rebuilt only
 // on arrival/departure events. The machine-level empirical distribution
-// lives in one Fenwick-indexed window (TaskHistory), so each poll costs one
-// push plus one O(log n) quantile selection.
+// lives in one sorted-array window (TaskHistory), so each poll costs one
+// push plus one O(1) quantile lookup.
 
 #ifndef CRF_CORE_CHANCE_PREDICTOR_H_
 #define CRF_CORE_CHANCE_PREDICTOR_H_

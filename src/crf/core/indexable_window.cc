@@ -2,29 +2,43 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "crf/util/byte_io.h"
 #include "crf/util/check.h"
 
 namespace crf {
 
+namespace {
+
+constexpr float kPadding = std::numeric_limits<float>::infinity();
+
+}  // namespace
+
 IndexableWindow::IndexableWindow(int capacity) : capacity_(capacity) {
   CRF_CHECK_GT(capacity, 0);
   ring_.reserve(capacity);
+  sorted_.assign((capacity + kLanes - 1) / kLanes * kLanes, kPadding);
 }
 
 void IndexableWindow::Push(float sample) {
   CRF_CHECK(std::isfinite(sample)) << "non-finite usage sample " << sample;
-  if (static_cast<int>(ring_.size()) < capacity_) {
+  const int count = size();
+  if (count < capacity_) {
+    // Slot `count` holds padding, so the shift stays inside the array.
+    float* sorted = sorted_.data();
+    const int at = CountBelow(sample);
+    std::copy_backward(sorted + at, sorted + count, sorted + count + 1);
+    sorted[at] = sample;
     ring_.push_back(sample);
   } else {
     const float evicted = ring_[head_];
     ring_[head_] = sample;
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-    Erase(evicted);
+    Replace(evicted, sample);
     sum_ -= evicted;
   }
-  Insert(sample);
   sum_ += sample;
   if (--pushes_until_sum_refresh_ == 0) {
     pushes_until_sum_refresh_ = kSumRefreshPeriod;
@@ -37,97 +51,58 @@ void IndexableWindow::Push(float sample) {
 }
 
 void IndexableWindow::Clear() {
+  std::fill(sorted_.begin(), sorted_.begin() + size(), kPadding);
   ring_.clear();
   head_ = 0;
-  chunks_.clear();
-  fenwick_.clear();
   sum_ = 0.0;
   pushes_until_sum_refresh_ = kSumRefreshPeriod;
 }
 
-int IndexableWindow::FindChunk(float value) const {
-  int lo = 0;
-  int hi = static_cast<int>(chunks_.size()) - 1;
-  while (lo < hi) {
-    const int mid = (lo + hi) / 2;
-    if (chunks_[mid].back() < value) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+int IndexableWindow::CountBelow(float value) const {
+  // The +inf padding never counts (value is finite), so both methods run
+  // over the whole array, filled or not.
+  const float* sorted = sorted_.data();
+  const size_t length = sorted_.size();
+  if (capacity_ > kMaxCountingCapacity) {
+    // Branch-free lower bound: probes on usage samples go either way at
+    // random, so a conditional move beats a mispredicted branch.
+    const float* base = sorted;
+    for (size_t remaining = length; remaining > 1;) {
+      const size_t half = remaining / 2;
+      base = base[half] < value ? base + half : base;
+      remaining -= half;
+    }
+    return static_cast<int>(base - sorted) + (*base < value);
+  }
+  // Fixed-width blocks with one counter per lane: no data-dependent branch,
+  // and the compiler vectorizes the inner loop.
+  int lanes[kLanes] = {};
+  for (size_t block = 0; block < length; block += kLanes) {
+    for (int lane = 0; lane < kLanes; ++lane) {
+      lanes[lane] += sorted[block + lane] < value;
     }
   }
-  return lo;
+  int count = 0;
+  for (const int lane_count : lanes) {
+    count += lane_count;
+  }
+  return count;
 }
 
-void IndexableWindow::Insert(float value) {
-  if (chunks_.empty()) {
-    chunks_.emplace_back();
-    chunks_.back().reserve(kSplitSize);
-    chunks_.back().push_back(value);
-    RebuildFenwick();
-    return;
-  }
-  const int c = FindChunk(value);
-  std::vector<float>& chunk = chunks_[c];
-  chunk.insert(std::upper_bound(chunk.begin(), chunk.end(), value), value);
-  if (static_cast<int>(chunk.size()) < kSplitSize) {
-    FenwickAdd(c, 1);
-    return;
-  }
-  // Split into two half chunks; indices shift, so rebuild the tree.
-  std::vector<float> upper;
-  upper.reserve(kSplitSize);
-  upper.assign(chunk.begin() + kSplitSize / 2, chunk.end());
-  chunk.resize(kSplitSize / 2);
-  chunks_.insert(chunks_.begin() + c + 1, std::move(upper));
-  RebuildFenwick();
-}
-
-void IndexableWindow::Erase(float value) {
-  CRF_CHECK(!chunks_.empty());
-  const int c = FindChunk(value);
-  std::vector<float>& chunk = chunks_[c];
-  const auto it = std::lower_bound(chunk.begin(), chunk.end(), value);
-  CRF_CHECK(it != chunk.end() && *it == value);
-  chunk.erase(it);
-  if (chunk.empty()) {
-    chunks_.erase(chunks_.begin() + c);
-    RebuildFenwick();
+void IndexableWindow::Replace(float evicted, float sample) {
+  float* sorted = sorted_.data();
+  const int from = CountBelow(evicted);
+  CRF_CHECK(from < capacity_ && sorted[from] == evicted)
+      << "evicted sample " << evicted << " not in the window";
+  // `to` counts the evicted value itself when sample > evicted: the values
+  // strictly between the two slide one slot toward the vacated one.
+  const int to = CountBelow(sample);
+  if (to > from) {
+    std::copy(sorted + from + 1, sorted + to, sorted + from);
+    sorted[to - 1] = sample;
   } else {
-    FenwickAdd(c, -1);
-  }
-}
-
-float IndexableWindow::AtRank(int k) const {
-  const int n = static_cast<int>(chunks_.size());
-  // Descend the Fenwick tree for the largest prefix of chunks holding <= k
-  // values; the target then sits inside the next chunk.
-  int pos = 0;
-  int remaining = k + 1;
-  int step = 1;
-  while (step * 2 <= n) {
-    step *= 2;
-  }
-  for (; step > 0; step /= 2) {
-    if (pos + step <= n && fenwick_[pos + step] < remaining) {
-      pos += step;
-      remaining -= fenwick_[pos];
-    }
-  }
-  return chunks_[pos][remaining - 1];
-}
-
-void IndexableWindow::RebuildFenwick() {
-  const int n = static_cast<int>(chunks_.size());
-  fenwick_.assign(n + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    FenwickAdd(i, static_cast<int>(chunks_[i].size()));
-  }
-}
-
-void IndexableWindow::FenwickAdd(int chunk_index, int delta) {
-  for (int i = chunk_index + 1; i < static_cast<int>(fenwick_.size()); i += i & -i) {
-    fenwick_[i] += delta;
+    std::copy_backward(sorted + to, sorted + from, sorted + from + 1);
+    sorted[to] = sample;
   }
 }
 
@@ -137,14 +112,14 @@ double IndexableWindow::Percentile(double p) const {
   CRF_CHECK_LE(p, 100.0);
   const int count = static_cast<int>(ring_.size());
   if (count == 1) {
-    return AtRank(0);
+    return sorted_[0];
   }
   const double rank = p / 100.0 * static_cast<double>(count - 1);
   const int lo = static_cast<int>(rank);
   const int hi = std::min(lo + 1, count - 1);
   const double frac = rank - static_cast<double>(lo);
-  const float lo_value = AtRank(lo);
-  const float hi_value = hi == lo ? lo_value : AtRank(hi);
+  const float lo_value = sorted_[lo];
+  const float hi_value = sorted_[hi];
   return lo_value + frac * (hi_value - lo_value);
 }
 
@@ -159,10 +134,6 @@ void IndexableWindow::SaveState(ByteWriter& out) const {
   out.Write<int32_t>(capacity_);
   out.Write<int32_t>(head_);
   out.WriteVec(ring_);
-  out.Write<uint64_t>(chunks_.size());
-  for (const std::vector<float>& chunk : chunks_) {
-    out.WriteVec(chunk);
-  }
   out.Write<double>(sum_);
   out.Write<int32_t>(pushes_until_sum_refresh_);
 }
@@ -174,58 +145,24 @@ bool IndexableWindow::LoadState(ByteReader& in) {
   if (!in.ReadVec(ring, static_cast<uint64_t>(capacity_))) {
     return false;
   }
-  const uint64_t num_chunks = in.Read<uint64_t>();
-  if (!in.ok() || capacity != capacity_ || num_chunks > ring.size() ||
-      static_cast<int>(ring.size()) > capacity_ || head < 0 ||
-      (ring.size() < static_cast<size_t>(capacity_) ? head != 0 : head >= capacity_)) {
-    in.Fail();
-    return false;
-  }
-  std::vector<std::vector<float>> chunks(num_chunks);
-  std::vector<float> ordered;
-  ordered.reserve(ring.size());
-  for (size_t c = 0; c < num_chunks; ++c) {
-    std::vector<float>& chunk = chunks[c];
-    if (!in.ReadVec(chunk, static_cast<uint64_t>(kSplitSize))) {
-      return false;
-    }
-    // Chunks are non-empty, internally sorted, and value-ordered across
-    // chunk boundaries — the invariants FindChunk's binary search relies on.
-    if (chunk.empty() || !std::is_sorted(chunk.begin(), chunk.end()) ||
-        (c > 0 && chunks[c - 1].back() > chunk.front()) ||
-        ordered.size() + chunk.size() > ring.size()) {
-      in.Fail();
-      return false;
-    }
-    ordered.insert(ordered.end(), chunk.begin(), chunk.end());
-  }
-  // The chunk partition must hold exactly the ring's samples, or a later
-  // eviction would fail an internal invariant check instead of this load
-  // being cleanly rejected.
-  std::vector<float> sorted_ring = ring;
-  std::sort(sorted_ring.begin(), sorted_ring.end());
-  if (ordered != sorted_ring) {
-    in.Fail();
-    return false;
-  }
   const double sum = in.Read<double>();
   const int32_t refresh = in.Read<int32_t>();
-  if (!in.ok() || !std::isfinite(sum) || refresh <= 0 || refresh > kSumRefreshPeriod) {
+  const int count = static_cast<int>(ring.size());
+  if (!in.ok() || capacity != capacity_ || head < 0 ||
+      (count < capacity_ ? head != 0 : head >= capacity_) || !std::isfinite(sum) ||
+      refresh <= 0 || refresh > kSumRefreshPeriod ||
+      !std::all_of(ring.begin(), ring.end(), [](float v) { return std::isfinite(v); })) {
     in.Fail();
     return false;
   }
-  for (const float v : ring) {
-    if (!std::isfinite(v)) {
-      in.Fail();
-      return false;
-    }
-  }
-  ring_ = std::move(ring);
+  // Copy into the existing storage, which already holds `capacity` floats.
+  ring_.assign(ring.begin(), ring.end());
   head_ = head;
-  chunks_ = std::move(chunks);
+  std::copy(ring.begin(), ring.end(), sorted_.begin());
+  std::sort(sorted_.begin(), sorted_.begin() + count);
+  std::fill(sorted_.begin() + count, sorted_.end(), kPadding);
   sum_ = sum;
   pushes_until_sum_refresh_ = refresh;
-  RebuildFenwick();
   return true;
 }
 

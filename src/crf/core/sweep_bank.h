@@ -12,9 +12,9 @@
 //  * specs are deduplicated into evaluation nodes (a max(...) spec's
 //    components become ordinary nodes, shared with any standalone spec that
 //    matches them structurally);
-//  * RC-like and autopilot nodes share one per-task IndexableWindow per
-//    distinct history length — every percentile query reads the same
-//    order-statistics window;
+//  * RC-like and autopilot nodes share one per-task IndexableWindow (a
+//    ring plus one sorted array) per distinct history length — every
+//    percentile query is two loads from the same sorted array;
 //  * N-sigma nodes share one AggregateWindow per distinct (warm-up, history)
 //    pair — every N reads the same running moments;
 //  * chance nodes share one machine-level order-statistics window of the

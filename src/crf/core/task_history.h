@@ -1,12 +1,12 @@
-// Bounded per-task usage history with O(log n) percentile access.
+// Bounded per-task usage history with O(1) percentile access.
 //
 // The node agent "only maintains a moving window storing the most recent
-// samples" per task (Section 4). TaskHistory is that window, backed by the
-// Fenwick-indexed chunked IndexableWindow: pushes cost a chunk insert plus a
-// Fenwick point update instead of an O(window) sorted-vector memmove, the
-// RC-like predictor's per-poll percentile is two rank selections and one
+// samples" per task (Section 4). TaskHistory is that window, backed by
+// IndexableWindow's ring plus one value-sorted array: a push is one rank
+// search and one shift between the evicted and the new value's slots, the
+// RC-like predictor's per-poll percentile is two direct loads and one
 // interpolation, and the mean is a running sum. Non-finite samples are
-// rejected at Push (a NaN would silently corrupt the ordered index and only
+// rejected at Push (a NaN would silently corrupt the sorted array and only
 // trip the eviction check a full window later).
 
 #ifndef CRF_CORE_TASK_HISTORY_H_

@@ -17,7 +17,11 @@ constexpr char kMagic[8] = {'C', 'R', 'F', 'C', 'K', 'P', 'T', '1'};
 // and per-machine payloads carry full RiskAccumulator state (tail quantile
 // estimators) instead of six scalar counters. Version-1 files are rejected
 // with a clear error rather than misparsed.
-constexpr uint32_t kVersion = 2;
+// Version 3: a percentile-window record (TaskHistory, chance and flex
+// windows) is capacity, head, ring, running sum and refresh countdown; the
+// sorted chunk partition is gone and the sorted view is rebuilt from the
+// ring. Version-2 files are rejected the same way.
+constexpr uint32_t kVersion = 3;
 constexpr uint64_t kMaxNameLength = 4096;
 constexpr uint64_t kMaxSpecLength = 1 << 20;
 constexpr uint64_t kMaxPayloadLength = uint64_t{1} << 40;

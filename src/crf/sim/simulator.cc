@@ -1,5 +1,7 @@
 #include "crf/sim/simulator.h"
 
+#include <algorithm>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -80,39 +82,55 @@ MachineMetrics SimulateMachine(const CellTrace& cell, int machine_index,
 
 namespace {
 
+// Machines are reduced in at most this many contiguous blocks. The count is
+// fixed, never the pool size, so the cell series have the same bits however
+// many threads run them.
+constexpr int kReduceBlocks = 64;
+
 // Runs `simulate(m, series)` for every machine — on the default pool when
-// options.parallel — where `series` is the calling thread slot's
-// `num_series` partial per-interval series (zeroed on first use). Returns
-// each series summed over the slots in slot order: no mutex, no O(T) merge
-// per machine, and the same bits at any pool size.
+// options.parallel — and returns the `num_series` per-interval series summed
+// over all machines. Machines are cut into contiguous blocks by the stream
+// replayer's shard rule; a block sums its machines, in index order, into its
+// own partial series, and the partials are added to the total in block
+// order. Every addition is thus fixed by the cell alone, parallel or not. A
+// partial is folded in and freed as soon as every earlier block has been, so
+// only about one partial per thread is alive at a time.
 template <typename SimulateOne>
 std::vector<std::vector<double>> RunMachines(const CellTrace& cell, const SimOptions& options,
                                              int num_series, SimulateOne simulate) {
+  using Series = std::vector<std::vector<double>>;
   CRF_CHECK_GT(cell.num_intervals, 0);
-  ThreadPool& pool = ThreadPool::Default();
+  const int num_machines = cell.num_machines();
+  const int block_size = std::max(1, (num_machines + kReduceBlocks - 1) / kReduceBlocks);
+  const int num_blocks = (num_machines + block_size - 1) / block_size;
   const std::vector<double> zeros(cell.num_intervals, 0.0);
-  std::vector<std::vector<std::vector<double>>> partial(options.parallel ? pool.num_threads()
-                                                                         : 1);
-  auto run_machine = [&](int slot, int m) {
-    if (partial[slot].empty()) {
-      partial[slot].assign(num_series, zeros);
-    }
-    simulate(m, partial[slot]);
-  };
-  if (options.parallel) {
-    pool.ParallelForIndexed(cell.num_machines(), run_machine);
-  } else {
-    for (int m = 0; m < cell.num_machines(); ++m) {
-      run_machine(0, m);
-    }
-  }
-  std::vector<std::vector<double>> total(num_series, zeros);
-  for (const std::vector<std::vector<double>>& slot : partial) {
-    for (size_t i = 0; i < slot.size(); ++i) {
-      for (Interval t = 0; t < cell.num_intervals; ++t) {
-        total[i][t] += slot[i][t];
+  Series total(num_series, zeros);
+
+  std::mutex mutex;  // Guards `finished`, `next_fold` and `total`.
+  std::vector<Series> finished(num_blocks);
+  int next_fold = 0;
+  auto run_blocks = [&](int /*slot*/, int begin, int end) {
+    for (int b = begin; b < end; ++b) {
+      Series partial(num_series, zeros);
+      for (int m = b * block_size; m < std::min((b + 1) * block_size, num_machines); ++m) {
+        simulate(m, partial);
+      }
+      const std::lock_guard<std::mutex> lock(mutex);
+      finished[b] = std::move(partial);
+      for (; next_fold < num_blocks && !finished[next_fold].empty(); ++next_fold) {
+        for (int i = 0; i < num_series; ++i) {
+          for (Interval t = 0; t < cell.num_intervals; ++t) {
+            total[i][t] += finished[next_fold][i][t];
+          }
+        }
+        finished[next_fold] = Series();
       }
     }
+  };
+  if (options.parallel) {
+    ThreadPool::Default().ParallelForRanges(num_blocks, 1, run_blocks);
+  } else {
+    run_blocks(0, 0, num_blocks);
   }
   return total;
 }

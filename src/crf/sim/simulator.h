@@ -11,10 +11,10 @@
 // and its limit sum are maintained incrementally by the MachineRoster trace
 // walk (crf/core/machine_roster.h; work happens only at events, not every
 // interval), and all scratch lives in a thread-local SimWorkspace. Cell
-// aggregation uses per-thread partial series reduced once after the parallel
-// join. The peak oracle — which depends only on (cell, machine, horizon),
-// never on the predictor — can be memoized across sweep points through
-// SimOptions::oracle_cache.
+// aggregation sums fixed machine blocks in block order, so the cell series
+// have the same bits serial or parallel at any pool size. The peak oracle —
+// which depends only on (cell, machine, horizon), never on the predictor —
+// can be memoized across sweep points through SimOptions::oracle_cache.
 
 #ifndef CRF_SIM_SIMULATOR_H_
 #define CRF_SIM_SIMULATOR_H_

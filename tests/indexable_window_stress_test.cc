@@ -1,17 +1,22 @@
 // Randomized churn stress for IndexableWindow (and TaskHistory, its thin
 // wrapper): long insert/evict sequences with heavy duplicates are checked
-// differentially against a naive sorted-vector reference, and a mid-churn
-// SaveState/LoadState round trip must continue bit-identically to the
-// original window.
+// bit for bit against a naive sorted-vector reference, at capacities on
+// both sides of the switch from counting to binary search and at the
+// 1200- and 2016-sample lengths of long histories. A mid-churn
+// SaveState/LoadState round trip and a window reused after Clear() must
+// both continue bit-identically to an uninterrupted / fresh window.
 
 #include "crf/core/indexable_window.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "crf/core/task_history.h"
@@ -70,9 +75,11 @@ class NaiveWindow {
   std::deque<float> ring_;
 };
 
-// Sample streams with heavy duplicates and plateaus: equal values across
-// chunk boundaries are exactly where the chunked index's erase/insert
-// tie-handling can go wrong.
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Sample streams with heavy duplicates and plateaus: runs of equal values
+// are exactly where the sorted array's evict/insert tie-handling can go
+// wrong.
 float NextSample(Rng& rng) {
   const double shape = rng.UniformDouble();
   if (shape < 0.4) {
@@ -109,7 +116,7 @@ TEST_P(IndexableWindowStressTest, ChurnMatchesNaiveReference) {
     const bool check = i < 2 * capacity ? (i % 7 == 0) : (i % 23 == 0);
     if (check) {
       for (const double p : percentiles) {
-        EXPECT_EQ(window.Percentile(p), naive.Percentile(p))
+        EXPECT_EQ(Bits(window.Percentile(p)), Bits(naive.Percentile(p)))
             << "capacity=" << capacity << " i=" << i << " p=" << p;
       }
       EXPECT_NEAR(window.Mean(), naive.Mean(), 1e-9)
@@ -144,17 +151,58 @@ TEST_P(IndexableWindowStressTest, SaveLoadMidChurnContinuesBitIdentically) {
     restored.Push(sample);
     ASSERT_EQ(restored.size(), window.size());
     EXPECT_EQ(restored.Latest(), window.Latest());
-    EXPECT_EQ(restored.Mean(), window.Mean()) << "i=" << i;
+    EXPECT_EQ(Bits(restored.Mean()), Bits(window.Mean())) << "i=" << i;
     if (i % 11 == 0) {
       for (const double p : {0.0, 25.0, 50.0, 95.0, 100.0}) {
-        EXPECT_EQ(restored.Percentile(p), window.Percentile(p)) << "i=" << i << " p=" << p;
+        EXPECT_EQ(Bits(restored.Percentile(p)), Bits(window.Percentile(p)))
+            << "i=" << i << " p=" << p;
       }
     }
   }
 }
 
+// A pooled window is Clear()ed and reused for the next task: it must behave
+// exactly like a freshly constructed one, down to its checkpoint bytes.
+TEST_P(IndexableWindowStressTest, ReuseAfterClearMatchesFreshWindow) {
+  const int capacity = GetParam();
+  Rng rng(5150 + static_cast<uint64_t>(capacity));
+  IndexableWindow reused(capacity);
+  for (int i = 0; i < 2 * capacity + 5; ++i) {
+    reused.Push(NextSample(rng));
+  }
+  reused.Clear();
+  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(reused.capacity(), capacity);
+
+  IndexableWindow fresh(capacity);
+  for (int i = 0; i < 2 * capacity + 13; ++i) {
+    const float sample = NextSample(rng);
+    reused.Push(sample);
+    fresh.Push(sample);
+    ASSERT_EQ(reused.size(), fresh.size());
+    EXPECT_EQ(reused.Latest(), fresh.Latest());
+    EXPECT_EQ(Bits(reused.Mean()), Bits(fresh.Mean())) << "i=" << i;
+    // Early pushes grow the window through its padding; check them all.
+    if (i < capacity || i % 9 == 0) {
+      for (const double p : {0.0, 10.0, 50.0, 99.0, 100.0}) {
+        EXPECT_EQ(Bits(reused.Percentile(p)), Bits(fresh.Percentile(p)))
+            << "i=" << i << " p=" << p;
+      }
+    }
+  }
+  ByteWriter reused_state;
+  reused.SaveState(reused_state);
+  ByteWriter fresh_state;
+  fresh.SaveState(fresh_state);
+  EXPECT_EQ(reused_state.bytes(), fresh_state.bytes());
+}
+
+// Values straddle the rank-method switch (counting up to 64 samples, binary
+// search beyond) and the 8-float padding blocks; 24 and 120 are the paper's
+// 2h and 10h histories, 1200 and 2016 long-history windows.
 INSTANTIATE_TEST_SUITE_P(Capacities, IndexableWindowStressTest,
-                         ::testing::Values(1, 2, 7, 63, 64, 65, 200, 1024));
+                         ::testing::Values(1, 2, 7, 8, 9, 24, 63, 64, 65, 120, 200, 1024, 1200,
+                                           2016));
 
 TEST(IndexableWindowStateTest, LoadRejectsCapacityMismatch) {
   IndexableWindow window(16);
@@ -186,6 +234,75 @@ TEST(IndexableWindowStateTest, LoadRejectsTruncatedAndFlippedState) {
     ByteReader reader(truncated);
     EXPECT_FALSE(target.LoadState(reader) && reader.AtEnd()) << "length=" << length;
   }
+}
+
+// A saved window of capacity 16 holding `count` samples: the record is
+// capacity (i32), head (i32), ring length (u64), the ring floats, the sum
+// (f64) and the refresh countdown (i32).
+std::vector<uint8_t> SavedWindow(int count) {
+  IndexableWindow window(16);
+  for (int i = 0; i < count; ++i) {
+    window.Push(static_cast<float>(i % 5) * 0.25f);
+  }
+  ByteWriter writer;
+  window.SaveState(writer);
+  return writer.bytes();
+}
+
+bool Loads(const std::vector<uint8_t>& bytes) {
+  IndexableWindow target(16);
+  ByteReader reader(bytes);
+  return target.LoadState(reader) && reader.AtEnd();
+}
+
+template <typename T>
+void Poke(std::vector<uint8_t>& bytes, size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+}
+
+TEST(IndexableWindowStateTest, LoadRejectsNonFiniteSamplesAndFields) {
+  const std::vector<uint8_t> good = SavedWindow(40);
+  ASSERT_TRUE(Loads(good));
+  constexpr size_t kRing = 16;  // After capacity, head and the ring length.
+  const size_t sum_offset = kRing + 16 * sizeof(float);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    for (const size_t slot : {size_t{0}, size_t{7}, size_t{15}}) {
+      std::vector<uint8_t> bytes = good;
+      Poke(bytes, kRing + slot * sizeof(float), bad);
+      EXPECT_FALSE(Loads(bytes)) << "sample " << bad << " in slot " << slot;
+    }
+  }
+  std::vector<uint8_t> bad_sum = good;
+  Poke(bad_sum, sum_offset, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_FALSE(Loads(bad_sum));
+  for (const int32_t refresh : {0, -1, (1 << 15) + 1}) {
+    std::vector<uint8_t> bytes = good;
+    Poke(bytes, sum_offset + sizeof(double), refresh);
+    EXPECT_FALSE(Loads(bytes)) << "refresh " << refresh;
+  }
+}
+
+TEST(IndexableWindowStateTest, LoadRejectsBadHead) {
+  // Full ring: the head must index into it.
+  const std::vector<uint8_t> full = SavedWindow(40);
+  for (const int32_t head : {-1, 16, 1000}) {
+    std::vector<uint8_t> bytes = full;
+    Poke(bytes, sizeof(int32_t), head);
+    EXPECT_FALSE(Loads(bytes)) << "head " << head;
+  }
+  // Partial ring: the oldest sample is slot 0, so the head must be 0.
+  const std::vector<uint8_t> partial = SavedWindow(5);
+  ASSERT_TRUE(Loads(partial));
+  std::vector<uint8_t> bytes = partial;
+  Poke(bytes, sizeof(int32_t), int32_t{1});
+  EXPECT_FALSE(Loads(bytes));
+  // A ring longer than the capacity.
+  bytes = full;
+  Poke(bytes, 2 * sizeof(int32_t), uint64_t{17});
+  EXPECT_FALSE(Loads(bytes));
 }
 
 TEST(TaskHistoryStressTest, WrapperMatchesReferenceAndRoundTrips) {

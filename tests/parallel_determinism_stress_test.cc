@@ -21,6 +21,7 @@
 #include "crf/core/predictor_factory.h"
 #include "crf/serve/replay.h"
 #include "crf/sim/simulator.h"
+#include "crf/trace/generator.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/util/rng.h"
 #include "crf/util/thread_pool.h"
@@ -198,6 +199,48 @@ TEST(ParallelDeterminismStressChunking, ChunkedParallelAdvanceMatchesOneShot) {
     for (int s = 0; s < ma.num_shards(); ++s) {
       EXPECT_EQ(mb.shard(s).sequence, ma.shard(s).sequence) << "shard " << s;
       EXPECT_EQ(mb.shard(s).ticks, ma.shard(s).ticks) << "shard " << s;
+    }
+  }
+}
+
+bool BytesEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The batch engines on the default pool: the cell series reduce fixed
+// machine blocks in block order, so a parallel run has the same bytes as a
+// serial one however the pool hands out the blocks. 150 machines put several
+// machines in each block, so a slot-order reduction would show up here.
+TEST(ParallelDeterminismStressBatch, CellSeriesByteIdenticalToSerialOverRepeats) {
+  CellProfile profile = SimCellProfile('a');
+  profile.num_machines = 150;
+  GeneratorOptions generator;
+  generator.num_intervals = kIntervalsPerDay;
+  const CellTrace cell = GenerateCellTrace(profile, generator, Rng(61));
+  std::vector<PredictorSpec> specs;
+  for (int i = 0; i < 8; ++i) {
+    specs.push_back(SpecForCase(i));
+  }
+
+  SimOptions serial;
+  serial.parallel = false;
+  const SimResult single_reference = SimulateCell(cell, specs.back(), serial);
+  const std::vector<SimResult> multi_reference = SimulateCellMulti(cell, specs, serial);
+  // The blocks follow the replayer's shard rule, at 64 blocks.
+  EXPECT_TRUE(BytesEqual(Replay(cell, specs.back(), 64, false, nullptr).cell_savings_series,
+                         single_reference.cell_savings_series));
+  SimOptions parallel;
+  parallel.parallel = true;
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    SCOPED_TRACE(::testing::Message() << "repeat=" << repeat);
+    const SimResult single = SimulateCell(cell, specs.back(), parallel);
+    ASSERT_TRUE(BytesEqual(single.cell_savings_series, single_reference.cell_savings_series));
+    const std::vector<SimResult> multi = SimulateCellMulti(cell, specs, parallel);
+    ASSERT_EQ(multi.size(), multi_reference.size());
+    for (size_t s = 0; s < multi.size(); ++s) {
+      ASSERT_TRUE(BytesEqual(multi[s].cell_savings_series,
+                             multi_reference[s].cell_savings_series))
+          << "spec " << specs[s].Name();
     }
   }
 }

@@ -250,15 +250,27 @@ TEST(StreamCheckpointMismatchTest, WrongShardCountIsRejectedWithHint) {
   EXPECT_NE(error.find("--shards=4"), std::string::npos) << error;
 }
 
+// Version 1 lacked the chance target and the risk state; version 2 stored
+// each percentile window's sorted chunk partition. Either payload would
+// misparse as version 3, so both the loader and the header inspection must
+// refuse the file with an error (never a CHECK abort).
 TEST(StreamCheckpointMismatchTest, OldVersionIsRejected) {
   CheckpointFixture fixture;
-  // The header version is a little-endian u32 at offset 8 (after the magic).
-  std::vector<uint8_t> old_version = fixture.bytes;
-  old_version[8] = 1;
-  WriteAll(fixture.path, old_version);
-  std::string error;
-  EXPECT_EQ(LoadCheckpoint(fixture.path, fixture.cell, fixture.options, &error), nullptr);
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  for (const uint8_t version : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "version=" << int{version});
+    // The header version is a little-endian u32 at offset 8 (after the magic).
+    std::vector<uint8_t> old_version = fixture.bytes;
+    old_version[8] = version;
+    WriteAll(fixture.path, old_version);
+    const std::string expected = "unsupported checkpoint version " + std::to_string(version);
+    std::string error;
+    EXPECT_EQ(LoadCheckpoint(fixture.path, fixture.cell, fixture.options, &error), nullptr);
+    EXPECT_EQ(error, expected);
+    CheckpointInfo info;
+    error.clear();
+    EXPECT_FALSE(ReadCheckpointInfo(fixture.path, &info, &error));
+    EXPECT_EQ(error, expected);
+  }
 }
 
 TEST(StreamCheckpointMismatchTest, MissingFileIsRejected) {
@@ -275,7 +287,7 @@ TEST(StreamCheckpointInfoTest, HeaderInspectionReportsIdentity) {
   CheckpointInfo info;
   std::string error;
   ASSERT_TRUE(ReadCheckpointInfo(fixture.path, &info, &error)) << error;
-  EXPECT_EQ(info.version, 2u);
+  EXPECT_EQ(info.version, 3u);
   EXPECT_EQ(info.trace_name, fixture.cell.name);
   EXPECT_EQ(info.num_machines, fixture.cell.num_machines());
   EXPECT_EQ(info.num_intervals, fixture.cell.num_intervals);

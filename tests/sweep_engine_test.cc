@@ -1,9 +1,9 @@
 // The multi-spec sweep engine against its per-spec reference.
 //
-//  * IndexableWindow (the Fenwick-indexed chunked window under TaskHistory
-//    and the sweep bank) is pinned property-style to a naive sorted-vector
-//    window under random pushes, across capacities from 1 to well past the
-//    chunk-split size.
+//  * IndexableWindow (the sorted-array window under TaskHistory and the
+//    sweep bank) is pinned property-style to a naive sorted-vector window
+//    under random pushes, across capacities from 1 to well past the switch
+//    from counting to binary search.
 //  * SweepPlan's node/group deduplication is checked structurally.
 //  * SimulateCellMulti over a mixed grid — borg phis, RC-like percentiles,
 //    N-sigma Ns, autopilot, nested max specs, varied warm-up/history
@@ -86,8 +86,7 @@ TEST(IndexableWindowTest, MatchesSortedVectorReference) {
     ReferenceWindow reference(capacity);
     const int pushes = std::max(300, 4 * capacity);  // Well past one wrap.
     for (int i = 0; i < pushes; ++i) {
-      // Quantize some samples so duplicates (possibly spanning chunk
-      // boundaries) are common.
+      // Quantize some samples so runs of duplicates are common.
       const float sample = rng.UniformDouble() < 0.5
                                ? static_cast<float>(rng.UniformInt(16)) * 0.25f
                                : static_cast<float>(rng.UniformDouble());
