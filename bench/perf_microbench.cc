@@ -2,9 +2,9 @@
 // constraints care about: a predictor must respond "within the polling
 // frequency of the central scheduler" with a small CPU and memory footprint.
 // Measures per-poll predictor cost, oracle computation throughput, the
-// TaskHistory percentile window, and the fused simulation engine
+// TaskHistory percentile window, the fused simulation engine
 // (machines/sec and intervals/sec, with and without the shared oracle cache
-// across a 16-point predictor sweep).
+// across a 16-point predictor sweep), and the CRFNET ingest frame codec.
 //
 // Results are recorded as JSON under $REPRO_OUT (default bench_out/) in
 // perf_microbench.json so engine throughput is a regression-checkable
@@ -37,6 +37,7 @@
 #include "crf/cluster/cell_sim.h"
 #include "crf/net/loadgen.h"
 #include "crf/net/server.h"
+#include "crf/net/wire.h"
 #include "crf/core/oracle.h"
 #include "crf/core/predictor_factory.h"
 #include "crf/core/task_history.h"
@@ -194,6 +195,71 @@ void BM_StreamIngest(benchmark::State& state) {
       static_cast<double>(state.iterations() * events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_StreamIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One CRFNET ingest frame at the serve-loopback batch size (512 machines x
+// 1 week streamed in 256-tick batches: about 2,823 events, 93 KB per
+// frame). Arg(0): the client side, encoding the batch and sealing its frame
+// into a reused buffer. Arg(1): the server side, DecodeFrame (checksum
+// verify) plus DecodePayload (decode and validate) into a fresh request, as
+// HandleIngest does. ns_per_event is each side's cost per event.
+IngestBatchRequest MakeWireBatch() {
+  constexpr int kEvents = 2823;
+  constexpr Interval kTicks = 256;
+  Rng rng(14);
+  IngestBatchRequest batch;
+  batch.machine = 17;
+  batch.from_tick = 0;
+  batch.until_tick = kTicks;
+  batch.window_until = kTicks;
+  for (int i = 0; i < kEvents; ++i) {
+    StreamEvent event;
+    event.kind = static_cast<StreamEventKind>(rng.UniformInt(3));
+    event.task_index = static_cast<int32_t>(rng.UniformInt(1 << 20));
+    event.tick = static_cast<Interval>(static_cast<int64_t>(i) * kTicks / kEvents);
+    event.task_id = static_cast<TaskId>(rng.UniformInt(uint64_t{1} << 40));
+    event.limit = 0.01 + 0.2 * rng.UniformDouble();
+    event.usage = event.limit * rng.UniformDouble();
+    batch.events.push_back(event);
+  }
+  return batch;
+}
+
+void BM_WireIngestFrame(benchmark::State& state) {
+  const IngestBatchRequest batch = MakeWireBatch();
+  std::vector<uint8_t> frame;
+  AppendMessageFrame(WireOp::kIngestBatch, batch, frame);
+  const auto start = std::chrono::steady_clock::now();
+  if (state.range(0) == 0) {
+    for (auto _ : state) {
+      frame.clear();
+      AppendMessageFrame(WireOp::kIngestBatch, batch, frame);
+      benchmark::DoNotOptimize(frame.data());
+      benchmark::ClobberMemory();
+    }
+  } else {
+    for (auto _ : state) {
+      WireOp op = WireOp::kError;
+      std::span<const uint8_t> payload;
+      size_t frame_bytes = 0;
+      IngestBatchRequest decoded;
+      const bool ok =
+          DecodeFrame(frame, &op, &payload, &frame_bytes, nullptr) == FrameStatus::kFrame &&
+          DecodePayload(payload, decoded);
+      if (!ok) {
+        state.SkipWithError("ingest frame did not decode");
+        break;
+      }
+      benchmark::DoNotOptimize(decoded.events.data());
+    }
+  }
+  const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  state.counters["ns_per_event"] =
+      elapsed_ns / (static_cast<double>(state.iterations()) * batch.events.size());
+  state.counters["frame_bytes"] = static_cast<double>(frame.size());
+}
+BENCHMARK(BM_WireIngestFrame)->Arg(0)->Arg(1);
 
 // A 16-point N-sigma parameter sweep over the default synthetic cell —
 // the fig08-shaped workload. Arg(0): every sweep point recomputes the

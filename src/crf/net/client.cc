@@ -10,6 +10,11 @@
 #include <cstring>
 
 namespace crf {
+namespace {
+
+constexpr size_t kReadChunk = 64 * 1024;
+
+}  // namespace
 
 NetClient::~NetClient() { Close(); }
 
@@ -48,12 +53,17 @@ bool NetClient::Connect(const std::string& host, int port, std::string* error) {
 
 bool NetClient::Call(WireOp op, const ByteWriter& payload, WireOp* response_op,
                      std::span<const uint8_t>* response_payload, std::string* error) {
+  send_buffer_.clear();
+  AppendFrame(op, payload, send_buffer_);
+  return RoundTrip(response_op, response_payload, error);
+}
+
+bool NetClient::RoundTrip(WireOp* response_op, std::span<const uint8_t>* response_payload,
+                          std::string* error) {
   if (fd_ < 0) {
     *error = "not connected";
     return false;
   }
-  send_buffer_.clear();
-  AppendFrame(op, payload, send_buffer_);
   size_t sent = 0;
   while (sent < send_buffer_.size()) {
     const ssize_t n =
@@ -70,12 +80,15 @@ bool NetClient::Call(WireOp op, const ByteWriter& payload, WireOp* response_op,
   bytes_sent_ += send_buffer_.size();
 
   // The protocol is one response frame per request; any leftover bytes from
-  // a previous round would be a framing bug, so start clean.
-  receive_buffer_.clear();
+  // a previous round would be a framing bug, so start clean. The buffer
+  // keeps its size across calls (bytes [0, received) are this response), so
+  // a recv never re-zeroes space that is already there.
+  size_t received = 0;
   while (true) {
     size_t frame_bytes = 0;
     const FrameStatus status =
-        DecodeFrame(receive_buffer_, response_op, response_payload, &frame_bytes, error);
+        DecodeFrame(std::span<const uint8_t>(receive_buffer_.data(), received), response_op,
+                    response_payload, &frame_bytes, error);
     if (status == FrameStatus::kFrame) {
       bytes_received_ += frame_bytes;
       return true;
@@ -84,11 +97,12 @@ bool NetClient::Call(WireOp op, const ByteWriter& payload, WireOp* response_op,
       *error = "malformed response frame: " + *error;
       return false;
     }
-    const size_t offset = receive_buffer_.size();
-    receive_buffer_.resize(offset + 64 * 1024);
-    const ssize_t n = ::recv(fd_, receive_buffer_.data() + offset, 64 * 1024, 0);
+    if (receive_buffer_.size() - received < kReadChunk) {
+      receive_buffer_.resize(received + kReadChunk);
+    }
+    const ssize_t n = ::recv(fd_, receive_buffer_.data() + received,
+                             receive_buffer_.size() - received, 0);
     if (n <= 0) {
-      receive_buffer_.resize(offset);
       if (n < 0 && errno == EINTR) {
         continue;
       }
@@ -96,18 +110,18 @@ bool NetClient::Call(WireOp op, const ByteWriter& payload, WireOp* response_op,
                       : std::string("recv: ") + std::strerror(errno);
       return false;
     }
-    receive_buffer_.resize(offset + static_cast<size_t>(n));
+    received += static_cast<size_t>(n);
   }
 }
 
 template <typename Request, typename Response>
 std::optional<Response> NetClient::TypedCall(WireOp op, const Request& request,
                                              std::string* error) {
-  ByteWriter writer;
-  request.EncodeTo(writer);
+  send_buffer_.clear();
+  AppendMessageFrame(op, request, send_buffer_);
   WireOp response_op;
   std::span<const uint8_t> response_payload;
-  if (!Call(op, writer, &response_op, &response_payload, error)) {
+  if (!RoundTrip(&response_op, &response_payload, error)) {
     return std::nullopt;
   }
   if (response_op == WireOp::kError) {

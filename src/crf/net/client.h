@@ -1,4 +1,4 @@
-// NetClient: a blocking CRFNET1 client connection.
+// NetClient: a blocking CRFNET1 (wire version 2) client connection.
 //
 // One TCP connection speaking the wire format of wire.h: Call() frames a
 // request, sends it, and blocks until the matching response frame arrives
@@ -59,6 +59,9 @@ class NetClient {
  private:
   template <typename Request, typename Response>
   std::optional<Response> TypedCall(WireOp op, const Request& request, std::string* error);
+  // Sends the frame in send_buffer_ and receives one response frame.
+  bool RoundTrip(WireOp* response_op, std::span<const uint8_t>* response_payload,
+                 std::string* error);
 
   int fd_ = -1;
   std::vector<uint8_t> receive_buffer_;

@@ -199,9 +199,13 @@ void OvercommitServer::ReapConnectionThreads() {
 }
 
 void OvercommitServer::ConnectionLoop(int fd, ConnectionStats* stats) {
+  // Bytes [consumed, filled) of `buffer` are received but not yet decoded.
+  // The buffer only grows (to the largest frame plus one read chunk), so a
+  // recv never re-zeroes space that is already there.
   std::vector<uint8_t> buffer;
   std::vector<uint8_t> response;
   size_t consumed = 0;
+  size_t filled = 0;
   bool open = true;
   while (open && !stop_.load(std::memory_order_acquire)) {
     pollfd pfd{fd, POLLIN, 0};
@@ -209,13 +213,14 @@ void OvercommitServer::ConnectionLoop(int fd, ConnectionStats* stats) {
     if (ready <= 0) {
       continue;
     }
-    const size_t offset = buffer.size();
-    buffer.resize(offset + kReadChunk);
-    const ssize_t n = ::recv(fd, buffer.data() + offset, kReadChunk, 0);
-    buffer.resize(offset + std::max<ssize_t>(n, 0));
+    if (buffer.size() - filled < kReadChunk) {
+      buffer.resize(filled + kReadChunk);
+    }
+    const ssize_t n = ::recv(fd, buffer.data() + filled, kReadChunk, 0);
     if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
       break;  // peer closed or hard error
     }
+    filled += static_cast<size_t>(std::max<ssize_t>(n, 0));
 
     // Drain every complete frame in the buffer before reading again.
     while (open) {
@@ -223,8 +228,7 @@ void OvercommitServer::ConnectionLoop(int fd, ConnectionStats* stats) {
       std::span<const uint8_t> payload;
       size_t frame_bytes = 0;
       std::string error;
-      const std::span<const uint8_t> pending(buffer.data() + consumed,
-                                             buffer.size() - consumed);
+      const std::span<const uint8_t> pending(buffer.data() + consumed, filled - consumed);
       const FrameStatus status = DecodeFrame(pending, &op, &payload, &frame_bytes, &error);
       if (status == FrameStatus::kNeedMore) {
         break;
@@ -249,11 +253,11 @@ void OvercommitServer::ConnectionLoop(int fd, ConnectionStats* stats) {
       stats->RecordBytesOut(response.size());
     }
     // Compact once the consumed prefix dominates the buffer.
-    if (consumed == buffer.size()) {
-      buffer.clear();
-      consumed = 0;
+    if (consumed == filled) {
+      consumed = filled = 0;
     } else if (consumed > (1u << 20)) {
-      buffer.erase(buffer.begin(), buffer.begin() + consumed);
+      std::memmove(buffer.data(), buffer.data() + consumed, filled - consumed);
+      filled -= consumed;
       consumed = 0;
     }
   }
@@ -298,9 +302,7 @@ bool OvercommitServer::Reject(const std::string& message, std::vector<uint8_t>& 
 void OvercommitServer::AppendError(const std::string& message, std::vector<uint8_t>& out) {
   ErrorResponse response;
   response.message = message;
-  ByteWriter writer;
-  response.EncodeTo(writer);
-  AppendFrame(WireOp::kError, writer, out);
+  AppendMessageFrame(WireOp::kError, response, out);
 }
 
 void OvercommitServer::HandleHello(std::span<const uint8_t> payload,
@@ -320,9 +322,7 @@ void OvercommitServer::HandleHello(std::span<const uint8_t> payload,
     std::lock_guard<std::mutex> lock(window_mutex_);
     response.next_tick = replayer_.next_tick();
   }
-  ByteWriter writer;
-  response.EncodeTo(writer);
-  AppendFrame(WireOp::kHello, writer, out);
+  AppendMessageFrame(WireOp::kHello, response, out);
 }
 
 bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, ConnectionStats* stats,
@@ -450,9 +450,7 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
     }
   }
 
-  ByteWriter writer;
-  response.EncodeTo(writer);
-  AppendFrame(WireOp::kIngestBatch, writer, out);
+  AppendMessageFrame(WireOp::kIngestBatch, response, out);
   return true;
 }
 
@@ -524,9 +522,7 @@ bool OvercommitServer::HandleMachineQuery(std::span<const uint8_t> payload,
         Fnv1a64(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(roster.data()),
                                          roster.size() * sizeof(int32_t)));
   }
-  ByteWriter writer;
-  response.EncodeTo(writer);
-  AppendFrame(WireOp::kMachineQuery, writer, out);
+  AppendMessageFrame(WireOp::kMachineQuery, response, out);
   return true;
 }
 
@@ -548,9 +544,7 @@ void OvercommitServer::HandleCellQuery(std::vector<uint8_t>& out) {
     }
     response.events_ingested = replayer_.MutableMetrics().TotalEvents();
   }
-  ByteWriter writer;
-  response.EncodeTo(writer);
-  AppendFrame(WireOp::kCellQuery, writer, out);
+  AppendMessageFrame(WireOp::kCellQuery, response, out);
 }
 
 bool OvercommitServer::HandleAdmission(std::span<const uint8_t> payload,
@@ -571,9 +565,7 @@ bool OvercommitServer::HandleAdmission(std::span<const uint8_t> payload,
     // not the sum of limits.
     response.admitted = response.predicted_peak + request.task_limit <= response.capacity;
   }
-  ByteWriter writer;
-  response.EncodeTo(writer);
-  AppendFrame(WireOp::kAdmissionCheck, writer, out);
+  AppendMessageFrame(WireOp::kAdmissionCheck, response, out);
   return true;
 }
 
@@ -598,9 +590,7 @@ void OvercommitServer::HandleMetrics(std::vector<uint8_t>& out) {
     RefreshMetricsShardsLocked();
     response.json = replayer_.MutableMetrics().ToJson();
   }
-  ByteWriter writer;
-  response.EncodeTo(writer);
-  AppendFrame(WireOp::kMetricsSnapshot, writer, out);
+  AppendMessageFrame(WireOp::kMetricsSnapshot, response, out);
 }
 
 bool OvercommitServer::SealLocked(bool seal, ShutdownResponse* response, std::string* error) {
@@ -659,9 +649,7 @@ bool OvercommitServer::HandleShutdown(std::span<const uint8_t> payload,
   if (!ok) {
     AppendError("shutdown: " + error, out);
   } else {
-    ByteWriter writer;
-    response.EncodeTo(writer);
-    AppendFrame(WireOp::kShutdown, writer, out);
+    AppendMessageFrame(WireOp::kShutdown, response, out);
   }
   stop_.store(true, std::memory_order_release);
   return false;

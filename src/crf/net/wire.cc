@@ -24,7 +24,7 @@ struct FrameHeader {
   uint64_t payload_bytes;
   uint64_t payload_hash;
 };
-static_assert(sizeof(FrameHeader) == 32, "wire frame header must be 32 bytes");
+static_assert(sizeof(FrameHeader) == kFrameHeaderBytes, "wire frame header must be 32 bytes");
 static_assert(std::is_trivially_copyable_v<FrameHeader>);
 
 void WriteString(ByteWriter& out, const std::string& s) {
@@ -43,6 +43,17 @@ bool ReadString(ByteReader& in, std::string& out, uint64_t max_bytes = kMaxStrin
 }
 
 bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0.0; }
+
+// One ingest event on the wire: kind u8, task_index i32, tick i32, task_id
+// i64, usage f64, limit f64 — packed, little-endian, 33 bytes.
+constexpr size_t kEventWireBytes = 1 + 4 + 4 + 8 + 8 + 8;
+
+// Stores `value` at `p` and returns the byte after it.
+template <typename T>
+uint8_t* Put(uint8_t* p, T value) {
+  std::memcpy(p, &value, sizeof(T));
+  return p + sizeof(T);
+}
 
 }  // namespace
 
@@ -68,7 +79,9 @@ const char* WireOpName(WireOp op) {
   return "unknown";
 }
 
-void AppendFrame(WireOp op, std::span<const uint8_t> payload, std::vector<uint8_t>& out) {
+void SealFrame(WireOp op, size_t frame_start, std::vector<uint8_t>& out) {
+  const std::span<const uint8_t> payload(out.data() + frame_start + sizeof(FrameHeader),
+                                         out.size() - frame_start - sizeof(FrameHeader));
   FrameHeader header{};
   std::memcpy(header.magic, kNetMagic, sizeof(header.magic));
   header.version = kNetVersion;
@@ -76,13 +89,15 @@ void AppendFrame(WireOp op, std::span<const uint8_t> payload, std::vector<uint8_
   header.flags = 0;
   header.reserved = 0;
   header.payload_bytes = payload.size();
-  header.payload_hash = Fnv1a64(payload);
-  const size_t offset = out.size();
-  out.resize(offset + sizeof(header) + payload.size());
-  std::memcpy(out.data() + offset, &header, sizeof(header));
-  if (!payload.empty()) {
-    std::memcpy(out.data() + offset + sizeof(header), payload.data(), payload.size());
-  }
+  header.payload_hash = Xxh64(payload);
+  std::memcpy(out.data() + frame_start, &header, sizeof(header));
+}
+
+void AppendFrame(WireOp op, std::span<const uint8_t> payload, std::vector<uint8_t>& out) {
+  const size_t frame_start = out.size();
+  out.resize(frame_start + sizeof(FrameHeader));
+  out.insert(out.end(), payload.begin(), payload.end());
+  SealFrame(op, frame_start, out);
 }
 
 FrameStatus DecodeFrame(std::span<const uint8_t> buffer, WireOp* op,
@@ -125,7 +140,7 @@ FrameStatus DecodeFrame(std::span<const uint8_t> buffer, WireOp* op,
   }
   const std::span<const uint8_t> body =
       buffer.subspan(sizeof(FrameHeader), header.payload_bytes);
-  if (Fnv1a64(body) != header.payload_hash) {
+  if (Xxh64(body) != header.payload_hash) {
     return malformed("frame payload checksum mismatch");
   }
   *op = static_cast<WireOp>(header.op);
@@ -170,13 +185,15 @@ void IngestBatchRequest::EncodeTo(ByteWriter& out) const {
   out.Write<int32_t>(until_tick);
   out.Write<int32_t>(window_until);
   out.Write<uint64_t>(events.size());
+  // One pass: size the records once, then write each through one pointer.
+  uint8_t* p = out.Extend(events.size() * kEventWireBytes);
   for (const StreamEvent& event : events) {
-    out.Write<uint8_t>(static_cast<uint8_t>(event.kind));
-    out.Write<int32_t>(event.task_index);
-    out.Write<int32_t>(event.tick);
-    out.Write<int64_t>(event.task_id);
-    out.Write<double>(event.usage);
-    out.Write<double>(event.limit);
+    p = Put<uint8_t>(p, static_cast<uint8_t>(event.kind));
+    p = Put<int32_t>(p, event.task_index);
+    p = Put<int32_t>(p, event.tick);
+    p = Put<int64_t>(p, event.task_id);
+    p = Put<double>(p, event.usage);
+    p = Put<double>(p, event.limit);
   }
 }
 
@@ -187,7 +204,6 @@ bool IngestBatchRequest::DecodeFrom(ByteReader& in) {
   window_until = in.Read<int32_t>();
   const uint64_t count = in.Read<uint64_t>();
   // Events are 33 wire bytes each; reject a lying count before resizing.
-  constexpr uint64_t kEventWireBytes = 1 + 4 + 4 + 8 + 8 + 8;
   if (!in.ok() || machine < 0 || from_tick < 0 || from_tick >= until_tick ||
       until_tick > window_until || count > kMaxBatchEvents ||
       in.remaining() < count * kEventWireBytes) {

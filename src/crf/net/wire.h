@@ -1,17 +1,22 @@
-// CRFNET1: the versioned binary wire format of the network serve tier
-// (DESIGN.md §10).
+// CRFNET1 wire format, version 2: the binary protocol of the network serve
+// tier (DESIGN.md §10).
 //
 // Follows the CRFCKPT1 / .crftrace framing idiom: every message on a
 // connection is one frame — a fixed 32-byte little-endian header (magic,
-// version, op) followed by an FNV-1a-checksummed, length-prefixed payload
+// version, op) followed by an XXH64-checksummed, length-prefixed payload
 // encoded with byte_io. Requests and responses share the framing; a response
 // carries the request's op on success or kError with a diagnostic string.
 //
 //   bytes [0,32)   header: magic "CRFNET1", version, op, flags/reserved
 //                  (must be zero — every header bit is load-bearing so a
-//                  bit flip anywhere is rejected), payload size + hash
+//                  bit flip anywhere is rejected), payload size + XXH64
 //   then           the payload (ByteWriter encoding of one of the
 //                  *Request / *Response structs below)
+//
+// Version 2 changed only the payload checksum (FNV-1a 64 → XXH64, which
+// hashes 32 bytes per step); a version-1 peer is rejected by its version
+// field. Senders build a frame in place (AppendMessageFrame): the header is
+// reserved, the payload encoded after it, and the header sealed last.
 //
 // Decoding is incremental and never trusts the peer: DecodeFrame returns
 // kNeedMore on a partial frame, and any malformed byte — bad magic, unknown
@@ -27,6 +32,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crf/trace/stream_event.h"
@@ -35,7 +41,8 @@
 
 namespace crf {
 
-inline constexpr uint32_t kNetVersion = 1;
+inline constexpr uint32_t kNetVersion = 2;
+inline constexpr size_t kFrameHeaderBytes = 32;
 // Hard cap on a single frame's payload; a corrupted length field cannot make
 // the receiver buffer gigabytes.
 inline constexpr uint64_t kMaxFramePayload = uint64_t{1} << 28;
@@ -69,10 +76,27 @@ enum class FrameStatus : uint8_t {
   kMalformed = 2,  // the buffer cannot begin a valid frame; drop the peer
 };
 
-// Appends one complete frame (header + payload) to `out`.
+// Writes the header of the frame that starts at `frame_start` in `out`; its
+// payload is every byte after the header's 32 (already reserved) bytes.
+void SealFrame(WireOp op, size_t frame_start, std::vector<uint8_t>& out);
+
+// Appends one complete frame (header + a copy of `payload`) to `out`.
 void AppendFrame(WireOp op, std::span<const uint8_t> payload, std::vector<uint8_t>& out);
 inline void AppendFrame(WireOp op, const ByteWriter& payload, std::vector<uint8_t>& out) {
   AppendFrame(op, std::span<const uint8_t>(payload.bytes()), out);
+}
+
+// Appends one frame carrying `message`, encoded straight into `out` after
+// the reserved header — no intermediate payload buffer, no copy. The bytes
+// equal AppendFrame of the message's standalone encoding.
+template <typename Message>
+void AppendMessageFrame(WireOp op, const Message& message, std::vector<uint8_t>& out) {
+  const size_t frame_start = out.size();
+  ByteWriter writer(std::move(out));
+  writer.Extend(kFrameHeaderBytes);
+  message.EncodeTo(writer);
+  out = writer.Release();
+  SealFrame(op, frame_start, out);
 }
 
 // Attempts to decode one frame from the front of `buffer`. On kFrame, sets
@@ -156,7 +180,8 @@ struct MachineQueryResponse {
   double limit_sum = 0.0;
   int32_t roster_size = 0;
   // FNV-1a over the roster's task indices (little-endian) — lets a client
-  // compare full roster identity without shipping the roster.
+  // compare full roster identity without shipping the roster. (A roster
+  // hash, not a frame check: it stays FNV-1a across wire versions.)
   uint64_t roster_hash = 0;
 
   void EncodeTo(ByteWriter& out) const;

@@ -8,6 +8,11 @@
 // ok() check at the end. Length prefixes are validated against an explicit
 // element cap before any allocation, so a corrupted length cannot trigger a
 // multi-gigabyte resize.
+//
+// Two 64-bit hashes live here: Fnv1a64 (byte-serial; the CRFCKPT1 payload
+// check and the machine-query roster hash) and Xxh64 (word-parallel; the
+// CRFNET frame check, where the checksum sits on every request's critical
+// path).
 
 #ifndef CRF_UTIL_BYTE_IO_H_
 #define CRF_UTIL_BYTE_IO_H_
@@ -16,19 +21,23 @@
 #include <cstring>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace crf {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Appends to `buffer` (its bytes are kept), so a caller can encode into a
+  // reusable buffer and take it back with Release() without a copy.
+  explicit ByteWriter(std::vector<uint8_t> buffer) : bytes_(std::move(buffer)) {}
+
   // Appends the raw little-endian bytes of a trivially copyable scalar.
   template <typename T>
   void Write(T value) {
     static_assert(std::is_trivially_copyable_v<T> && !std::is_pointer_v<T>);
-    const size_t offset = bytes_.size();
-    bytes_.resize(offset + sizeof(T));
-    std::memcpy(bytes_.data() + offset, &value, sizeof(T));
+    std::memcpy(Extend(sizeof(T)), &value, sizeof(T));
   }
 
   // Appends a u64 element count followed by the elements.
@@ -36,11 +45,7 @@ class ByteWriter {
   void WriteVec(std::span<const T> values) {
     static_assert(std::is_trivially_copyable_v<T> && !std::is_pointer_v<T>);
     Write<uint64_t>(values.size());
-    const size_t offset = bytes_.size();
-    bytes_.resize(offset + values.size() * sizeof(T));
-    if (!values.empty()) {
-      std::memcpy(bytes_.data() + offset, values.data(), values.size() * sizeof(T));
-    }
+    WriteBytes(values.data(), values.size() * sizeof(T));
   }
   template <typename T>
   void WriteVec(const std::vector<T>& values) {
@@ -48,15 +53,23 @@ class ByteWriter {
   }
 
   void WriteBytes(const void* data, size_t size) {
+    if (size > 0) {
+      std::memcpy(Extend(size), data, size);
+    }
+  }
+
+  // Grows the buffer by `size` bytes and returns a pointer to them, for
+  // writing a fixed-width record in one pass. The pointer is valid until
+  // the next call that appends.
+  uint8_t* Extend(size_t size) {
     const size_t offset = bytes_.size();
     bytes_.resize(offset + size);
-    if (size > 0) {
-      std::memcpy(bytes_.data() + offset, data, size);
-    }
+    return bytes_.data() + offset;
   }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   size_t size() const { return bytes_.size(); }
+  std::vector<uint8_t> Release() { return std::move(bytes_); }
 
  private:
   std::vector<uint8_t> bytes_;
@@ -127,6 +140,10 @@ class ByteReader {
 
 // FNV-1a 64-bit hash, used as the checkpoint payload integrity check.
 uint64_t Fnv1a64(std::span<const uint8_t> bytes);
+
+// XXH64 with seed 0 (the published xxHash 64-bit algorithm): four 64-bit
+// lanes mixed per 32-byte stripe, used as the wire frame integrity check.
+uint64_t Xxh64(std::span<const uint8_t> bytes);
 
 }  // namespace crf
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace crf {
@@ -130,6 +134,49 @@ TEST(ByteIoTest, Fnv1a64DetectsSingleBitFlips) {
     bytes[i] ^= 0x10;
   }
   EXPECT_EQ(Fnv1a64(bytes), clean);
+}
+
+std::span<const uint8_t> AsBytes(std::string_view s) {
+  return std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+}
+
+TEST(ByteIoTest, Xxh64KnownVectors) {
+  // Published XXH64 (seed 0) vectors. The lengths 0, 1, 3 and 39 cover the
+  // short-input path, the 1-byte tail, and (39 = 32 + 4 + 3) one 32-byte
+  // stripe followed by the 4-byte and 1-byte tails. The 8-byte tail has no
+  // vector here; the length walk below exercises it.
+  EXPECT_EQ(Xxh64({}), 0xef46db3751d8e999u);
+  EXPECT_EQ(Xxh64(AsBytes("a")), 0xd24ec4f1a98c6e5bu);
+  EXPECT_EQ(Xxh64(AsBytes("abc")), 0x44bc2cf5ad770999u);
+  EXPECT_EQ(Xxh64(AsBytes("Nobody inspects the spammish repetition")), 0xfbcea83c8a378bf1u);
+}
+
+TEST(ByteIoTest, Xxh64DetectsSingleBitFlips) {
+  std::vector<uint8_t> bytes(100);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  const uint64_t clean = Xxh64(bytes);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] ^= static_cast<uint8_t>(1u << bit);
+      EXPECT_NE(Xxh64(bytes), clean) << "flip at byte " << i << " bit " << bit;
+      bytes[i] ^= static_cast<uint8_t>(1u << bit);
+    }
+  }
+  EXPECT_EQ(Xxh64(bytes), clean);
+}
+
+TEST(ByteIoTest, Xxh64EveryLengthIsDistinctFromItsPrefix) {
+  // Lengths 0..100 walk every tail combination (8-, 4- and 1-byte words)
+  // with and without stripes; no prefix may collide with its extension.
+  std::vector<uint8_t> bytes(100, 0);
+  std::vector<uint64_t> hashes;
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    hashes.push_back(Xxh64(std::span<const uint8_t>(bytes.data(), len)));
+  }
+  std::sort(hashes.begin(), hashes.end());
+  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
 }
 
 }  // namespace

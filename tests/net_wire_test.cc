@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <string>
@@ -217,6 +219,118 @@ TEST(NetWireTest, BackToBackFramesDecodeSequentially) {
   ASSERT_EQ(DecodeFrame(rest, &op, &payload, &consumed, nullptr), FrameStatus::kFrame);
   EXPECT_EQ(op, WireOp::kIngestBatch);
   EXPECT_EQ(consumed, rest.size());
+}
+
+// Field-by-field reference for the ingest payload layout, independent of
+// ByteWriter: every integer is shifted out byte by byte, little-endian.
+void PutLe(std::vector<uint8_t>& out, uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<uint8_t>(value >> (8 * i)));
+  }
+}
+
+std::vector<uint8_t> ReferenceIngestPayload(const IngestBatchRequest& request) {
+  std::vector<uint8_t> out;
+  PutLe(out, static_cast<uint32_t>(request.machine), 4);
+  PutLe(out, static_cast<uint32_t>(request.from_tick), 4);
+  PutLe(out, static_cast<uint32_t>(request.until_tick), 4);
+  PutLe(out, static_cast<uint32_t>(request.window_until), 4);
+  PutLe(out, request.events.size(), 8);
+  for (const StreamEvent& event : request.events) {
+    PutLe(out, static_cast<uint8_t>(event.kind), 1);
+    PutLe(out, static_cast<uint32_t>(event.task_index), 4);
+    PutLe(out, static_cast<uint32_t>(event.tick), 4);
+    PutLe(out, static_cast<uint64_t>(event.task_id), 8);
+    PutLe(out, std::bit_cast<uint64_t>(event.usage), 8);
+    PutLe(out, std::bit_cast<uint64_t>(event.limit), 8);
+  }
+  return out;
+}
+
+// A seeded batch whose fields include the extremes: zero, the largest
+// int32 / int64, subnormal and huge doubles.
+IngestBatchRequest EdgeIngest() {
+  constexpr int32_t kMaxI32 = std::numeric_limits<int32_t>::max();
+  constexpr double kSubnormal = std::numeric_limits<double>::denorm_min();
+  const double values[] = {0.0, kSubnormal, 3 * kSubnormal, 0.5, 1e300,
+                           std::numeric_limits<double>::max()};
+  const int32_t indices[] = {0, 1, kMaxI32 - 1, kMaxI32};
+  const TaskId ids[] = {0, -1, std::numeric_limits<TaskId>::max(), 1 << 20};
+  Rng rng(20261017);
+  IngestBatchRequest request;
+  request.machine = kMaxI32;
+  request.from_tick = 0;
+  request.until_tick = kMaxI32 - 1;
+  request.window_until = kMaxI32;
+  for (int i = 0; i < 200; ++i) {
+    StreamEvent event;
+    event.kind = static_cast<StreamEventKind>(rng.UniformInt(3));
+    event.task_index = indices[rng.UniformInt(std::size(indices))];
+    event.tick = i < 100 ? 0 : kMaxI32 - 2;
+    event.task_id = ids[rng.UniformInt(std::size(ids))];
+    event.usage = values[rng.UniformInt(std::size(values))];
+    event.limit = values[rng.UniformInt(std::size(values))];
+    request.events.push_back(event);
+  }
+  return request;
+}
+
+TEST(NetWireTest, IngestEncodingMatchesTheFieldByFieldLayout) {
+  const IngestBatchRequest request = EdgeIngest();
+  ByteWriter payload;
+  request.EncodeTo(payload);
+  const std::vector<uint8_t> expected = ReferenceIngestPayload(request);
+  EXPECT_EQ(expected.size(), 24 + 33 * request.events.size());
+  EXPECT_EQ(payload.bytes(), expected);
+
+  // The edge values survive decoding bit for bit.
+  IngestBatchRequest out;
+  ASSERT_TRUE(DecodePayload(std::span<const uint8_t>(payload.bytes()), out));
+  ASSERT_EQ(out.events.size(), request.events.size());
+  for (size_t i = 0; i < request.events.size(); ++i) {
+    EXPECT_EQ(out.events[i].task_index, request.events[i].task_index);
+    EXPECT_EQ(out.events[i].task_id, request.events[i].task_id);
+    EXPECT_EQ(std::bit_cast<uint64_t>(out.events[i].usage),
+              std::bit_cast<uint64_t>(request.events[i].usage));
+    EXPECT_EQ(std::bit_cast<uint64_t>(out.events[i].limit),
+              std::bit_cast<uint64_t>(request.events[i].limit));
+  }
+}
+
+TEST(NetWireTest, InPlaceFrameEqualsCopiedFrameAndCarriesVersionTwo) {
+  const IngestBatchRequest request = EdgeIngest();
+  // Appended after an existing frame, as a connection's reused buffer is.
+  std::vector<uint8_t> in_place = Frame(WireOp::kCellQuery, CellQueryRequest{});
+  std::vector<uint8_t> copied = in_place;
+  AppendMessageFrame(WireOp::kIngestBatch, request, in_place);
+  ByteWriter payload;
+  request.EncodeTo(payload);
+  AppendFrame(WireOp::kIngestBatch, payload, copied);
+  EXPECT_EQ(in_place, copied);
+
+  const std::span<const uint8_t> frame(in_place.data() + kHeaderBytes,
+                                       in_place.size() - kHeaderBytes);
+  uint32_t version = 0;
+  uint64_t payload_bytes = 0;
+  uint64_t payload_hash = 0;
+  std::memcpy(&version, frame.data() + 8, sizeof(version));
+  std::memcpy(&payload_bytes, frame.data() + 16, sizeof(payload_bytes));
+  std::memcpy(&payload_hash, frame.data() + 24, sizeof(payload_hash));
+  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(payload_bytes, payload.size());
+  EXPECT_EQ(payload_hash, Xxh64(payload.bytes()));
+}
+
+TEST(NetWireCorruptionTest, VersionOneFrameIsRejectedByVersion) {
+  auto frame = Frame(WireOp::kIngestBatch, SampleIngest());
+  const uint32_t version_one = 1;
+  std::memcpy(frame.data() + 8, &version_one, sizeof(version_one));
+  WireOp op;
+  std::span<const uint8_t> payload;
+  size_t consumed = 0;
+  std::string error;
+  EXPECT_EQ(DecodeFrame(frame, &op, &payload, &consumed, &error), FrameStatus::kMalformed);
+  EXPECT_EQ(error, "unsupported wire version 1 (expected 2)");
 }
 
 TEST(NetWireCorruptionTest, EveryTruncationNeedsMoreBytes) {
