@@ -1,7 +1,5 @@
 // Moving window of the machine-level aggregate usage with incrementally
-// maintained moments, factored out of NSigmaPredictor so the standalone
-// predictor and the sweep engine's shared N-sigma state run the exact same
-// arithmetic (the differential tests compare them at tight tolerance).
+// maintained moments: the sweep bank's shared N-sigma state.
 //
 // A ring buffer of the last `capacity` aggregate samples plus running
 // sum / sum-of-squares; the variance falls back to an exact Welford pass

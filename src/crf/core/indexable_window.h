@@ -1,6 +1,6 @@
 // A bounded moving window of float samples with constant-time order
-// statistics: the storage layer under TaskHistory and the sweep engine's
-// shared per-task percentile windows.
+// statistics: the storage layer under the sweep bank's per-task percentile
+// windows and its machine-level chance and flex windows.
 //
 // The window keeps two views of the same samples, both allocated once at
 // capacity:

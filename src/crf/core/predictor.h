@@ -15,6 +15,11 @@
 //  * a task's usage is capped at its limit by the node isolation layer, so a
 //    sane prediction never exceeds the sum of limits: implementations clamp
 //    to [current usage, sum of limits].
+//
+// The built-in families are all evaluated by SweepBank
+// (crf/core/sweep_bank.h); CreatePredictor (crf/core/predictor_factory.h)
+// returns them behind this interface. User-defined policies implement it
+// directly (examples/custom_predictor.cc).
 
 #ifndef CRF_CORE_PREDICTOR_H_
 #define CRF_CORE_PREDICTOR_H_
@@ -65,8 +70,8 @@ class PeakPredictor {
   virtual double PredictPeak() const = 0;
 
   // Discards all observed state, returning the predictor to its
-  // fresh-from-construction behaviour (configuration is kept). Lets the
-  // simulator reuse one instance across machines instead of re-allocating.
+  // fresh-from-construction behaviour (configuration is kept), so one
+  // instance can be reused across machines instead of re-allocated.
   virtual void Reset() = 0;
 
   virtual std::string name() const = 0;

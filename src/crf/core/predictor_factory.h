@@ -2,8 +2,11 @@
 //
 // The simulator runs many predictor configurations over the same trace (the
 // paper's Figs 8-12 are parameter sweeps); a PredictorSpec is a value type
-// describing one configuration, and CreatePredictor instantiates a fresh,
-// stateless-from-birth predictor per simulated machine.
+// describing one configuration. Every built-in family is evaluated by one
+// engine, SweepBank (crf/core/sweep_bank.h): the batch simulator runs whole
+// spec grids through it, and CreatePredictor wraps a one-spec bank in the
+// PeakPredictor interface for per-machine owners (the serve tier, the
+// cluster simulator).
 
 #ifndef CRF_CORE_PREDICTOR_FACTORY_H_
 #define CRF_CORE_PREDICTOR_FACTORY_H_
@@ -37,12 +40,12 @@ struct PredictorSpec {
   PredictorConfig config;    // warm-up / history (usage-driven predictors)
   std::vector<PredictorSpec> components;  // max components
 
-  // Human-readable name matching PeakPredictor::name().
+  // Human-readable name, e.g. "max(n-sigma-5,rc-like-p99)"; what
+  // CreatePredictor(spec)->name() reports.
   std::string Name() const;
 
   // Structural equality over every knob (names alone are ambiguous: they omit
-  // warm-up/history). Used to decide whether a pooled predictor instance can
-  // be Reset() and reused for a spec.
+  // warm-up/history). SweepPlan deduplicates nodes by it.
   bool operator==(const PredictorSpec&) const = default;
 };
 
@@ -79,6 +82,23 @@ PredictorSpec SimulationMaxSpec();
 // max(n-sigma(3), rc-like(p80)) with 2h warm-up and 10h history.
 PredictorSpec ProductionMaxSpec();
 
+// Size limits on a spec tree, shared by the spec parser, SweepPlan and the
+// checkpoint reader so every accepted spec can be sealed and resumed: max()
+// nests at most kMaxSpecDepth levels deep, and a tree holds at most
+// kMaxSpecComponents component specs in total (every spec inside a max(),
+// nested max() nodes included).
+inline constexpr int kMaxSpecDepth = 8;
+inline constexpr int kMaxSpecComponents = 64;
+
+// Returns true when `spec` is a valid configuration: every knob its family
+// reads is in range, max() and only max() has components, and the tree fits
+// the limits above. Otherwise returns false and, when `error` is non-null, stores the
+// first violation found.
+bool ValidatePredictorSpec(const PredictorSpec& spec, std::string* error);
+
+// A fresh predictor for one machine: a PeakPredictor over a one-spec
+// SweepBank, so it computes exactly what SimulateCell does for the spec.
+// CHECK-fails on a spec ValidatePredictorSpec rejects.
 std::unique_ptr<PeakPredictor> CreatePredictor(const PredictorSpec& spec);
 
 }  // namespace crf

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <string>
 #include <vector>
 
 namespace crf {
@@ -72,7 +73,7 @@ std::optional<std::vector<std::string_view>> SplitTopLevel(std::string_view text
   return parts;
 }
 
-std::optional<PredictorSpec> Parse(std::string_view text, std::string* error);
+std::optional<PredictorSpec> Parse(std::string_view text, std::string* error, int depth);
 
 std::optional<PredictorSpec> ParseSimple(std::string_view text, std::string* error) {
   // name[:arg1[:arg2]]
@@ -212,9 +213,16 @@ std::optional<PredictorSpec> ParseSimple(std::string_view text, std::string* err
   return std::nullopt;
 }
 
-std::optional<PredictorSpec> Parse(std::string_view text, std::string* error) {
+// `depth` is the number of enclosing max(). The depth limit is checked
+// while parsing, so deep nesting cannot exhaust the stack; the component
+// total is left to ValidatePredictorSpec on the finished spec.
+std::optional<PredictorSpec> Parse(std::string_view text, std::string* error, int depth) {
   if (text.empty()) {
     SetError(error, "empty predictor spec");
+    return std::nullopt;
+  }
+  if (depth > kMaxSpecDepth) {
+    SetError(error, "max() nesting deeper than " + std::to_string(kMaxSpecDepth));
     return std::nullopt;
   }
   if (text.starts_with("max(") && text.ends_with(")")) {
@@ -229,7 +237,7 @@ std::optional<PredictorSpec> Parse(std::string_view text, std::string* error) {
         SetError(error, "empty component in " + Quoted(text));
         return std::nullopt;
       }
-      auto component = Parse(part, error);
+      auto component = Parse(part, error, depth + 1);
       if (!component.has_value()) {
         return std::nullopt;
       }
@@ -243,7 +251,12 @@ std::optional<PredictorSpec> Parse(std::string_view text, std::string* error) {
 }  // namespace
 
 std::optional<PredictorSpec> ParsePredictorSpec(std::string_view text, std::string* error) {
-  auto spec = Parse(text, error);
+  auto spec = Parse(text, error, 0);
+  std::string invalid;
+  if (spec.has_value() && !ValidatePredictorSpec(*spec, &invalid)) {
+    SetError(error, invalid);
+    spec.reset();
+  }
   if (!spec.has_value()) {
     SetError(error, "bad predictor spec " + Quoted(text));  // Fallback reason.
   }

@@ -7,6 +7,12 @@
 //              | "rc-like" [":" percentile]
 //              | "n-sigma" [":" n]
 //              | "autopilot" [":" percentile [":" margin]]
+//              | "chance" [":" target]
+//              | "flex" [":" percentile [":" margin]]
+// max() nests at most kMaxSpecDepth deep and a spec holds at most
+// kMaxSpecComponents components in total (predictor_factory.h) — the limits
+// SweepPlan and the checkpoint reader share, so every parsed spec runs and
+// checkpoints.
 // Examples: "borg-default:0.9", "max(n-sigma:3,rc-like:80)", "autopilot:98:1.15".
 //
 // Warm-up and history windows are not part of the string; callers set them
@@ -14,7 +20,8 @@
 //
 // The parser is total over arbitrary input: malformed specs — including
 // empty strings, unknown predictor names, surplus parameters, non-numeric,
-// non-finite (nan/inf), or overflowing values, and unbalanced parentheses —
+// non-finite (nan/inf), or overflowing values, unbalanced parentheses, and
+// specs past the size limits —
 // yield nullopt plus a precise diagnostic, never a crash or a downstream
 // CHECK failure (every range constraint the predictor constructors enforce
 // is validated here first).

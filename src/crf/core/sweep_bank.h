@@ -1,4 +1,5 @@
-// Shared-state evaluation of a whole predictor grid in one trace pass.
+// The predictor engine: every built-in family, evaluated for a whole spec
+// grid in one trace pass.
 //
 // The paper's evaluation is parameter sweeps: Figs 8-10 run the same
 // cell-week through dozens of predictor configurations that differ only in
@@ -27,18 +28,27 @@
 // Warm-up classification rides on one universal per-task sample counter:
 // min_num_samples <= max_num_samples, so "window holds >= min samples" is
 // exactly "task has seen >= min samples", independent of the window length.
+// So the split into warmed usage and warming limits depends only on the
+// warm-up: N-sigma and chance groups share one split per distinct warm-up.
+// A plan with no per-task window and no split (borg-default, limit-sum,
+// flex) keeps no per-task state at all: no roster, no counter.
 //
 // SweepBank is the per-thread mutable state executing a plan over one
 // machine at a time: Observe() ingests each interval's resident task set
-// once and Predictions() returns one clamped prediction per input spec,
-// matching what each standalone predictor would have produced (the sweep
-// differential test pins this at 1e-9 relative tolerance).
+// once and Predictions() returns one clamped prediction per input spec.
+// This is the only implementation of the families in the library: the batch
+// simulator drives banks directly, and CreatePredictor
+// (crf/core/predictor_factory.h) wraps a one-spec bank for the serve tier
+// and the cluster simulator. The independent per-family reference lives in
+// tests/reference/, and sweep_engine_test pins the bank to it bit for bit.
 
 #ifndef CRF_CORE_SWEEP_BANK_H_
 #define CRF_CORE_SWEEP_BANK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "crf/core/aggregate_window.h"
@@ -51,7 +61,7 @@ namespace crf {
 // and share across threads; SweepBank instances hold the mutable state.
 class SweepPlan {
  public:
-  // Validates every spec exactly like CreatePredictor would.
+  // CHECK-fails on any spec ValidatePredictorSpec rejects.
   explicit SweepPlan(std::span<const PredictorSpec> specs);
 
   // One evaluation node per structurally distinct (sub-)spec, in dependency
@@ -73,33 +83,51 @@ class SweepPlan {
   // Per-task percentile windows, one group per distinct history length.
   struct WindowGroup {
     int capacity = 0;
+    bool operator==(const WindowGroup&) const = default;
+  };
+  // Warmed-usage / warming-limit split, one per distinct warm-up.
+  struct SplitGroup {
+    Interval min_num_samples = 0;
+    bool operator==(const SplitGroup&) const = default;
   };
   // Machine-aggregate moments, one group per distinct (warm-up, history).
   struct AggGroup {
     Interval min_num_samples = 0;
     int capacity = 0;
+    int split = -1;  // Index into split_groups().
+    bool operator==(const AggGroup&) const = default;
   };
   // Machine-aggregate warmed-usage order statistics (chance), one group per
   // distinct (warm-up, history): the warm-up split changes what is pushed.
   struct QuantGroup {
     Interval min_num_samples = 0;
     int capacity = 0;
+    int split = -1;  // Index into split_groups().
+    bool operator==(const QuantGroup&) const = default;
   };
   // Machine-level usage/limit ratio windows (flex), one group per distinct
   // history length: the pushed ratio is warm-up independent.
   struct RatioGroup {
     int capacity = 0;
+    bool operator==(const RatioGroup&) const = default;
   };
 
   int num_specs() const { return static_cast<int>(spec_nodes_.size()); }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const std::vector<Node>& nodes() const { return nodes_; }
   const std::vector<WindowGroup>& window_groups() const { return window_groups_; }
+  const std::vector<SplitGroup>& split_groups() const { return split_groups_; }
   const std::vector<AggGroup>& agg_groups() const { return agg_groups_; }
   const std::vector<QuantGroup>& quant_groups() const { return quant_groups_; }
   const std::vector<RatioGroup>& ratio_groups() const { return ratio_groups_; }
-  // Node evaluating input spec s.
+  // Node evaluating input spec s, and the spec itself.
   int spec_node(int s) const { return spec_nodes_[s]; }
+  const PredictorSpec& spec(int s) const { return node_specs_[spec_nodes_[s]]; }
+
+  // Whether any node needs per-task state (a per-task window or a warm-up
+  // split). When none does, banks keep no roster and no warm-up counters
+  // and sum each interval's samples in one pass.
+  bool tracks_tasks() const { return tracks_tasks_; }
 
   // Process-unique plan identity, so caches of per-plan state (the
   // simulator's thread-local banks) can detect a new plan even at a reused
@@ -108,16 +136,24 @@ class SweepPlan {
 
  private:
   int AddNode(const PredictorSpec& spec);
-  int AddWindowGroup(int capacity);
-  int AddAggGroup(Interval min_num_samples, int capacity);
-  int AddQuantGroup(Interval min_num_samples, int capacity);
-  int AddRatioGroup(int capacity);
+  // Index of `group` in `groups`, appending it if new.
+  template <typename Group>
+  static int AddGroup(std::vector<Group>& groups, const Group& group) {
+    const auto it = std::find(groups.begin(), groups.end(), group);
+    if (it != groups.end()) {
+      return static_cast<int>(it - groups.begin());
+    }
+    groups.push_back(group);
+    return static_cast<int>(groups.size()) - 1;
+  }
 
   uint64_t id_;
+  bool tracks_tasks_ = false;
   std::vector<Node> nodes_;
   std::vector<PredictorSpec> node_specs_;  // Parallel to nodes_, for dedup.
   std::vector<int> spec_nodes_;
   std::vector<WindowGroup> window_groups_;
+  std::vector<SplitGroup> split_groups_;
   std::vector<AggGroup> agg_groups_;
   std::vector<QuantGroup> quant_groups_;
   std::vector<RatioGroup> ratio_groups_;
@@ -149,6 +185,17 @@ class SweepBank {
 
   const SweepPlan* plan() const { return plan_; }
 
+  // Checkpoint support (crf/serve): the current machine's complete state —
+  // roster and warm-up counters, every window, the last predictions — so a
+  // bank attached to a plan built from the same specs resumes
+  // bit-identically. LoadState checks the payload against the attached plan
+  // (group counts, window capacities, roster length) and returns false,
+  // latching the reader's failure flag, on any malformed or mismatched
+  // bytes; the bank is then unspecified and must be re-attached or
+  // discarded.
+  void SaveState(ByteWriter& out) const;
+  bool LoadState(ByteReader& in);
+
  private:
   struct WindowGroupState {
     // Pool of windows; slot_window maps roster slots to pool indices.
@@ -157,6 +204,15 @@ class SweepBank {
     std::vector<int32_t> free_list;
   };
 
+  // Matches the roster to `tasks` (rebuilding on arrival/departure). One
+  // pass sums usage and limits into `usage_now` and `limit_sum`, counts each
+  // task's sample and computes the first warm-up split; each further split
+  // is one more pass, and the per-task windows and node sums one more.
+  void ObserveTasks(std::span<const TaskSample> tasks, double& usage_now, double& limit_sum);
+  // Returns the usage sum of the tasks past `min_num_samples` samples and
+  // stores the limit sum of the rest in `warming_limit`.
+  double SplitWarmed(std::span<const TaskSample> tasks, Interval min_num_samples,
+                     double& warming_limit) const;
   void RebuildRoster(std::span<const TaskSample> tasks);
   int32_t AllocWindow(WindowGroupState& group, int capacity);
 
@@ -178,24 +234,22 @@ class SweepBank {
   // the node list so the task loop touches nothing else.
   std::vector<int> per_task_nodes_;
 
-  // Per-agg-group accumulators / published statistics for the last Observe.
-  std::vector<double> agg_warmed_;
-  std::vector<double> agg_warming_limit_;
+  // Per-split-group sums and per-agg-group published statistics for the
+  // last Observe.
+  std::vector<double> split_warmed_;
+  std::vector<double> split_warming_limit_;
   std::vector<double> agg_mean_;
   std::vector<double> agg_stddev_;
-
-  // Per-quant-group accumulators for the last Observe (chance).
-  std::vector<double> quant_warmed_;
-  std::vector<double> quant_warming_limit_;
 
   std::vector<double> node_values_;
   std::vector<double> spec_predictions_;
 
   // Rebuild scratch, reused across events.
-  std::vector<TaskId> rebuild_ids_;
+  std::vector<std::pair<TaskId, int32_t>> rebuild_index_;
   std::vector<Interval> rebuild_seen_;
   std::vector<int32_t> rebuild_slots_;
   std::vector<uint8_t> rebuild_slot_carried_;
+  std::vector<int32_t> rebuild_windows_;
 };
 
 }  // namespace crf

@@ -21,12 +21,14 @@ constexpr char kMagic[8] = {'C', 'R', 'F', 'C', 'K', 'P', 'T', '1'};
 // windows) is capacity, head, ring, running sum and refresh countdown; the
 // sorted chunk partition is gone and the sorted view is rebuilt from the
 // ring. Version-2 files are rejected the same way.
-constexpr uint32_t kVersion = 3;
+// Version 4: a machine's predictor state is one SweepBank record (group
+// counts, roster, warm-up counters, every window, the last predictions)
+// instead of one record per predictor family. Version-3 files are rejected
+// the same way.
+constexpr uint32_t kVersion = 4;
 constexpr uint64_t kMaxNameLength = 4096;
 constexpr uint64_t kMaxSpecLength = 1 << 20;
 constexpr uint64_t kMaxPayloadLength = uint64_t{1} << 40;
-constexpr int kMaxSpecDepth = 8;
-constexpr uint32_t kMaxSpecComponents = 64;
 
 // Fixed-size little-endian header preceding the identity strings + payload.
 struct CheckpointHeader {
@@ -62,11 +64,12 @@ void WriteSpec(ByteWriter& out, const PredictorSpec& spec) {
   }
 }
 
+// Only the depth limit (predictor_factory.h) is checked while reading: it
+// bounds the recursion, and components are appended one at a time, so the
+// spec blob's length bounds the allocation. The caller validates the whole
+// decoded spec with ValidatePredictorSpec, so a corrupted file produces an
+// error, not a SweepPlan CHECK failure.
 bool ReadSpec(ByteReader& in, PredictorSpec& spec, int depth) {
-  if (depth > kMaxSpecDepth) {
-    in.Fail();
-    return false;
-  }
   const uint8_t type = in.Read<uint8_t>();
   spec.phi = in.Read<double>();
   spec.percentile = in.Read<double>();
@@ -77,26 +80,13 @@ bool ReadSpec(ByteReader& in, PredictorSpec& spec, int depth) {
   spec.config.max_num_samples = in.Read<int32_t>();
   const uint32_t num_components = in.Read<uint32_t>();
   if (!in.ok() || type > static_cast<uint8_t>(PredictorSpec::Type::kMax) ||
-      num_components > kMaxSpecComponents ||
-      (type == static_cast<uint8_t>(PredictorSpec::Type::kMax)) != (num_components > 0)) {
+      depth > kMaxSpecDepth) {
     in.Fail();
     return false;
   }
   spec.type = static_cast<PredictorSpec::Type>(type);
-  // The factory CHECK-validates knobs on construction; reject insane values
-  // here so corrupted files produce an error, not an abort.
-  const bool knobs_ok = spec.phi > 0.0 && spec.phi <= 1.0 && spec.percentile >= 0.0 &&
-                        spec.percentile <= 100.0 && spec.n_sigma > 0.0 && spec.margin >= 1.0 &&
-                        spec.target > 0.0 && spec.target < 1.0 &&
-                        spec.config.min_num_samples > 0 &&
-                        spec.config.max_num_samples >= spec.config.min_num_samples;
-  if (!knobs_ok) {
-    in.Fail();
-    return false;
-  }
-  spec.components.resize(num_components);
-  for (PredictorSpec& component : spec.components) {
-    if (!ReadSpec(in, component, depth + 1)) {
+  for (uint32_t i = 0; i < num_components; ++i) {
+    if (!ReadSpec(in, spec.components.emplace_back(), depth + 1)) {
       return false;
     }
   }
@@ -165,7 +155,8 @@ bool ParseCheckpoint(const std::vector<uint8_t>& bytes, CheckpointHeader& header
   trace_name.assign(reinterpret_cast<const char*>(cursor), header.name_length);
   cursor += header.name_length;
   ByteReader spec_reader(std::span<const uint8_t>(cursor, header.spec_length));
-  if (!ReadSpec(spec_reader, spec, 0) || !spec_reader.AtEnd()) {
+  if (!ReadSpec(spec_reader, spec, 0) || !spec_reader.AtEnd() ||
+      !ValidatePredictorSpec(spec, nullptr)) {
     return SetError(error, "checkpoint predictor spec is corrupt");
   }
   cursor += header.spec_length;

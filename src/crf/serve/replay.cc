@@ -1,6 +1,7 @@
 #include "crf/serve/replay.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <span>
@@ -286,11 +287,19 @@ bool StreamReplayer::LoadStateFrom(ByteReader& in, Interval resume_tick) {
   }
 
   // Restart the trace walks and cross-check the restored rosters against the
-  // trace-derived resident sets — a corrupted roster that survived the
-  // payload checksum is caught here.
+  // trace-derived resident sets — tasks, their limits and the limit sum, bit
+  // for bit — so a corrupted roster that survived the payload checksum is
+  // caught here rather than by a CHECK on the next departure.
+  const auto same_task = [](const TaskSample& a, const TaskSample& b) {
+    return a.task_id == b.task_id &&
+           std::bit_cast<uint64_t>(a.limit) == std::bit_cast<uint64_t>(b.limit);
+  };
   for (int m = 0; m < cell_->num_machines(); ++m) {
     walks_[m].StartTraceWalk(columns_, cell_->machine_tasks(m), resume_tick);
-    if (!std::ranges::equal(service_.Roster(m), walks_[m].indices())) {
+    if (!std::ranges::equal(service_.Roster(m), walks_[m].indices()) ||
+        !std::ranges::equal(service_.RosterSamples(m), walks_[m].samples(), same_task) ||
+        std::bit_cast<uint64_t>(service_.LimitSum(m)) !=
+            std::bit_cast<uint64_t>(walks_[m].limit_sum())) {
       in.Fail();
       return false;
     }

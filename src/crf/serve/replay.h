@@ -144,9 +144,10 @@ class StreamReplayer {
   // Checkpoint payload: the complete resumable state — per-shard sequence
   // counters and partial series, per-machine service state and metric
   // accumulators. Trace walks are restarted at next_tick on load, and the
-  // restored rosters are validated against their trace-derived resident
-  // sets. LoadStateFrom returns false on
-  // any malformed or inconsistent payload (the replayer must be discarded).
+  // restored rosters (tasks, limits, limit sum) are validated bit for bit
+  // against their trace-derived resident sets. LoadStateFrom returns false
+  // on any malformed or inconsistent payload (the replayer must be
+  // discarded).
   void SaveStateTo(ByteWriter& out) const;
   bool LoadStateFrom(ByteReader& in, Interval resume_tick);
 

@@ -49,6 +49,10 @@ class OvercommitService {
   std::span<const int32_t> Roster(int machine) const {
     return machines_[machine].roster.indices();
   }
+  // The resident tasks' samples, parallel to Roster(machine).
+  std::span<const TaskSample> RosterSamples(int machine) const {
+    return machines_[machine].roster.samples();
+  }
 
   int num_machines() const { return static_cast<int>(machines_.size()); }
   const PredictorSpec& spec() const { return spec_; }

@@ -1,11 +1,11 @@
 // Per-thread scratch for the fused simulation engine.
 //
-// SimulateMachine runs once per machine per sweep point — millions of times
-// in a full evaluation — so its working set (the machine roster, oracle
-// buffers, the predictor instance itself) lives in a thread-local
-// workspace. Buffers grow to the high-water size of the
-// machines a thread has simulated and are reused, so the steady-state path
-// performs zero heap allocations per machine.
+// The per-machine walk runs once per machine per simulation — millions of
+// times in a full evaluation — so its working set (the machine roster,
+// oracle buffers, the sweep bank itself) lives in a thread-local
+// workspace. Buffers grow to the high-water size of the machines a thread
+// has simulated and are reused, so the steady-state path allocates nothing
+// per interval (a task arriving after a departure allocates its windows).
 
 #ifndef CRF_SIM_SIM_WORKSPACE_H_
 #define CRF_SIM_SIM_WORKSPACE_H_
@@ -29,19 +29,13 @@ struct SimWorkspace {
   std::vector<double> oracle;
 
   // The machine's trace walk: event lists, resident set, and the sample
-  // buffer handed to the predictor.
+  // buffer handed to the sweep bank.
   MachineRoster roster;
 
-  // Per-machine risk accounting (crf/risk), Reset() per machine. One for the
-  // single-spec engine, one per spec for the multi-spec engine (grown to the
-  // plan's spec count by SimulateMachineMulti, never shrunk).
-  RiskAccumulator risk;
-  std::vector<RiskAccumulator> multi_risk;
-
-  // Returns a predictor for `spec`, reusing (via Reset) the previous
-  // instance when the spec is unchanged — the common case when sweeping one
-  // spec across all machines of a cell.
-  PeakPredictor* GetPredictor(const PredictorSpec& spec);
+  // Per-machine risk accounting (crf/risk), one per spec of the running
+  // plan, Reset() per machine (grown to the plan's spec count, never
+  // shrunk).
+  std::vector<RiskAccumulator> risk;
 
   // Returns the thread's sweep bank attached to `plan`, re-attaching only
   // when the plan changed (detected by plan id, robust to address reuse).
@@ -49,14 +43,17 @@ struct SimWorkspace {
   // no-op returning the already-attached bank.
   SweepBank& GetSweepBank(const SweepPlan& plan);
 
+  // A one-spec plan for `spec`, rebuilt only when the spec changes, so
+  // SimulateMachine calls for one spec keep reusing one attached bank.
+  const SweepPlan& SinglePlan(const PredictorSpec& spec);
+
   // The calling thread's workspace (one per thread, lazily created).
   static SimWorkspace& ThreadLocal();
 
  private:
-  std::unique_ptr<PeakPredictor> predictor_;
-  PredictorSpec predictor_spec_;
   SweepBank sweep_bank_;
   uint64_t sweep_plan_id_ = 0;  // 0 = never attached; real ids start at 1.
+  std::unique_ptr<SweepPlan> single_plan_;
 };
 
 }  // namespace crf

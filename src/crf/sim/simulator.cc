@@ -34,9 +34,9 @@ std::span<const double> FetchOracle(const CellTrace& cell, int machine_index,
   return ws.oracle;
 }
 
-// The per-machine walk both engines share: the trace walk runs through the
-// workspace roster (crf/core/machine_roster.h), and `score_tick(tau, roster,
-// oracle_value)` scores each interval.
+// The per-machine trace walk: it runs through the workspace roster
+// (crf/core/machine_roster.h), and `score_tick(tau, roster, oracle_value)`
+// scores each interval.
 template <typename ScoreTick>
 void WalkMachine(const CellTrace& cell, int machine_index, const SimOptions& options,
                  SimWorkspace& ws, ScoreTick score_tick) {
@@ -50,37 +50,6 @@ void WalkMachine(const CellTrace& cell, int machine_index, const SimOptions& opt
     score_tick(tau, roster, oracle[tau]);
   }
 }
-
-}  // namespace
-
-MachineMetrics SimulateMachine(const CellTrace& cell, int machine_index,
-                               const PredictorSpec& spec, const SimOptions& options,
-                               std::vector<double>* cell_limit,
-                               std::vector<double>* cell_prediction) {
-  SimWorkspace& ws = SimWorkspace::ThreadLocal();
-  PeakPredictor* predictor = ws.GetPredictor(spec);
-  RiskAccumulator& risk = ws.risk;
-  risk.Reset();
-
-  WalkMachine(cell, machine_index, options, ws,
-              [&](Interval tau, const MachineRoster& roster, double oracle_value) {
-                predictor->Observe(tau, roster.samples());
-                const double prediction = predictor->PredictPeak();
-                risk.Record(prediction, oracle_value, roster.limit_sum(), !roster.empty());
-                if (cell_limit != nullptr) {
-                  (*cell_limit)[tau] += roster.limit_sum();
-                }
-                if (cell_prediction != nullptr) {
-                  (*cell_prediction)[tau] += prediction;
-                }
-              });
-
-  MachineMetrics metrics;
-  FinalizeMachineMetrics(risk, machine_index, cell.num_intervals, metrics);
-  return metrics;
-}
-
-namespace {
 
 // Machines are reduced in at most this many contiguous blocks. The count is
 // fixed, never the pool size, so the cell series have the same bits however
@@ -135,23 +104,25 @@ std::vector<std::vector<double>> RunMachines(const CellTrace& cell, const SimOpt
   return total;
 }
 
-// One machine, whole grid: the multi-spec twin of SimulateMachine. The
-// SweepBank answers every spec per interval. Writes
-// results[s].machines[machine_index] for each spec and accumulates the
-// machine's per-interval limit sum (shared — it is spec-independent) into
-// series[0] and spec s's predictions into series[1 + s].
-void SimulateMachineMulti(const CellTrace& cell, int machine_index, const SweepPlan& plan,
-                          const SimOptions& options, std::span<SimResult> results,
-                          std::span<std::vector<double>> series) {
+// One machine through `plan`, the walk every entry point shares: the
+// SweepBank answers every spec per interval. Accumulates the machine's
+// per-interval limit sum (spec-independent) into `cell_limit` and spec s's
+// predictions into `cell_predictions[s]`, each when given, and finalizes
+// spec s's metrics into `metrics_out(s)`.
+template <typename MetricsOut>
+void SimulatePlanMachine(const CellTrace& cell, int machine_index, const SweepPlan& plan,
+                         const SimOptions& options, std::vector<double>* cell_limit,
+                         std::span<std::vector<double>> cell_predictions,
+                         MetricsOut metrics_out) {
   const int num_specs = plan.num_specs();
   SimWorkspace& ws = SimWorkspace::ThreadLocal();
   SweepBank& bank = ws.GetSweepBank(plan);
   bank.BeginMachine();
-  if (ws.multi_risk.size() < static_cast<size_t>(num_specs)) {
-    ws.multi_risk.resize(num_specs);
+  if (ws.risk.size() < static_cast<size_t>(num_specs)) {
+    ws.risk.resize(num_specs);
   }
   for (int s = 0; s < num_specs; ++s) {
-    ws.multi_risk[s].Reset();
+    ws.risk[s].Reset();
   }
 
   WalkMachine(cell, machine_index, options, ws,
@@ -159,35 +130,40 @@ void SimulateMachineMulti(const CellTrace& cell, int machine_index, const SweepP
                 bank.Observe(tau, roster.samples());
                 const std::span<const double> predictions = bank.Predictions();
                 const double limit_sum = roster.limit_sum();
-                series[0][tau] += limit_sum;
+                if (cell_limit != nullptr) {
+                  (*cell_limit)[tau] += limit_sum;
+                }
                 for (int s = 0; s < num_specs; ++s) {
-                  ws.multi_risk[s].Record(predictions[s], oracle_value, limit_sum,
-                                          !roster.empty());
-                  series[1 + s][tau] += predictions[s];
+                  ws.risk[s].Record(predictions[s], oracle_value, limit_sum, !roster.empty());
+                }
+                for (size_t s = 0; s < cell_predictions.size(); ++s) {
+                  cell_predictions[s][tau] += predictions[s];
                 }
               });
 
   for (int s = 0; s < num_specs; ++s) {
-    FinalizeMachineMetrics(ws.multi_risk[s], machine_index, cell.num_intervals,
-                           results[s].machines[machine_index]);
+    FinalizeMachineMetrics(ws.risk[s], machine_index, cell.num_intervals, metrics_out(s));
   }
 }
 
 }  // namespace
 
+MachineMetrics SimulateMachine(const CellTrace& cell, int machine_index,
+                               const PredictorSpec& spec, const SimOptions& options,
+                               std::vector<double>* cell_limit,
+                               std::vector<double>* cell_prediction) {
+  MachineMetrics metrics;
+  SimulatePlanMachine(cell, machine_index, SimWorkspace::ThreadLocal().SinglePlan(spec),
+                      options, cell_limit,
+                      cell_prediction != nullptr ? std::span(cell_prediction, 1)
+                                                 : std::span<std::vector<double>>(),
+                      [&](int) -> MachineMetrics& { return metrics; });
+  return metrics;
+}
+
 SimResult SimulateCell(const CellTrace& cell, const PredictorSpec& spec,
                        const SimOptions& options) {
-  SimResult result;
-  result.cell_name = cell.name;
-  result.predictor_name = spec.Name();
-  result.machines.resize(cell.num_machines());
-  const std::vector<std::vector<double>> series =
-      RunMachines(cell, options, 2, [&](int m, std::vector<std::vector<double>>& partial) {
-        result.machines[m] =
-            SimulateMachine(cell, m, spec, options, &partial[0], &partial[1]);
-      });
-  result.cell_savings_series = CellSavingsSeries(series[0], series[1]);
-  return result;
+  return std::move(SimulateCellMulti(cell, std::span(&spec, 1), options)[0]);
 }
 
 std::vector<SimResult> SimulateCellMulti(const CellTrace& cell,
@@ -202,12 +178,14 @@ std::vector<SimResult> SimulateCellMulti(const CellTrace& cell,
   std::vector<SimResult> results(num_specs);
   for (int s = 0; s < num_specs; ++s) {
     results[s].cell_name = cell.name;
-    results[s].predictor_name = specs[s].Name();
+    results[s].predictor_name = plan.spec(s).Name();
     results[s].machines.resize(cell.num_machines());
   }
   const std::vector<std::vector<double>> series = RunMachines(
       cell, options, 1 + num_specs, [&](int m, std::vector<std::vector<double>>& partial) {
-        SimulateMachineMulti(cell, m, plan, options, results, partial);
+        SimulatePlanMachine(cell, m, plan, options, &partial[0],
+                            std::span(partial).subspan(1),
+                            [&](int s) -> MachineMetrics& { return results[s].machines[m]; });
       });
   for (int s = 0; s < num_specs; ++s) {
     results[s].cell_savings_series = CellSavingsSeries(series[0], series[1 + s]);

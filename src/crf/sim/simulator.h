@@ -7,10 +7,13 @@
 // (U_i[t], t >= tau) and compares. Scheduling decisions are NOT simulated:
 // placements come fixed from the trace, exactly as in the paper's simulator.
 //
-// The engine is a fused, allocation-free pass per machine: the resident set
-// and its limit sum are maintained incrementally by the MachineRoster trace
-// walk (crf/core/machine_roster.h; work happens only at events, not every
-// interval), and all scratch lives in a thread-local SimWorkspace. Cell
+// The engine is one fused, allocation-free pass per machine, shared by every
+// entry point below: the resident set and its limit sum are maintained
+// incrementally by the MachineRoster trace walk (crf/core/machine_roster.h;
+// work happens only at events, not every interval), predictions come from a
+// SweepBank (crf/core/sweep_bank.h) running the call's spec plan — one spec
+// for SimulateCell and SimulateMachine, a whole grid for SimulateCellMulti —
+// and all scratch lives in a thread-local SimWorkspace. Cell
 // aggregation sums fixed machine blocks in block order, so the cell series
 // have the same bits serial or parallel at any pool size. The peak oracle —
 // which depends only on (cell, machine, horizon), never on the predictor —
@@ -46,25 +49,25 @@ struct SimOptions {
   OracleCache* oracle_cache = nullptr;
 };
 
-// Runs one predictor configuration over every machine of `cell`. A fresh
-// predictor instance is created (or pool-reused and Reset) per machine —
-// per-machine state only.
+// Runs one predictor configuration over every machine of `cell`: a one-spec
+// SimulateCellMulti.
 SimResult SimulateCell(const CellTrace& cell, const PredictorSpec& spec,
                        const SimOptions& options = {});
 
 // Runs a whole predictor grid over `cell` in ONE trace pass per machine,
-// returning one SimResult per spec (input order), each matching what the
-// corresponding SimulateCell call would produce. A SweepBank (see
-// crf/core/sweep_bank.h) shares per-task percentile windows, aggregate
-// moments, and the per-interval limit sum across all sweep points, so the
-// per-machine cost is one trace walk plus one cheap query per spec instead
-// of |specs| independent walks with |specs| copies of the window state.
+// returning one SimResult per spec (input order), each bit-identical to
+// what the corresponding SimulateCell call produces. The SweepBank shares
+// per-task percentile windows, aggregate moments, and the per-interval limit
+// sum across all sweep points, so the per-machine cost is one trace walk
+// plus one cheap query per spec instead of |specs| independent walks with
+// |specs| copies of the window state.
 // This is the engine behind the paper's parameter sweeps (Figs 8-10).
 std::vector<SimResult> SimulateCellMulti(const CellTrace& cell,
                                          std::span<const PredictorSpec> specs,
                                          const SimOptions& options = {});
 
-// Simulates a single machine; exposed for tests and custom drivers.
+// Simulates a single machine with a one-spec plan through the same walk;
+// exposed for tests and custom drivers.
 // `cell_limit` / `cell_prediction`, when non-null, accumulate the machine's
 // per-interval limit sum and prediction (caller provides zeroed series).
 MachineMetrics SimulateMachine(const CellTrace& cell, int machine_index,

@@ -1,9 +1,9 @@
-#include "crf/core/autopilot_predictor.h"
+// The autopilot-like per-task limit baseline (paper Section 2.2), run through
+// CreatePredictor — the one-spec SweepBank every production path uses.
 
 #include <gtest/gtest.h>
 
 #include "crf/core/predictor_factory.h"
-#include "crf/core/rc_like_predictor.h"
 #include "crf/sim/simulator.h"
 #include "crf/trace/generator.h"
 #include "crf/util/rng.h"
@@ -11,11 +11,9 @@
 namespace crf {
 namespace {
 
-PredictorConfig FastConfig(Interval warmup = 2, Interval history = 50) {
-  PredictorConfig config;
-  config.min_num_samples = warmup;
-  config.max_num_samples = history;
-  return config;
+std::unique_ptr<PeakPredictor> Autopilot(double percentile, double margin,
+                                         Interval warmup = 2) {
+  return CreatePredictor(AutopilotSpec(percentile, margin, warmup, /*history=*/50));
 }
 
 std::vector<TaskSample> OneTask(double usage, double limit) {
@@ -23,56 +21,56 @@ std::vector<TaskSample> OneTask(double usage, double limit) {
 }
 
 TEST(AutopilotPredictorTest, WarmupUsesLimit) {
-  AutopilotPredictor predictor(98.0, 1.1, FastConfig(/*warmup=*/3));
-  predictor.Observe(0, OneTask(0.1, 0.9));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.9);
+  auto predictor = Autopilot(98.0, 1.1, /*warmup=*/3);
+  predictor->Observe(0, OneTask(0.1, 0.9));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.9);
 }
 
 TEST(AutopilotPredictorTest, AppliesMarginToPercentile) {
-  AutopilotPredictor predictor(100.0, 1.2, FastConfig(/*warmup=*/1));
+  auto predictor = Autopilot(100.0, 1.2, /*warmup=*/1);
   // Descending stream so the current-usage clamp does not mask the estimate.
-  predictor.Observe(0, OneTask(0.5, 2.0));
-  predictor.Observe(1, OneTask(0.3, 2.0));
+  predictor->Observe(0, OneTask(0.5, 2.0));
+  predictor->Observe(1, OneTask(0.3, 2.0));
   // p100 of {0.5, 0.3} = 0.5; with margin 1.2 -> 0.6, below the limit 2.0.
-  EXPECT_NEAR(predictor.PredictPeak(), 0.6, 1e-6);
+  EXPECT_NEAR(predictor->PredictPeak(), 0.6, 1e-6);
 }
 
 TEST(AutopilotPredictorTest, NeverExceedsConfiguredLimit) {
-  AutopilotPredictor predictor(100.0, 2.0, FastConfig(/*warmup=*/1));
-  predictor.Observe(0, OneTask(0.55, 0.6));
-  predictor.Observe(1, OneTask(0.40, 0.6));
+  auto predictor = Autopilot(100.0, 2.0, /*warmup=*/1);
+  predictor->Observe(0, OneTask(0.55, 0.6));
+  predictor->Observe(1, OneTask(0.40, 0.6));
   // margin * p100 = 1.1 would exceed the limit; capped per task at 0.6.
-  EXPECT_LE(predictor.PredictPeak(), 0.6 + 1e-12);
+  EXPECT_LE(predictor->PredictPeak(), 0.6 + 1e-12);
 }
 
 TEST(AutopilotPredictorTest, DropsDepartedTasks) {
-  AutopilotPredictor predictor(98.0, 1.1, FastConfig(/*warmup=*/1));
-  predictor.Observe(0, OneTask(0.5, 1.0));
-  predictor.Observe(1, {});
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.0);
+  auto predictor = Autopilot(98.0, 1.1, /*warmup=*/1);
+  predictor->Observe(0, OneTask(0.5, 1.0));
+  predictor->Observe(1, {});
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.0);
 }
 
 TEST(AutopilotPredictorTest, Name) {
-  AutopilotPredictor predictor(98.0, 1.1, FastConfig());
-  EXPECT_EQ(predictor.name(), "autopilot-p98-m1.10");
+  auto predictor = Autopilot(98.0, 1.1);
+  EXPECT_EQ(predictor->name(), "autopilot-p98-m1.10");
   EXPECT_EQ(AutopilotSpec().Name(), "autopilot-p98-m1.10");
 }
 
 TEST(AutopilotPredictorDeathTest, RejectsMarginBelowOne) {
-  EXPECT_DEATH(AutopilotPredictor(98.0, 0.9, FastConfig()), "CHECK failed");
+  EXPECT_DEATH(Autopilot(98.0, 0.9), "CHECK failed");
 }
 
 TEST(AutopilotPredictorTest, PredictsAboveRcLikeSamePercentile) {
   // margin >= 1 and the per-task cap only binds when RC-like would also be
   // near the limit, so autopilot >= rc-like at the same percentile.
-  AutopilotPredictor autopilot(95.0, 1.15, FastConfig(/*warmup=*/1));
-  RcLikePredictor rc(95.0, FastConfig(/*warmup=*/1));
+  auto autopilot = Autopilot(95.0, 1.15, /*warmup=*/1);
+  auto rc = CreatePredictor(RcLikeSpec(95.0, /*warmup=*/1, /*history=*/50));
   Rng rng(5);
   for (Interval t = 0; t < 100; ++t) {
     const auto tasks = OneTask(0.4 * rng.UniformDouble(), 1.0);
-    autopilot.Observe(t, tasks);
-    rc.Observe(t, tasks);
-    EXPECT_GE(autopilot.PredictPeak(), rc.PredictPeak() - 1e-12);
+    autopilot->Observe(t, tasks);
+    rc->Observe(t, tasks);
+    EXPECT_GE(autopilot->PredictPeak(), rc->PredictPeak() - 1e-12);
   }
 }
 

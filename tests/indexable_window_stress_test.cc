@@ -1,5 +1,4 @@
-// Randomized churn stress for IndexableWindow (and TaskHistory, its thin
-// wrapper): long insert/evict sequences with heavy duplicates are checked
+// Randomized churn stress for IndexableWindow: long insert/evict sequences with heavy duplicates are checked
 // bit for bit against a naive sorted-vector reference, at capacities on
 // both sides of the switch from counting to binary search and at the
 // 1200- and 2016-sample lengths of long histories. A mid-churn
@@ -19,7 +18,7 @@
 #include <limits>
 #include <vector>
 
-#include "crf/core/task_history.h"
+#include "crf/stats/percentile.h"
 #include "crf/util/byte_io.h"
 #include "crf/util/rng.h"
 
@@ -305,8 +304,12 @@ TEST(IndexableWindowStateTest, LoadRejectsBadHead) {
   EXPECT_FALSE(Loads(bytes));
 }
 
+// The TaskHistory* suites below were written for TaskHistory, a
+// pass-through per-task wrapper over IndexableWindow that no longer exists.
+// They drive IndexableWindow directly and keep their names so their results
+// stay comparable across versions.
 TEST(TaskHistoryStressTest, WrapperMatchesReferenceAndRoundTrips) {
-  TaskHistory history(48);
+  IndexableWindow history(48);
   NaiveWindow naive(48);
   Rng rng(31337);
   for (int i = 0; i < 600; ++i) {
@@ -321,7 +324,7 @@ TEST(TaskHistoryStressTest, WrapperMatchesReferenceAndRoundTrips) {
 
   ByteWriter writer;
   history.SaveState(writer);
-  TaskHistory restored(48);
+  IndexableWindow restored(48);
   ByteReader reader(writer.bytes());
   ASSERT_TRUE(restored.LoadState(reader));
   EXPECT_TRUE(reader.AtEnd());
@@ -329,6 +332,96 @@ TEST(TaskHistoryStressTest, WrapperMatchesReferenceAndRoundTrips) {
   EXPECT_EQ(restored.Percentile(99.0), history.Percentile(99.0));
   EXPECT_EQ(restored.Mean(), history.Mean());
 }
+
+TEST(TaskHistoryTest, GrowsUntilCapacity) {
+  IndexableWindow history(3);
+  EXPECT_TRUE(history.empty());
+  history.Push(1.0f);
+  history.Push(2.0f);
+  EXPECT_EQ(history.size(), 2);
+  history.Push(3.0f);
+  history.Push(4.0f);  // Evicts 1.0.
+  EXPECT_EQ(history.size(), 3);
+  EXPECT_EQ(history.capacity(), 3);
+}
+
+TEST(TaskHistoryTest, EvictsOldestFirst) {
+  IndexableWindow history(2);
+  history.Push(10.0f);
+  history.Push(1.0f);
+  history.Push(2.0f);  // 10 evicted; window = {1, 2}.
+  EXPECT_DOUBLE_EQ(history.Percentile(100.0), 2.0);
+  EXPECT_DOUBLE_EQ(history.Percentile(0.0), 1.0);
+}
+
+TEST(TaskHistoryTest, LatestTracksNewest) {
+  IndexableWindow history(3);
+  history.Push(1.0f);
+  EXPECT_FLOAT_EQ(history.Latest(), 1.0f);
+  history.Push(2.0f);
+  history.Push(3.0f);
+  EXPECT_FLOAT_EQ(history.Latest(), 3.0f);
+  history.Push(4.0f);  // Wrapped.
+  EXPECT_FLOAT_EQ(history.Latest(), 4.0f);
+  history.Push(5.0f);
+  EXPECT_FLOAT_EQ(history.Latest(), 5.0f);
+}
+
+TEST(TaskHistoryTest, MeanOverWindow) {
+  IndexableWindow history(2);
+  history.Push(1.0f);
+  history.Push(3.0f);
+  EXPECT_DOUBLE_EQ(history.Mean(), 2.0);
+  history.Push(5.0f);  // Window {3, 5}.
+  EXPECT_DOUBLE_EQ(history.Mean(), 4.0);
+}
+
+TEST(TaskHistoryTest, CapacityOne) {
+  IndexableWindow history(1);
+  history.Push(1.0f);
+  history.Push(7.0f);
+  EXPECT_EQ(history.size(), 1);
+  EXPECT_FLOAT_EQ(history.Latest(), 7.0f);
+  EXPECT_DOUBLE_EQ(history.Percentile(50.0), 7.0);
+}
+
+TEST(TaskHistoryTest, DuplicateValuesEvictCorrectly) {
+  IndexableWindow history(3);
+  history.Push(2.0f);
+  history.Push(2.0f);
+  history.Push(2.0f);
+  history.Push(5.0f);  // One 2.0 evicted; {2, 2, 5} remain.
+  EXPECT_DOUBLE_EQ(history.Percentile(0.0), 2.0);
+  EXPECT_DOUBLE_EQ(history.Percentile(100.0), 5.0);
+  EXPECT_NEAR(history.Mean(), 3.0, 1e-6);
+}
+
+// Property: percentiles over the window match a reference deque at every
+// step of a random stream.
+class TaskHistoryPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TaskHistoryPropertyTest, MatchesReferenceWindow) {
+  Rng rng(60 + GetParam());
+  const int capacity = 1 + static_cast<int>(rng.UniformInt(40));
+  IndexableWindow history(capacity);
+  std::deque<float> reference;
+  for (int step = 0; step < 500; ++step) {
+    const float sample = static_cast<float>(rng.UniformDouble());
+    history.Push(sample);
+    reference.push_back(sample);
+    if (static_cast<int>(reference.size()) > capacity) {
+      reference.pop_front();
+    }
+    std::vector<double> window(reference.begin(), reference.end());
+    for (const double p : {0.0, 37.0, 50.0, 95.0, 100.0}) {
+      ASSERT_NEAR(history.Percentile(p), Percentile(window, p), 1e-6)
+          << "capacity=" << capacity << " step=" << step << " p=" << p;
+    }
+    ASSERT_FLOAT_EQ(history.Latest(), sample);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomStreams, TaskHistoryPropertyTest, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace crf

@@ -2,23 +2,14 @@
 
 #include <vector>
 
-#include "crf/core/borg_default_predictor.h"
-#include "crf/core/limit_sum_predictor.h"
-#include "crf/core/max_predictor.h"
-#include "crf/core/n_sigma_predictor.h"
 #include "crf/core/predictor_factory.h"
-#include "crf/core/rc_like_predictor.h"
 #include "crf/util/rng.h"
+
+// Hand-computed expectations for each family, run through CreatePredictor —
+// the one-spec SweepBank every production path uses.
 
 namespace crf {
 namespace {
-
-PredictorConfig FastConfig(Interval warmup = 3, Interval history = 10) {
-  PredictorConfig config;
-  config.min_num_samples = warmup;
-  config.max_num_samples = history;
-  return config;
-}
 
 std::vector<TaskSample> Tasks(std::vector<std::pair<double, double>> usage_limit) {
   std::vector<TaskSample> samples;
@@ -53,184 +44,184 @@ TEST(ClampPredictionTest, EdgeCases) {
 }
 
 TEST(LimitSumPredictorTest, SumsLimits) {
-  LimitSumPredictor predictor;
-  predictor.Observe(0, Tasks({{0.1, 0.5}, {0.2, 0.7}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 1.2);
-  EXPECT_EQ(predictor.name(), "limit-sum");
+  auto predictor = CreatePredictor(LimitSumSpec());
+  predictor->Observe(0, Tasks({{0.1, 0.5}, {0.2, 0.7}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 1.2);
+  EXPECT_EQ(predictor->name(), "limit-sum");
 }
 
 TEST(LimitSumPredictorTest, TracksDepartures) {
-  LimitSumPredictor predictor;
-  predictor.Observe(0, Tasks({{0.1, 0.5}, {0.2, 0.7}}));
-  predictor.Observe(1, Tasks({{0.1, 0.5}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.5);
+  auto predictor = CreatePredictor(LimitSumSpec());
+  predictor->Observe(0, Tasks({{0.1, 0.5}, {0.2, 0.7}}));
+  predictor->Observe(1, Tasks({{0.1, 0.5}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.5);
 }
 
 TEST(LimitSumPredictorTest, EmptyMachinePredictsZero) {
-  LimitSumPredictor predictor;
-  predictor.Observe(0, {});
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.0);
+  auto predictor = CreatePredictor(LimitSumSpec());
+  predictor->Observe(0, {});
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.0);
 }
 
 TEST(BorgDefaultPredictorTest, ScalesLimitSum) {
-  BorgDefaultPredictor predictor(0.9);
-  predictor.Observe(0, Tasks({{0.1, 1.0}, {0.1, 1.0}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 1.8);
-  EXPECT_EQ(predictor.name(), "borg-default-0.90");
+  auto predictor = CreatePredictor(BorgDefaultSpec(0.9));
+  predictor->Observe(0, Tasks({{0.1, 1.0}, {0.1, 1.0}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 1.8);
+  EXPECT_EQ(predictor->name(), "borg-default-0.90");
 }
 
 TEST(BorgDefaultPredictorTest, NeverBelowCurrentUsage) {
-  BorgDefaultPredictor predictor(0.5);
-  predictor.Observe(0, Tasks({{0.9, 1.0}}));
+  auto predictor = CreatePredictor(BorgDefaultSpec(0.5));
+  predictor->Observe(0, Tasks({{0.9, 1.0}}));
   // 0.5 * 1.0 = 0.5 < current usage 0.9; clamped up.
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.9);
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.9);
 }
 
 TEST(BorgDefaultPredictorTest, PhiOneIsNoOvercommit) {
-  BorgDefaultPredictor predictor(1.0);
-  predictor.Observe(0, Tasks({{0.2, 0.6}, {0.1, 0.4}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 1.0);
+  auto predictor = CreatePredictor(BorgDefaultSpec(1.0));
+  predictor->Observe(0, Tasks({{0.2, 0.6}, {0.1, 0.4}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 1.0);
 }
 
 TEST(BorgDefaultPredictorDeathTest, RejectsInvalidPhi) {
-  EXPECT_DEATH(BorgDefaultPredictor(0.0), "CHECK failed");
-  EXPECT_DEATH(BorgDefaultPredictor(1.5), "CHECK failed");
+  EXPECT_DEATH(CreatePredictor(BorgDefaultSpec(0.0)), "CHECK failed");
+  EXPECT_DEATH(CreatePredictor(BorgDefaultSpec(1.5)), "CHECK failed");
 }
 
 TEST(RcLikePredictorTest, WarmupUsesLimit) {
-  RcLikePredictor predictor(95.0, FastConfig(/*warmup=*/3));
-  predictor.Observe(0, Tasks({{0.1, 0.8}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.8);
-  predictor.Observe(1, Tasks({{0.1, 0.8}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.8);
+  auto predictor = CreatePredictor(RcLikeSpec(95.0, /*warmup=*/3, /*history=*/10));
+  predictor->Observe(0, Tasks({{0.1, 0.8}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.8);
+  predictor->Observe(1, Tasks({{0.1, 0.8}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.8);
   // Third sample completes the warm-up: prediction becomes the percentile of
   // the constant stream.
-  predictor.Observe(2, Tasks({{0.1, 0.8}}));
-  EXPECT_NEAR(predictor.PredictPeak(), 0.1, 1e-6);
+  predictor->Observe(2, Tasks({{0.1, 0.8}}));
+  EXPECT_NEAR(predictor->PredictPeak(), 0.1, 1e-6);
 }
 
 TEST(RcLikePredictorTest, PercentileOverWindow) {
-  RcLikePredictor predictor(50.0, FastConfig(/*warmup=*/1, /*history=*/100));
+  auto predictor = CreatePredictor(RcLikeSpec(50.0, /*warmup=*/1, /*history=*/100));
   // Descending so the clamp to current usage (the final 0) does not mask the
   // percentile.
   for (Interval t = 0; t < 5; ++t) {
-    predictor.Observe(t, Tasks({{static_cast<double>(4 - t), 10.0}}));
+    predictor->Observe(t, Tasks({{static_cast<double>(4 - t), 10.0}}));
   }
   // Median of {4,3,2,1,0} is 2.
-  EXPECT_NEAR(predictor.PredictPeak(), 2.0, 1e-9);
+  EXPECT_NEAR(predictor->PredictPeak(), 2.0, 1e-9);
 }
 
 TEST(RcLikePredictorTest, DepartedTaskStateDropped) {
-  RcLikePredictor predictor(99.0, FastConfig(/*warmup=*/1));
-  predictor.Observe(0, Tasks({{0.5, 1.0}, {0.3, 1.0}}));
-  predictor.Observe(1, {});  // Both departed.
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.0);
+  auto predictor = CreatePredictor(RcLikeSpec(99.0, /*warmup=*/1, /*history=*/10));
+  predictor->Observe(0, Tasks({{0.5, 1.0}, {0.3, 1.0}}));
+  predictor->Observe(1, {});  // Both departed.
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.0);
   // Re-arrival of the same id starts a fresh warm-up (limit-based).
-  RcLikePredictor fresh(99.0, FastConfig(/*warmup=*/2));
-  fresh.Observe(0, Tasks({{0.5, 1.0}}));
-  fresh.Observe(1, {});
-  fresh.Observe(2, Tasks({{0.5, 1.0}}));
-  EXPECT_DOUBLE_EQ(fresh.PredictPeak(), 1.0);  // Warming up again.
+  auto fresh = CreatePredictor(RcLikeSpec(99.0, /*warmup=*/2, /*history=*/10));
+  fresh->Observe(0, Tasks({{0.5, 1.0}}));
+  fresh->Observe(1, {});
+  fresh->Observe(2, Tasks({{0.5, 1.0}}));
+  EXPECT_DOUBLE_EQ(fresh->PredictPeak(), 1.0);  // Warming up again.
 }
 
 TEST(RcLikePredictorTest, HigherPercentilePredictsHigher) {
-  RcLikePredictor p50(50.0, FastConfig(/*warmup=*/1, /*history=*/50));
-  RcLikePredictor p99(99.0, FastConfig(/*warmup=*/1, /*history=*/50));
+  auto p50 = CreatePredictor(RcLikeSpec(50.0, /*warmup=*/1, /*history=*/50));
+  auto p99 = CreatePredictor(RcLikeSpec(99.0, /*warmup=*/1, /*history=*/50));
   Rng rng(80);
   for (Interval t = 0; t < 50; ++t) {
     const auto tasks = Tasks({{rng.UniformDouble(), 2.0}});
-    p50.Observe(t, tasks);
-    p99.Observe(t, tasks);
+    p50->Observe(t, tasks);
+    p99->Observe(t, tasks);
   }
-  EXPECT_LT(p50.PredictPeak(), p99.PredictPeak());
+  EXPECT_LT(p50->PredictPeak(), p99->PredictPeak());
 }
 
 TEST(RcLikePredictorTest, NameIncludesPercentile) {
-  RcLikePredictor predictor(95.0, FastConfig());
-  EXPECT_EQ(predictor.name(), "rc-like-p95");
+  auto predictor = CreatePredictor(RcLikeSpec(95.0, 3, 10));
+  EXPECT_EQ(predictor->name(), "rc-like-p95");
 }
 
 TEST(NSigmaPredictorTest, ConstantUsageConverges) {
-  NSigmaPredictor predictor(5.0, FastConfig(/*warmup=*/2, /*history=*/20));
+  auto predictor = CreatePredictor(NSigmaSpec(5.0, /*warmup=*/2, /*history=*/20));
   for (Interval t = 0; t < 30; ++t) {
-    predictor.Observe(t, Tasks({{0.4, 1.0}}));
+    predictor->Observe(t, Tasks({{0.4, 1.0}}));
   }
   // Zero variance: prediction = mean = 0.4.
-  EXPECT_NEAR(predictor.PredictPeak(), 0.4, 1e-9);
+  EXPECT_NEAR(predictor->PredictPeak(), 0.4, 1e-9);
 }
 
 TEST(NSigmaPredictorTest, WarmingTasksContributeLimit) {
-  NSigmaPredictor predictor(3.0, FastConfig(/*warmup=*/5, /*history=*/20));
-  predictor.Observe(0, Tasks({{0.1, 0.7}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.7);
+  auto predictor = CreatePredictor(NSigmaSpec(3.0, /*warmup=*/5, /*history=*/20));
+  predictor->Observe(0, Tasks({{0.1, 0.7}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.7);
 }
 
 TEST(NSigmaPredictorTest, HigherNPredictsHigher) {
   Rng rng(81);
-  NSigmaPredictor n2(2.0, FastConfig(/*warmup=*/1, /*history=*/50));
-  NSigmaPredictor n10(10.0, FastConfig(/*warmup=*/1, /*history=*/50));
+  auto n2 = CreatePredictor(NSigmaSpec(2.0, /*warmup=*/1, /*history=*/50));
+  auto n10 = CreatePredictor(NSigmaSpec(10.0, /*warmup=*/1, /*history=*/50));
   for (Interval t = 0; t < 60; ++t) {
     const auto tasks = Tasks({{0.3 + 0.1 * rng.Normal(), 5.0}});
-    n2.Observe(t, tasks);
-    n10.Observe(t, tasks);
+    n2->Observe(t, tasks);
+    n10->Observe(t, tasks);
   }
-  EXPECT_LT(n2.PredictPeak(), n10.PredictPeak());
+  EXPECT_LT(n2->PredictPeak(), n10->PredictPeak());
 }
 
 TEST(NSigmaPredictorTest, ClampedToLimitSum) {
-  NSigmaPredictor predictor(10.0, FastConfig(/*warmup=*/1, /*history=*/10));
+  auto predictor = CreatePredictor(NSigmaSpec(10.0, /*warmup=*/1, /*history=*/10));
   Rng rng(82);
   for (Interval t = 0; t < 20; ++t) {
-    predictor.Observe(t, Tasks({{rng.UniformDouble() * 0.5, 0.5}}));
+    predictor->Observe(t, Tasks({{rng.UniformDouble() * 0.5, 0.5}}));
   }
-  EXPECT_LE(predictor.PredictPeak(), 0.5 + 1e-12);
+  EXPECT_LE(predictor->PredictPeak(), 0.5 + 1e-12);
 }
 
 TEST(NSigmaPredictorTest, Name) {
-  NSigmaPredictor predictor(5.0, FastConfig());
-  EXPECT_EQ(predictor.name(), "n-sigma-5");
+  auto predictor = CreatePredictor(NSigmaSpec(5.0, 3, 10));
+  EXPECT_EQ(predictor->name(), "n-sigma-5");
 }
 
 // The warm-up boundary is exact: with min_num_samples = 3, a task still
 // contributes its limit after 2 samples and switches to usage-driven on the
 // observation where its 3rd sample lands.
 TEST(NSigmaPredictorTest, WarmupBoundaryIsExact) {
-  NSigmaPredictor predictor(5.0, FastConfig(/*warmup=*/3, /*history=*/10));
+  auto predictor = CreatePredictor(NSigmaSpec(5.0, /*warmup=*/3, /*history=*/10));
   // Constant zero usage makes the warmed prediction exactly 0, so the
   // limit-vs-usage switch is unmistakable.
-  predictor.Observe(0, Tasks({{0.0, 0.8}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.8);  // 1 sample: warming.
-  predictor.Observe(1, Tasks({{0.0, 0.8}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.8);  // min_num_samples - 1: warming.
-  predictor.Observe(2, Tasks({{0.0, 0.8}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.0);  // min_num_samples: warmed.
+  predictor->Observe(0, Tasks({{0.0, 0.8}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.8);  // 1 sample: warming.
+  predictor->Observe(1, Tasks({{0.0, 0.8}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.8);  // min_num_samples - 1: warming.
+  predictor->Observe(2, Tasks({{0.0, 0.8}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.0);  // min_num_samples: warmed.
 }
 
 TEST(RcLikePredictorTest, WarmupBoundaryIsExact) {
-  RcLikePredictor predictor(99.0, FastConfig(/*warmup=*/3, /*history=*/10));
-  predictor.Observe(0, Tasks({{0.0, 0.8}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.8);
-  predictor.Observe(1, Tasks({{0.0, 0.8}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.8);
-  predictor.Observe(2, Tasks({{0.0, 0.8}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.0);
+  auto predictor = CreatePredictor(RcLikeSpec(99.0, /*warmup=*/3, /*history=*/10));
+  predictor->Observe(0, Tasks({{0.0, 0.8}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.8);
+  predictor->Observe(1, Tasks({{0.0, 0.8}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.8);
+  predictor->Observe(2, Tasks({{0.0, 0.8}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.0);
 }
 
 // Per the Observe contract, a machine whose tasks all depart must release
 // its per-task state: the same task id re-arriving starts a fresh warm-up
 // instead of inheriting the old sample count.
 TEST(NSigmaPredictorTest, AllTasksDepartReleasesState) {
-  NSigmaPredictor predictor(5.0, FastConfig(/*warmup=*/2, /*history=*/10));
-  predictor.Observe(0, Tasks({{0.0, 0.6}}));
-  predictor.Observe(1, Tasks({{0.0, 0.6}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.0);  // Warmed.
-  predictor.Observe(2, {});  // Machine empties.
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.0);
+  auto predictor = CreatePredictor(NSigmaSpec(5.0, /*warmup=*/2, /*history=*/10));
+  predictor->Observe(0, Tasks({{0.0, 0.6}}));
+  predictor->Observe(1, Tasks({{0.0, 0.6}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.0);  // Warmed.
+  predictor->Observe(2, {});  // Machine empties.
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.0);
   // Same id returns: warm-up restarts from zero samples.
-  predictor.Observe(3, Tasks({{0.0, 0.6}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.6);
-  predictor.Observe(4, Tasks({{0.0, 0.6}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 0.0);  // Warmed again.
+  predictor->Observe(3, Tasks({{0.0, 0.6}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.6);
+  predictor->Observe(4, Tasks({{0.0, 0.6}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 0.0);  // Warmed again.
 }
 
 // Reset() must behave exactly like a freshly constructed instance with the
@@ -263,41 +254,32 @@ TEST(PredictorResetTest, ResetEqualsFreshInstance) {
 }
 
 TEST(MaxPredictorTest, TakesPointwiseMax) {
-  std::vector<std::unique_ptr<PeakPredictor>> components;
-  components.push_back(std::make_unique<BorgDefaultPredictor>(0.5));
-  components.push_back(std::make_unique<LimitSumPredictor>());
-  MaxPredictor predictor(std::move(components));
-  predictor.Observe(0, Tasks({{0.1, 1.0}}));
-  EXPECT_DOUBLE_EQ(predictor.PredictPeak(), 1.0);  // limit-sum dominates.
-  EXPECT_EQ(predictor.name(), "max(borg-default-0.50,limit-sum)");
+  auto predictor = CreatePredictor(MaxSpec({BorgDefaultSpec(0.5), LimitSumSpec()}));
+  predictor->Observe(0, Tasks({{0.1, 1.0}}));
+  EXPECT_DOUBLE_EQ(predictor->PredictPeak(), 1.0);  // limit-sum dominates.
+  EXPECT_EQ(predictor->name(), "max(borg-default-0.50,limit-sum)");
 }
 
 TEST(MaxPredictorTest, AtLeastEachComponent) {
   Rng rng(83);
-  auto make = [] {
-    std::vector<std::unique_ptr<PeakPredictor>> components;
-    components.push_back(
-        std::make_unique<NSigmaPredictor>(3.0, FastConfig(/*warmup=*/2, /*history=*/20)));
-    components.push_back(
-        std::make_unique<RcLikePredictor>(90.0, FastConfig(/*warmup=*/2, /*history=*/20)));
-    return std::make_unique<MaxPredictor>(std::move(components));
-  };
-  auto max_predictor = make();
-  NSigmaPredictor n_sigma(3.0, FastConfig(2, 20));
-  RcLikePredictor rc(90.0, FastConfig(2, 20));
+  auto max_predictor =
+      CreatePredictor(MaxSpec({NSigmaSpec(3.0, /*warmup=*/2, /*history=*/20),
+                               RcLikeSpec(90.0, /*warmup=*/2, /*history=*/20)}));
+  auto n_sigma = CreatePredictor(NSigmaSpec(3.0, 2, 20));
+  auto rc = CreatePredictor(RcLikeSpec(90.0, 2, 20));
   for (Interval t = 0; t < 40; ++t) {
     const auto tasks =
         Tasks({{rng.UniformDouble() * 0.5, 0.8}, {rng.UniformDouble() * 0.3, 0.4}});
     max_predictor->Observe(t, tasks);
-    n_sigma.Observe(t, tasks);
-    rc.Observe(t, tasks);
-    EXPECT_GE(max_predictor->PredictPeak(), n_sigma.PredictPeak() - 1e-12);
-    EXPECT_GE(max_predictor->PredictPeak(), rc.PredictPeak() - 1e-12);
+    n_sigma->Observe(t, tasks);
+    rc->Observe(t, tasks);
+    EXPECT_GE(max_predictor->PredictPeak(), n_sigma->PredictPeak() - 1e-12);
+    EXPECT_GE(max_predictor->PredictPeak(), rc->PredictPeak() - 1e-12);
   }
 }
 
 TEST(MaxPredictorDeathTest, RequiresComponents) {
-  EXPECT_DEATH(MaxPredictor({}), "CHECK failed");
+  EXPECT_DEATH(CreatePredictor(MaxSpec({})), "CHECK failed");
 }
 
 }  // namespace

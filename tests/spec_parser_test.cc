@@ -8,6 +8,25 @@
 namespace crf {
 namespace {
 
+// max() nested `depth` levels around one n-sigma leaf.
+std::string Nested(int depth) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) {
+    text += "max(";
+  }
+  text += "n-sigma:3";
+  return text + std::string(static_cast<size_t>(depth), ')');
+}
+
+// max() of `width` borg-default components.
+std::string Wide(int width) {
+  std::string text = "max(";
+  for (int i = 0; i < width; ++i) {
+    text += i > 0 ? ",borg-default" : "borg-default";
+  }
+  return text + ")";
+}
+
 std::string NameOf(std::string_view text) {
   const auto spec = ParsePredictorSpec(text);
   return spec.has_value() ? spec->Name() : "<error>";
@@ -56,6 +75,22 @@ TEST(SpecParserTest, RejectsMalformedInput) {
         "flex:95:1.2:3"}) {
     EXPECT_FALSE(ParsePredictorSpec(bad).has_value()) << bad;
   }
+  // Past the size limits SweepPlan and the checkpoint reader share: one
+  // level too deep, one component too many (in one max() or across the
+  // tree), and nesting deep enough to overflow a recursive parser's stack.
+  std::string split = "max(" + Wide(40) + "," + Wide(30) + ")";
+  for (const std::string& bad : {Nested(kMaxSpecDepth + 1), Nested(10), Wide(65), Wide(70),
+                                 split, Nested(25000)}) {
+    EXPECT_FALSE(ParsePredictorSpec(bad).has_value()) << bad.substr(0, 80);
+  }
+  // The limits themselves are accepted, and every accepted spec runs.
+  for (const std::string& edge :
+       {Nested(kMaxSpecDepth), Wide(kMaxSpecComponents), "max(" + Wide(32) + "," + Wide(30) + ")"}) {
+    const auto spec = ParsePredictorSpec(edge);
+    ASSERT_TRUE(spec.has_value()) << edge;
+    EXPECT_TRUE(ValidatePredictorSpec(*spec, nullptr)) << edge;
+    EXPECT_FALSE(CreatePredictor(*spec)->name().empty());
+  }
 }
 
 // The parser must reject every value the predictor constructors would
@@ -103,6 +138,8 @@ TEST(SpecParserTest, ReportsPreciseErrors) {
             "flex takes at most two parameters (percentile, margin)");
   EXPECT_EQ(error_for("max()"), "empty component in 'max()'");
   EXPECT_EQ(error_for("max(n-sigma:5,)"), "empty component in 'max(n-sigma:5,)'");
+  EXPECT_EQ(error_for(Nested(9)), "max() nesting deeper than 8");
+  EXPECT_EQ(error_for(Wide(70)), "more than 64 components");
   EXPECT_EQ(error_for("max(a,b))"), "unbalanced ')' in 'a,b)'");
   // A nested failure surfaces the deepest diagnostic, not a generic one.
   EXPECT_EQ(error_for("max(n-sigma:5,rc-like:nan)"), "rc-like percentile 'nan' is not finite");
@@ -111,16 +148,19 @@ TEST(SpecParserTest, ReportsPreciseErrors) {
 }
 
 // Fuzz-style totality sweep: pseudo-random strings over the spec alphabet
-// must never crash or CHECK-abort — each either parses (and the resulting
-// spec's factory-validated knobs are in range, proven by Name() not
-// aborting) or reports a non-empty error.
+// must never crash or CHECK-abort — each either parses into a spec that
+// ValidatePredictorSpec accepts (so SweepPlan will not abort on it) or
+// reports a non-empty error.
 TEST(SpecParserTest, ArbitraryInputNeverCrashes) {
   const char alphabet[] = "abcdefghijklmnopqrstuvwxyz-:,().0123456789einfa";
   // Half the inputs are pure noise; half mutate a real spec (every family
   // represented) so near-valid strings get exercised, not just uniform junk.
+  const std::string deep = Nested(kMaxSpecDepth);
+  const std::string wide = Wide(kMaxSpecComponents);
   const char* seeds[] = {"limit-sum",     "borg-default:0.9", "rc-like:95",
                          "n-sigma:3",     "autopilot:98:1.1", "chance:0.02",
-                         "flex:95:1.2",   "max(chance:0.01,flex:90)"};
+                         "flex:95:1.2",   "max(chance:0.01,flex:90)",
+                         deep.c_str(),    wide.c_str()};
   uint64_t state = 0x12345678u;
   const auto next = [&state]() {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -143,7 +183,7 @@ TEST(SpecParserTest, ArbitraryInputNeverCrashes) {
     std::string error;
     const auto spec = ParsePredictorSpec(text, &error);
     if (spec.has_value()) {
-      EXPECT_FALSE(spec->Name().empty()) << text;
+      EXPECT_TRUE(ValidatePredictorSpec(*spec, &error)) << text << ": " << error;
     } else {
       EXPECT_FALSE(error.empty()) << text;
     }

@@ -8,17 +8,22 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "crf/core/predictor_factory.h"
+#include "crf/core/spec_parser.h"
 #include "crf/serve/replay.h"
 #include "crf/trace/trace_builder.h"
+#include "crf/util/byte_io.h"
 #include "crf/util/rng.h"
 
 namespace crf {
@@ -226,6 +231,164 @@ TEST(StreamCheckpointCorruptionTest, NewFamilyPayloadDamageIsRejected) {
   }
 }
 
+// The checksum stops random damage before the payload decoder sees it, so
+// here each damaged payload is resealed with a fresh size and checksum: the
+// SweepBank record (group counts, roster, windows, predictions) and the rest
+// of the payload must then be rejected by their own structural checks — a
+// truncation always, a bit flip whenever it breaks an invariant — and a
+// flip that decodes must resume without crashing. The spec mixes the
+// stateless borg-default node with the autopilot per-task windows.
+TEST(StreamCheckpointCorruptionTest, ResealedPayloadDamageNeverCrashes) {
+  CheckpointFixture fixture(MaxSpec({BorgDefaultSpec(0.9), AutopilotSpec(98.0, 1.1, 3, 8),
+                                     NSigmaSpec(3.0, 3, 8)}));
+  // Header layout: spec_length at byte 36, payload_bytes at 40, the payload
+  // hash at 48.
+  uint32_t spec_length = 0;
+  std::memcpy(&spec_length, fixture.bytes.data() + 36, sizeof(spec_length));
+  const size_t payload_start = 64 + fixture.cell.name.size() + spec_length;
+  ASSERT_LT(payload_start, fixture.bytes.size());
+  const auto reseal = [&](std::vector<uint8_t> bytes) {
+    const uint64_t payload_bytes = bytes.size() - payload_start;
+    const uint64_t hash =
+        Fnv1a64(std::span<const uint8_t>(bytes.data() + payload_start, payload_bytes));
+    std::memcpy(bytes.data() + 40, &payload_bytes, sizeof(payload_bytes));
+    std::memcpy(bytes.data() + 48, &hash, sizeof(hash));
+    return bytes;
+  };
+  // Resealing undamaged bytes must change nothing; otherwise every case
+  // below would stop at the header or the checksum, not in the decoder.
+  ASSERT_EQ(reseal(fixture.bytes), fixture.bytes);
+  const std::string structural = "checkpoint payload is structurally invalid";
+  for (size_t length = payload_start; length < fixture.bytes.size(); length += 131) {
+    SCOPED_TRACE("truncate to " + std::to_string(length));
+    WriteAll(fixture.path, reseal(std::vector<uint8_t>(
+                               fixture.bytes.begin(), fixture.bytes.begin() + static_cast<long>(length))));
+    std::string error;
+    EXPECT_EQ(LoadCheckpoint(fixture.path, fixture.cell, fixture.options, &error), nullptr);
+    EXPECT_EQ(error, structural);
+  }
+  int rejected = 0;
+  int resumed = 0;
+  for (size_t off = payload_start; off < fixture.bytes.size(); off += 37) {
+    std::vector<uint8_t> flipped = fixture.bytes;
+    flipped[off] ^= 0x10;
+    WriteAll(fixture.path, reseal(std::move(flipped)));
+    std::string error;
+    auto restored = LoadCheckpoint(fixture.path, fixture.cell, fixture.options, &error);
+    if (restored != nullptr) {
+      restored->AdvanceToEnd();
+      ++resumed;
+    } else {
+      EXPECT_EQ(error, structural) << "flip byte " << off;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(resumed, 0);
+}
+
+// The spec blob sits outside the payload checksum, so the decoded spec is
+// validated like a parsed one: an out-of-range or NaN knob, a non-max spec
+// with components, a component count the blob cannot hold and max() nested
+// past kMaxSpecDepth are each an error, never a SweepPlan CHECK failure.
+TEST(StreamCheckpointCorruptionTest, DamagedSpecIsRejected) {
+  CheckpointFixture fixture;  // n-sigma: 3, warm-up 3, history 8.
+  const size_t name_end = 64 + fixture.cell.name.size();
+  uint32_t spec_length = 0;
+  std::memcpy(&spec_length, fixture.bytes.data() + 36, sizeof(spec_length));
+  // One encoded spec node: type, five knobs, warm-up, history, component
+  // count.
+  constexpr size_t kNodeBytes = 1 + 5 * 8 + 4 + 4 + 4;
+  ASSERT_EQ(spec_length, kNodeBytes);
+  const auto expect_rejected = [&](const std::vector<uint8_t>& bytes, const char* label) {
+    SCOPED_TRACE(label);
+    WriteAll(fixture.path, bytes);
+    std::string error;
+    EXPECT_EQ(LoadCheckpoint(fixture.path, fixture.cell, fixture.options, &error), nullptr);
+    EXPECT_EQ(error, "checkpoint predictor spec is corrupt");
+  };
+  const auto patched = [&](std::vector<uint8_t> bytes, size_t field, auto value) {
+    std::memcpy(bytes.data() + name_end + field, &value, sizeof(value));
+    return bytes;
+  };
+  constexpr size_t kNSigma = 1 + 2 * 8;
+  constexpr size_t kWarmup = 1 + 5 * 8;
+  constexpr size_t kHistory = kWarmup + 4;
+  constexpr size_t kComponents = kHistory + 4;
+  expect_rejected(patched(fixture.bytes, kNSigma, -1.0), "negative n");
+  expect_rejected(patched(fixture.bytes, kNSigma, std::nan("")), "NaN n");
+  expect_rejected(patched(fixture.bytes, kWarmup, int32_t{0}), "zero warm-up");
+  expect_rejected(patched(fixture.bytes, kHistory, int32_t{2}), "history below warm-up");
+  expect_rejected(patched(fixture.bytes, kComponents, uint32_t{1}), "n-sigma with a component");
+  expect_rejected(
+      patched(patched(fixture.bytes, 0, static_cast<uint8_t>(PredictorSpec::Type::kMax)),
+              kComponents, uint32_t{0xFFFFFFFF}),
+      "max() claiming 2^32-1 components");
+
+  // max() nested one level past the limit, sealed with a consistent header.
+  std::vector<uint8_t> deep_spec;
+  for (int level = 0; level <= kMaxSpecDepth; ++level) {
+    std::vector<uint8_t> node(fixture.bytes.begin() + static_cast<long>(name_end),
+                              fixture.bytes.begin() + static_cast<long>(name_end + kNodeBytes));
+    node[0] = static_cast<uint8_t>(PredictorSpec::Type::kMax);
+    const uint32_t one = 1;
+    std::memcpy(node.data() + kComponents, &one, sizeof(one));
+    deep_spec.insert(deep_spec.end(), node.begin(), node.end());
+  }
+  deep_spec.insert(deep_spec.end(), fixture.bytes.begin() + static_cast<long>(name_end),
+                   fixture.bytes.begin() + static_cast<long>(name_end + kNodeBytes));
+  std::vector<uint8_t> deep(fixture.bytes.begin(),
+                            fixture.bytes.begin() + static_cast<long>(name_end));
+  deep.insert(deep.end(), deep_spec.begin(), deep_spec.end());
+  deep.insert(deep.end(), fixture.bytes.begin() + static_cast<long>(name_end + kNodeBytes),
+              fixture.bytes.end());
+  const uint32_t deep_length = static_cast<uint32_t>(deep_spec.size());
+  std::memcpy(deep.data() + 36, &deep_length, sizeof(deep_length));
+  expect_rejected(deep, "max() nested past the limit");
+}
+
+// Every spec the parser accepts seals a checkpoint that resumes: the size
+// limits at their edges (max() nested kMaxSpecDepth deep, kMaxSpecComponents
+// components over every family) and the stateless families, whose bank
+// keeps no roster.
+TEST(StreamCheckpointSpecLimitsTest, EveryAcceptedSpecShapeResumes) {
+  const char* families[] = {"n-sigma:2", "rc-like:90", "chance:0.05",   "flex:90",
+                            "autopilot:95:1.2", "borg-default:0.8", "limit-sum"};
+  std::string deep = "n-sigma:3";
+  for (int i = 0; i < kMaxSpecDepth; ++i) {
+    deep = "max(" + deep + (i % 2 == 0 ? ",rc-like:95)" : ")");
+  }
+  std::string wide = "max(";
+  for (int i = 0; i < kMaxSpecComponents; ++i) {
+    wide += std::string(i > 0 ? "," : "") + families[i % 7];
+  }
+  wide += ")";
+  const CellTrace cell = RandomCell(4242);
+  ReplayOptions options;
+  options.num_shards = 4;
+  for (const std::string& text :
+       {deep, wide, std::string("max(borg-default:0.9,autopilot:98:1.1)"),
+        std::string("borg-default:0.9"), std::string("limit-sum"), std::string("flex:90")}) {
+    SCOPED_TRACE(text.substr(0, 60));
+    std::string error;
+    const std::optional<PredictorSpec> spec = ParsePredictorSpec(text, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+
+    StreamReplayer uninterrupted(cell, *spec, options);
+    uninterrupted.AdvanceToEnd();
+    const SimResult expected = uninterrupted.Finish();
+
+    const std::string path = TempPath("ckpt_spec_limits.crfckpt");
+    StreamReplayer first(cell, *spec, options);
+    first.Advance(cell.num_intervals / 2);
+    ASSERT_TRUE(SaveCheckpoint(first, path, &error)) << error;
+    auto restored = LoadCheckpoint(path, cell, options, &error);
+    ASSERT_NE(restored, nullptr) << error;
+    restored->AdvanceToEnd();
+    ExpectResultsBitIdentical(restored->Finish(), expected);
+  }
+}
+
 TEST(StreamCheckpointCorruptionTest, GarbageAndEmptyFilesAreRejected) {
   CheckpointFixture fixture;
   fixture.ExpectRejected({}, "empty file");
@@ -251,12 +414,13 @@ TEST(StreamCheckpointMismatchTest, WrongShardCountIsRejectedWithHint) {
 }
 
 // Version 1 lacked the chance target and the risk state; version 2 stored
-// each percentile window's sorted chunk partition. Either payload would
-// misparse as version 3, so both the loader and the header inspection must
-// refuse the file with an error (never a CHECK abort).
+// each percentile window's sorted chunk partition; version 3 stored one
+// record per predictor family instead of one SweepBank record. Each payload
+// would misparse as version 4, so both the loader and the header inspection
+// must refuse the file with an error (never a CHECK abort).
 TEST(StreamCheckpointMismatchTest, OldVersionIsRejected) {
   CheckpointFixture fixture;
-  for (const uint8_t version : {1, 2}) {
+  for (const uint8_t version : {1, 2, 3}) {
     SCOPED_TRACE(::testing::Message() << "version=" << int{version});
     // The header version is a little-endian u32 at offset 8 (after the magic).
     std::vector<uint8_t> old_version = fixture.bytes;
@@ -287,7 +451,7 @@ TEST(StreamCheckpointInfoTest, HeaderInspectionReportsIdentity) {
   CheckpointInfo info;
   std::string error;
   ASSERT_TRUE(ReadCheckpointInfo(fixture.path, &info, &error)) << error;
-  EXPECT_EQ(info.version, 3u);
+  EXPECT_EQ(info.version, 4u);
   EXPECT_EQ(info.trace_name, fixture.cell.name);
   EXPECT_EQ(info.num_machines, fixture.cell.num_machines());
   EXPECT_EQ(info.num_intervals, fixture.cell.num_intervals);

@@ -1,39 +1,46 @@
-// The multi-spec sweep engine against its per-spec reference.
+// The predictor engine against its independent reference.
 //
-//  * IndexableWindow (the sorted-array window under TaskHistory and the
-//    sweep bank) is pinned property-style to a naive sorted-vector window
+//  * IndexableWindow (the sorted-array window under the sweep bank's
+//    percentile groups) is pinned property-style to a naive sorted-vector window
 //    under random pushes, across capacities from 1 to well past the switch
 //    from counting to binary search.
 //  * SweepPlan's node/group deduplication is checked structurally.
 //  * SimulateCellMulti over a mixed grid — borg phis, RC-like percentiles,
-//    N-sigma Ns, autopilot, nested max specs, varied warm-up/history
-//    including min == max, and a duplicated spec — must match per-spec
-//    SimulateCell machine by machine: exactly for the integer counters,
-//    within 1e-9 relative for the floating-point aggregates. Both a dense
-//    low-churn cell and a churn-heavy cell, on the serial and the
+//    N-sigma Ns, autopilot, chance, flex, nested max specs, varied
+//    warm-up/history including min == max, and a duplicated spec — and the
+//    one-spec SimulateCell must both match a per-spec engine driving the
+//    reference predictors of tests/reference/ bit for bit, machine by
+//    machine and in the cell savings series. Both a dense low-churn cell
+//    and a churn-heavy cell, on the serial and the
 //    parallel-with-oracle-cache paths.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "crf/core/indexable_window.h"
+#include "crf/core/machine_roster.h"
 #include "crf/core/predictor_factory.h"
 #include "crf/core/sweep_bank.h"
 #include "crf/sim/simulator.h"
 #include "crf/trace/trace_builder.h"
+#include "crf/util/byte_io.h"
 #include "crf/util/rng.h"
+#include "reference/predictors.h"
 
 namespace crf {
 namespace {
 
 // ----- IndexableWindow vs a naive sorted-vector reference. -----
 
-// The old TaskHistory implementation, kept as the behavioural reference:
-// bounded deque in arrival order, full sort per percentile query.
+// A naive window, kept as the behavioural reference: bounded deque in
+// arrival order, full sort per percentile query.
 class ReferenceWindow {
  public:
   explicit ReferenceWindow(int capacity) : capacity_(capacity) {}
@@ -203,9 +210,21 @@ TEST(SweepPlanTest, DeduplicatesNodesAndGroups) {
   // Both flex points over history 8 read the same ratio window group.
   EXPECT_EQ(plan.nodes()[plan.spec_node(19)].ratio_group,
             plan.nodes()[plan.spec_node(20)].ratio_group);
+
+  // Per-task state is needed by the window, aggregate and quantile groups
+  // only; a plan of borg-default, limit-sum and flex keeps no roster.
+  EXPECT_TRUE(plan.tracks_tasks());
+  const std::vector<PredictorSpec> stateless = {
+      BorgDefaultSpec(0.9), LimitSumSpec(), FlexSpec(95.0, 1.2, 3, 8),
+      MaxSpec({BorgDefaultSpec(0.6), FlexSpec(90.0, 1.5, 1, 12)})};
+  EXPECT_FALSE(SweepPlan(stateless).tracks_tasks());
+  for (const PredictorSpec& spec : {RcLikeSpec(), NSigmaSpec(), AutopilotSpec(), ChanceSpec(),
+                                    MaxSpec({BorgDefaultSpec(), ChanceSpec()})}) {
+    EXPECT_TRUE(SweepPlan(std::span(&spec, 1)).tracks_tasks()) << spec.Name();
+  }
 }
 
-// ----- SimulateCellMulti vs per-spec SimulateCell. -----
+// ----- The bank engines vs the reference predictors. -----
 
 // Seeded random cell. Dense mode: long-lived tasks, little churn (deep
 // windows, warmed steady state). Churn mode: short tasks arriving throughout
@@ -247,57 +266,91 @@ CellTrace MakeCell(uint64_t seed, bool churn) {
   return builder.Seal();
 }
 
-void ExpectNearRel(double actual, double expected, const char* what) {
-  const double tol = 1e-9 * std::max({1.0, std::abs(actual), std::abs(expected)});
-  EXPECT_NEAR(actual, expected, tol) << what;
+// The reference engine: each machine's resident samples from the shared
+// trace walk, fed to a fresh reference predictor and scored by the shared
+// risk accumulator. Machines are summed into the cell series in index order,
+// which is the simulator's block reduction for cells of at most 64 machines
+// (one machine per block).
+SimResult ReferenceSimulateCell(const CellTrace& cell, const PredictorSpec& spec) {
+  SimResult result;
+  result.cell_name = cell.name;
+  result.predictor_name = spec.Name();
+  std::vector<double> cell_limit(cell.num_intervals, 0.0);
+  std::vector<double> cell_prediction(cell.num_intervals, 0.0);
+  const MachineTaskColumns cols(cell);
+  for (int m = 0; m < cell.num_machines(); ++m) {
+    const std::unique_ptr<PeakPredictor> predictor = reference::CreateReferencePredictor(spec);
+    const std::vector<double> oracle = ComputePeakOracle(cell, m, kIntervalsPerDay);
+    MachineRoster roster;
+    roster.StartTraceWalk(cols, cell.machine_tasks(m));
+    RiskAccumulator risk;
+    for (Interval tau = 0; tau < cell.num_intervals; ++tau) {
+      roster.AdvanceTrace(cols, tau);
+      predictor->Observe(tau, roster.samples());
+      const double prediction = predictor->PredictPeak();
+      risk.Record(prediction, oracle[tau], roster.limit_sum(), !roster.empty());
+      cell_limit[tau] += roster.limit_sum();
+      cell_prediction[tau] += prediction;
+    }
+    FinalizeMachineMetrics(risk, m, cell.num_intervals, result.machines.emplace_back());
+  }
+  result.cell_savings_series = CellSavingsSeries(cell_limit, cell_prediction);
+  return result;
 }
 
-void ExpectResultMatchesReference(const SimResult& multi, const SimResult& reference) {
-  EXPECT_EQ(multi.cell_name, reference.cell_name);
-  EXPECT_EQ(multi.predictor_name, reference.predictor_name);
-  ASSERT_EQ(multi.machines.size(), reference.machines.size());
-  for (size_t m = 0; m < multi.machines.size(); ++m) {
+void ExpectSameBits(double actual, double expected, const char* what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(actual), std::bit_cast<uint64_t>(expected))
+      << what << ": " << actual << " vs " << expected;
+}
+
+void ExpectResultMatchesReference(const SimResult& bank, const SimResult& reference) {
+  EXPECT_EQ(bank.cell_name, reference.cell_name);
+  EXPECT_EQ(bank.predictor_name, reference.predictor_name);
+  ASSERT_EQ(bank.machines.size(), reference.machines.size());
+  for (size_t m = 0; m < bank.machines.size(); ++m) {
     SCOPED_TRACE(::testing::Message() << "machine=" << m);
-    const MachineMetrics& a = multi.machines[m];
+    const MachineMetrics& a = bank.machines[m];
     const MachineMetrics& b = reference.machines[m];
     EXPECT_EQ(a.machine_index, b.machine_index);
     EXPECT_EQ(a.intervals, b.intervals);
     EXPECT_EQ(a.occupied_intervals, b.occupied_intervals);
     EXPECT_EQ(a.violations, b.violations);
-    ExpectNearRel(a.mean_violation_severity, b.mean_violation_severity, "severity");
-    ExpectNearRel(a.savings_ratio, b.savings_ratio, "savings");
-    ExpectNearRel(a.mean_prediction, b.mean_prediction, "mean_prediction");
-    ExpectNearRel(a.mean_limit, b.mean_limit, "mean_limit");
-    // Tail metrics (crf/risk): streaks are integer-valued and must agree
-    // exactly; the quantile estimates inherit the 1e-9 prediction tolerance.
+    ExpectSameBits(a.mean_violation_severity, b.mean_violation_severity, "severity");
+    ExpectSameBits(a.savings_ratio, b.savings_ratio, "savings");
+    ExpectSameBits(a.mean_prediction, b.mean_prediction, "mean_prediction");
+    ExpectSameBits(a.mean_limit, b.mean_limit, "mean_limit");
+    // Tail metrics (crf/risk).
     EXPECT_EQ(a.tail.max_violation_streak, b.tail.max_violation_streak);
-    ExpectNearRel(a.tail.severity_p99, b.tail.severity_p99, "severity_p99");
-    ExpectNearRel(a.tail.severity_p999, b.tail.severity_p999, "severity_p999");
-    ExpectNearRel(a.tail.streak_p99, b.tail.streak_p99, "streak_p99");
-    ExpectNearRel(a.tail.violation_time_fraction, b.tail.violation_time_fraction,
-                  "violation_time_fraction");
-    ExpectNearRel(a.tail.savings_at_risk, b.tail.savings_at_risk, "savings_at_risk");
+    ExpectSameBits(a.tail.severity_p99, b.tail.severity_p99, "severity_p99");
+    ExpectSameBits(a.tail.severity_p999, b.tail.severity_p999, "severity_p999");
+    ExpectSameBits(a.tail.streak_p99, b.tail.streak_p99, "streak_p99");
+    ExpectSameBits(a.tail.violation_time_fraction, b.tail.violation_time_fraction,
+                   "violation_time_fraction");
+    ExpectSameBits(a.tail.savings_at_risk, b.tail.savings_at_risk, "savings_at_risk");
   }
-  ASSERT_EQ(multi.cell_savings_series.size(), reference.cell_savings_series.size());
-  for (size_t t = 0; t < multi.cell_savings_series.size(); ++t) {
-    const double tol =
-        1e-9 * std::max(1.0, std::abs(reference.cell_savings_series[t]));
-    EXPECT_NEAR(multi.cell_savings_series[t], reference.cell_savings_series[t], tol)
-        << "t=" << t;
+  ASSERT_EQ(bank.cell_savings_series.size(), reference.cell_savings_series.size());
+  for (size_t t = 0; t < bank.cell_savings_series.size(); ++t) {
+    SCOPED_TRACE(::testing::Message() << "t=" << t);
+    ExpectSameBits(bank.cell_savings_series[t], reference.cell_savings_series[t], "cell");
   }
 }
 
 void RunDifferential(const CellTrace& cell) {
   const std::vector<PredictorSpec> specs = MixedGrid();
+  std::vector<SimResult> reference;
+  for (const PredictorSpec& spec : specs) {
+    reference.push_back(ReferenceSimulateCell(cell, spec));
+  }
 
-  // Serial paths: deterministic machine order on both sides.
+  // Serial: the grid in one pass, and each spec on its own.
   SimOptions serial;
   serial.parallel = false;
   const std::vector<SimResult> multi_serial = SimulateCellMulti(cell, specs, serial);
   ASSERT_EQ(multi_serial.size(), specs.size());
   for (size_t s = 0; s < specs.size(); ++s) {
     SCOPED_TRACE(::testing::Message() << "spec=" << s << " (" << specs[s].Name() << ")");
-    ExpectResultMatchesReference(multi_serial[s], SimulateCell(cell, specs[s], serial));
+    ExpectResultMatchesReference(multi_serial[s], reference[s]);
+    ExpectResultMatchesReference(SimulateCell(cell, specs[s], serial), reference[s]);
   }
 
   // Parallel with a shared oracle cache, run twice so the second multi pass
@@ -313,8 +366,8 @@ void RunDifferential(const CellTrace& cell) {
   ASSERT_EQ(multi_again.size(), specs.size());
   for (size_t s = 0; s < specs.size(); ++s) {
     SCOPED_TRACE(::testing::Message() << "spec=" << s << " (" << specs[s].Name() << ")");
-    ExpectResultMatchesReference(multi_parallel[s], multi_serial[s]);
-    ExpectResultMatchesReference(multi_again[s], multi_serial[s]);
+    ExpectResultMatchesReference(multi_parallel[s], reference[s]);
+    ExpectResultMatchesReference(multi_again[s], reference[s]);
   }
 }
 
@@ -324,6 +377,161 @@ TEST(SweepEngineDifferentialTest, DenseCellMatchesPerSpecSimulation) {
 
 TEST(SweepEngineDifferentialTest, ChurnHeavyCellMatchesPerSpecSimulation) {
   RunDifferential(MakeCell(43, /*churn=*/true));
+}
+
+// ----- SweepBank checkpoint state. -----
+
+// Random resident sets with churn: tasks arrive, stay a few polls and leave.
+std::vector<std::vector<TaskSample>> ChurnPolls(uint64_t seed, int polls) {
+  Rng rng(seed);
+  std::vector<std::vector<TaskSample>> out;
+  std::vector<TaskSample> resident;
+  TaskId next_id = 1;
+  for (int t = 0; t < polls; ++t) {
+    std::erase_if(resident, [&rng](const TaskSample&) { return rng.UniformDouble() < 0.15; });
+    while (resident.size() < 6 && rng.UniformDouble() < 0.7) {
+      resident.push_back({next_id++, 0.0, 0.05 + rng.UniformDouble()});
+    }
+    for (TaskSample& task : resident) {
+      task.usage = task.limit * rng.UniformDouble();
+    }
+    out.push_back(resident);
+  }
+  return out;
+}
+
+// Rosters the trace walk never produces: every poll shuffles the resident
+// tasks, and ids from a small pool leave and come back (a re-arrival
+// restarts warm-up). The bank carries per-task state by id through its
+// roster rebuild, the reference through a map keyed by id, so every spec
+// must agree bit for bit.
+TEST(SweepBankTest, ShuffledRostersMatchReference) {
+  const std::vector<PredictorSpec> specs = MixedGrid();
+  const SweepPlan plan(specs);
+  SweepBank bank;
+  bank.Attach(&plan);
+  std::vector<std::unique_ptr<PeakPredictor>> references;
+  for (const PredictorSpec& spec : specs) {
+    references.push_back(reference::CreateReferencePredictor(spec));
+  }
+  Rng rng(92);
+  std::vector<TaskSample> resident;
+  for (int t = 0; t < 300; ++t) {
+    std::erase_if(resident, [&rng](const TaskSample&) { return rng.UniformDouble() < 0.1; });
+    while (resident.size() < 10 && rng.UniformDouble() < 0.6) {
+      const TaskId id = static_cast<TaskId>(rng.UniformInt(24));
+      if (std::ranges::none_of(resident, [id](const TaskSample& task) { return task.task_id == id; })) {
+        resident.push_back({id, 0.0, 0.05 + rng.UniformDouble()});
+      }
+    }
+    for (size_t i = resident.size(); i > 1; --i) {
+      std::swap(resident[i - 1], resident[rng.UniformInt(i)]);
+    }
+    for (TaskSample& task : resident) {
+      task.usage = task.limit * rng.UniformDouble();
+    }
+    bank.Observe(t, resident);
+    for (size_t s = 0; s < specs.size(); ++s) {
+      references[s]->Observe(t, resident);
+      ExpectSameBits(bank.Predictions()[s], references[s]->PredictPeak(), "prediction");
+    }
+  }
+}
+
+std::vector<uint8_t> SavedBank(const SweepBank& bank) {
+  ByteWriter writer;
+  bank.SaveState(writer);
+  return std::vector<uint8_t>(writer.bytes().begin(), writer.bytes().end());
+}
+
+TEST(SweepBankStateTest, RoundTripContinuesBitIdentically) {
+  const std::vector<PredictorSpec> specs = MixedGrid();
+  const SweepPlan plan(specs);
+  const std::vector<std::vector<TaskSample>> polls = ChurnPolls(90, 60);
+  for (const int cut : {0, 1, 7, 30, 59}) {
+    SCOPED_TRACE(::testing::Message() << "cut=" << cut);
+    SweepBank live;
+    live.Attach(&plan);
+    for (int t = 0; t < cut; ++t) {
+      live.Observe(t, polls[t]);
+    }
+    const std::vector<uint8_t> bytes = SavedBank(live);
+    SweepBank restored;
+    restored.Attach(&plan);
+    ByteReader reader(bytes);
+    ASSERT_TRUE(restored.LoadState(reader));
+    EXPECT_TRUE(reader.AtEnd());
+    EXPECT_TRUE(std::ranges::equal(restored.Predictions(), live.Predictions()));
+    for (int t = cut; t < static_cast<int>(polls.size()); ++t) {
+      live.Observe(t, polls[t]);
+      restored.Observe(t, polls[t]);
+      for (int s = 0; s < plan.num_specs(); ++s) {
+        ExpectSameBits(restored.Predictions()[s], live.Predictions()[s], "prediction");
+      }
+    }
+  }
+}
+
+TEST(SweepBankStateTest, LoadRejectsPayloadOfAnotherPlan) {
+  const std::vector<std::vector<TaskSample>> polls = ChurnPolls(91, 20);
+  const auto saved_from = [&polls](const SweepPlan& plan) {
+    SweepBank bank;
+    bank.Attach(&plan);
+    for (int t = 0; t < static_cast<int>(polls.size()); ++t) {
+      bank.Observe(t, polls[t]);
+    }
+    return SavedBank(bank);
+  };
+  const auto loads_into = [](const SweepPlan& plan, const std::vector<uint8_t>& bytes) {
+    SweepBank bank;
+    bank.Attach(&plan);
+    ByteReader reader(bytes);
+    return bank.LoadState(reader) && reader.AtEnd();
+  };
+  const std::vector<PredictorSpec> rc8 = {RcLikeSpec(99.0, 3, 8)};
+  const std::vector<PredictorSpec> rc9 = {RcLikeSpec(99.0, 3, 9)};
+  const std::vector<PredictorSpec> n_sigma = {NSigmaSpec(3.0, 3, 8)};
+  const std::vector<PredictorSpec> borg = {BorgDefaultSpec(0.9)};
+  const std::vector<PredictorSpec> two = {RcLikeSpec(99.0, 3, 8), RcLikeSpec(90.0, 3, 8)};
+  const SweepPlan rc8_plan(rc8), rc9_plan(rc9), n_sigma_plan(n_sigma), borg_plan(borg),
+      two_plan(two);
+  ASSERT_TRUE(loads_into(rc8_plan, saved_from(rc8_plan)));
+  ASSERT_TRUE(loads_into(borg_plan, saved_from(borg_plan)));
+  EXPECT_FALSE(loads_into(rc9_plan, saved_from(rc8_plan)));       // Window capacity.
+  EXPECT_FALSE(loads_into(n_sigma_plan, saved_from(rc8_plan)));   // Group counts.
+  EXPECT_FALSE(loads_into(borg_plan, saved_from(n_sigma_plan)));  // Roster, stateless plan.
+  EXPECT_FALSE(loads_into(two_plan, saved_from(rc8_plan)));       // Prediction count.
+}
+
+// Every truncation is rejected and every bit flip either is rejected or
+// decodes into a bank that keeps running — never a CHECK abort or a crash.
+TEST(SweepBankStateTest, DamagedPayloadIsRejectedWithoutCrashing) {
+  const std::vector<PredictorSpec> specs = MixedGrid();
+  const SweepPlan plan(specs);
+  const std::vector<std::vector<TaskSample>> polls = ChurnPolls(92, 30);
+  SweepBank live;
+  live.Attach(&plan);
+  for (int t = 0; t < 20; ++t) {
+    live.Observe(t, polls[t]);
+  }
+  const std::vector<uint8_t> bytes = SavedBank(live);
+  SweepBank bank;
+  for (size_t length = 0; length < bytes.size(); length += 7) {
+    bank.Attach(&plan);
+    ByteReader reader(std::span<const uint8_t>(bytes.data(), length));
+    EXPECT_FALSE(bank.LoadState(reader)) << "length " << length;
+  }
+  for (size_t off = 0; off < bytes.size(); ++off) {
+    std::vector<uint8_t> flipped = bytes;
+    flipped[off] ^= static_cast<uint8_t>(1u << (off % 8));
+    bank.Attach(&plan);
+    ByteReader reader(flipped);
+    if (bank.LoadState(reader)) {
+      for (int t = 20; t < 30; ++t) {
+        bank.Observe(t, polls[t]);
+      }
+    }
+  }
 }
 
 TEST(SweepEngineTest, EmptySpecListYieldsNoResults) {
