@@ -1,7 +1,6 @@
 #include "crf/cluster/machine.h"
 
 #include <algorithm>
-#include <array>
 
 #include "crf/util/check.h"
 
@@ -27,59 +26,36 @@ void ClusterMachine::StartTask(CellTraceBuilder& trace, int32_t trace_index,
   CRF_CHECK_EQ(trace.task_machine(trace_index), machine_index_);
   CRF_CHECK_EQ(trace.task_start(trace_index), now);
   trace.ReserveUsage(trace_index, runtime);
-  tasks_.push_back({trace_index, now + runtime,
-                    TaskUsageModel(params, now,
-                                   usage_rng_.Fork(
-                                       static_cast<uint64_t>(trace.task_id(trace_index))))});
+  usage_.Admit(trace_index, now + runtime,
+               TaskUsageModel(params, now,
+                              usage_rng_.Fork(static_cast<uint64_t>(trace.task_id(trace_index)))));
 }
 
 ClusterMachine::StepStats ClusterMachine::Step(Interval now, double shared_load,
                                                CellTraceBuilder& trace) {
-  // Retire tasks whose lifetime ended.
-  for (size_t i = 0; i < tasks_.size();) {
-    if (tasks_[i].end <= now) {
-      tasks_[i] = std::move(tasks_.back());
-      tasks_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-
+  usage_.Retire(now);
   StepStats stats;
-  stats.resident_tasks = static_cast<int>(tasks_.size());
-
-  std::array<double, kSubSamplesPerInterval> sub_samples;
-  std::array<double, kSubSamplesPerInterval> sums{};
+  stats.resident_tasks = usage_.size();
   samples_scratch_.clear();
+  stats.demand_peak =
+      usage_.Step(shared_load, /*rich=*/false, [&](int32_t row, float p90, const RichUsage*) {
+        trace.AppendUsage(row, p90);
+        const double limit = trace.task_limit(row);
+        stats.usage_sum += p90;
+        stats.limit_sum += limit;
+        samples_scratch_.push_back({trace.task_id(row), p90, limit});
+      });
 
-  for (auto& running : tasks_) {
-    running.model.Step(sub_samples, shared_load);
-    const IntervalSummary summary = SummarizeInterval(sub_samples);
-    trace.AppendUsage(running.trace_index, summary.scalar_p90);
-    for (int k = 0; k < kSubSamplesPerInterval; ++k) {
-      sums[k] += sub_samples[k];
-    }
-    const double limit = trace.task_limit(running.trace_index);
-    stats.usage_sum += summary.scalar_p90;
-    stats.limit_sum += limit;
-    samples_scratch_.push_back({trace.task_id(running.trace_index), summary.scalar_p90, limit});
+  for (const double s : usage_.sums()) {
+    stats.demand_mean += s;
   }
-
-  double mean_demand = 0.0;
-  double peak_demand = 0.0;
-  for (const double s : sums) {
-    mean_demand += s;
-    peak_demand = std::max(peak_demand, s);
-  }
-  mean_demand /= kSubSamplesPerInterval;
-  stats.demand_mean = mean_demand;
-  stats.demand_peak = peak_demand;
+  stats.demand_mean /= kSubSamplesPerInterval;
   std::vector<float>& true_peak = trace.mutable_true_peak(machine_index_);
   if (static_cast<size_t>(now) < true_peak.size()) {
-    true_peak[now] = static_cast<float>(peak_demand);
+    true_peak[now] = static_cast<float>(stats.demand_peak);
   }
 
-  stats.latency = latency_model_.Sample(mean_demand, peak_demand, capacity_);
+  stats.latency = latency_model_.Sample(stats.demand_mean, stats.demand_peak, capacity_);
 
   predictor_->Observe(now, samples_scratch_);
   prediction_ = predictor_->PredictPeak();

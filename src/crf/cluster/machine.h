@@ -1,10 +1,11 @@
 // One machine of the online cluster simulator.
 //
 // Owns the machine-local pieces a Borglet owns: the resident task set (each
-// with its live usage model), the peak predictor, and the latency tracker.
-// Each interval the machine generates its tasks' usage, measures demand
-// against physical capacity, samples a CPU scheduling latency, feeds the
-// predictor, and publishes a prediction. Usage samples are appended to a
+// with its live usage model, held by the same MachineUsageKernel the trace
+// generator runs), the peak predictor, and the latency tracker. Each
+// interval the machine generates its tasks' usage, measures demand against
+// physical capacity, samples a CPU scheduling latency, feeds the predictor,
+// and publishes a prediction. Usage samples are appended to a
 // CellTraceBuilder so the sealed trace can feed post-hoc oracle analysis
 // through the trace-simulator machinery.
 
@@ -51,21 +52,15 @@ class ClusterMachine {
   double capacity() const { return capacity_; }
   // Advertised free capacity for the scheduler: capacity - predicted peak.
   double FreeCapacity() const;
-  int resident_count() const { return static_cast<int>(tasks_.size()); }
+  int resident_count() const { return usage_.size(); }
 
  private:
-  struct RunningTask {
-    int32_t trace_index;
-    Interval end;
-    TaskUsageModel model;
-  };
-
   int machine_index_;
   double capacity_;
   std::unique_ptr<PeakPredictor> predictor_;
   LatencyModel latency_model_;
   Rng usage_rng_;
-  std::vector<RunningTask> tasks_;
+  MachineUsageKernel usage_;  // rows are trace indices
   double prediction_ = 0.0;
   std::vector<TaskSample> samples_scratch_;
 };

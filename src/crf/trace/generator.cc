@@ -1,9 +1,7 @@
 #include "crf/trace/generator.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -309,22 +307,72 @@ class Generator {
 
   CellTrace Run() {
     RunPlacementPhase();
-    GenerateUsage();
+    GenerateUsage(nullptr);
     return builder_.Seal();
   }
 
   // Streaming variant: identical placement phase (same RNG draws, same
-  // placements), then usage generation machine by machine straight into a
-  // StreamingTraceWriter, so resident memory tracks the machine blocks in
-  // flight rather than the whole cell.
+  // placements), then the same usage phase straight into a
+  // StreamingTraceWriter at `path`, so resident memory tracks the machine
+  // blocks in flight rather than the whole cell. Tasks are renumbered
+  // machine-major: the concatenation of the per-machine placement lists.
   bool RunStreaming(const std::string& path, std::string* error, StreamedTraceInfo* info) {
     RunPlacementPhase();
-    if (!StreamUsageToFile(path, error, info)) {
+    const int32_t n = builder_.num_tasks();
+    const int num_machines = profile_.num_machines;
+    std::vector<TaskId> task_id(n);
+    std::vector<JobId> job_id(n);
+    std::vector<int32_t> machine_of(n);
+    std::vector<Interval> start(n);
+    std::vector<uint8_t> sched_class(n);
+    std::vector<double> limit(n);
+    std::vector<Interval> runtime(n);
+    std::vector<double> capacity(num_machines);
+    int32_t i = 0;
+    for (int m = 0; m < num_machines; ++m) {
+      capacity[m] = builder_.machine_capacity(m);
+      for (const int32_t old : builder_.machine_tasks(m)) {
+        CRF_CHECK_LT(i, n) << "CSR rows must cover every task exactly once";
+        task_id[i] = builder_.task_id(old);
+        job_id[i] = builder_.job_id(old);
+        machine_of[i] = builder_.task_machine(old);
+        start[i] = builder_.task_start(old);
+        sched_class[i] = static_cast<uint8_t>(builder_.task_class(old));
+        limit[i] = builder_.task_limit(old);
+        runtime[i] = runtimes_[old];
+        ++i;
+      }
+    }
+    CRF_CHECK_EQ(i, n) << "CSR rows must cover every task exactly once";
+
+    StreamTraceSpec spec;
+    spec.name = profile_.name;
+    spec.num_intervals = options_.num_intervals;
+    spec.dropped_tasks = builder_.dropped_tasks();
+    spec.rich = options_.rich_stats;
+    spec.task_id = task_id;
+    spec.job_id = job_id;
+    spec.machine_of = machine_of;
+    spec.start = start;
+    spec.sched_class = sched_class;
+    spec.limit = limit;
+    spec.runtime = runtime;
+    spec.capacity = capacity;
+
+    StreamingTraceWriter writer(spec, path, error);
+    if (!writer.ok()) {
+      return false;
+    }
+    GenerateUsage(&writer);
+    if (!writer.Finish(error)) {
       return false;
     }
     if (info != nullptr) {
+      info->num_tasks = n;
+      info->dropped_tasks = builder_.dropped_tasks();
+      info->file_bytes = writer.file_bytes();
       info->placement_ms = placement_ms_;
-      info->placement_attempts = builder_.num_tasks() + builder_.dropped_tasks();
+      info->placement_attempts = n + builder_.dropped_tasks();
     }
     return true;
   }
@@ -600,266 +648,109 @@ class Generator {
     }
   }
 
-  void GenerateUsage() {
-    const std::vector<double> shared_load =
-        BuildSharedLoadSeries(profile_, options_.num_intervals, usage_rng_);
+  // Generates machine m's usage through one MachineUsageKernel: its tasks
+  // are admitted in start order and stepped to the horizon. Without a
+  // writer, rows are appended to the builder (placement-order task
+  // numbering). With one, they go straight into the mapped file's
+  // machine-major rows: machine m's tasks are the rows from
+  // machine_begin(m) on, in placement-list order. The active set, the
+  // sub-samples and the sum order are the same either way (task usage RNG
+  // streams are forked from the task ids), so each machine's rows and true
+  // peaks are bit-identical across the two outputs.
+  void GenerateMachineUsage(int m, std::span<const double> shared_load,
+                            StreamingTraceWriter* writer) {
+    const std::span<const int32_t> placed = builder_.machine_tasks(m);
+    // Placement already appends in start order; sorting keeps the invariant
+    // explicit.
+    std::vector<int32_t> order(placed.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [this, placed](int32_t a, int32_t b) {
+      return builder_.task_start(placed[a]) < builder_.task_start(placed[b]);
+    });
+    if (writer == nullptr) {
+      builder_.mutable_true_peak(m).assign(options_.num_intervals, 0.0f);
+    }
+    const std::span<float> peak_row = writer == nullptr
+                                          ? std::span<float>(builder_.mutable_true_peak(m))
+                                          : writer->true_peak_row(m);
+    const int32_t first_row = writer == nullptr ? 0 : writer->machine_begin(m);
 
-    const auto generate_machine = [&](int m) {
-      std::array<double, kSubSamplesPerInterval> sub_samples;
-      std::array<double, kSubSamplesPerInterval> machine_sums;
-      std::vector<float>& true_peak = builder_.mutable_true_peak(m);
-      true_peak.assign(options_.num_intervals, 0.0f);
-
-      // Tasks sorted by start interval (placement already appends in start
-      // order, but sorting keeps the invariant explicit).
-      const std::span<const int32_t> placed = builder_.machine_tasks(m);
-      std::vector<int32_t> order(placed.begin(), placed.end());
-      std::sort(order.begin(), order.end(), [this](int32_t a, int32_t b) {
-        return builder_.task_start(a) < builder_.task_start(b);
-      });
-
-      struct ActiveTask {
-        int32_t task_index;
-        Interval end;
-        TaskUsageModel model;
+    MachineUsageKernel kernel;
+    size_t next = 0;
+    int64_t samples = 0;
+    for (Interval t = 0; t < options_.num_intervals; ++t) {
+      kernel.Retire(t);
+      // A task's lifetime is its sampled runtime; its usage row is what
+      // this loop is filling.
+      while (next < order.size() && builder_.task_start(placed[order[next]]) == t) {
+        const int32_t k = order[next++];
+        const int32_t task = placed[k];
+        kernel.Admit(k, t + runtimes_[task],
+                     TaskUsageModel(task_params_[task], t,
+                                    usage_rng_.Fork(static_cast<uint64_t>(builder_.task_id(task)))));
+      }
+      const auto write = [&](int32_t k, float p90, const RichUsage* ladder) {
+        ++samples;
+        const int32_t task = placed[k];
+        if (writer == nullptr) {
+          builder_.AppendUsage(task, p90);
+          if (ladder != nullptr) {
+            builder_.AppendRich(task, *ladder);
+          }
+          return;
+        }
+        const int32_t row = first_row + k;
+        const Interval i = t - builder_.task_start(task);
+        writer->usage_row(row)[i] = p90;
+        if (ladder != nullptr) {
+          for (int c = 0; c < kNumRichColumns; ++c) {
+            writer->rich_row(row, static_cast<RichColumn>(c))[i] = ladder->*kRichColumnFields[c];
+          }
+        }
       };
-      std::vector<ActiveTask> active;
-      size_t next = 0;
-
-      for (Interval t = 0; t < options_.num_intervals; ++t) {
-        // Retire ended tasks (swap-erase keeps this O(1) per departure; task
-        // RNG streams are per-model, so processing order is irrelevant).
-        for (size_t i = 0; i < active.size();) {
-          if (active[i].end <= t) {
-            active[i] = std::move(active.back());
-            active.pop_back();
-          } else {
-            ++i;
-          }
-        }
-        // Admit tasks starting now. The builder's usage series is still empty
-        // here; the authoritative lifetime is the sampled runtime.
-        while (next < order.size() && builder_.task_start(order[next]) == t) {
-          const int32_t task_index = order[next++];
-          active.push_back(
-              {task_index, t + runtimes_[task_index],
-               TaskUsageModel(task_params_[task_index], t,
-                              usage_rng_.Fork(static_cast<uint64_t>(builder_.task_id(task_index))))});
-        }
-
-        machine_sums.fill(0.0);
-        for (auto& entry : active) {
-          entry.model.Step(sub_samples, shared_load[t]);
-          const IntervalSummary summary = SummarizeInterval(sub_samples);
-          builder_.AppendUsage(entry.task_index, summary.scalar_p90);
-          if (options_.rich_stats) {
-            builder_.AppendRich(entry.task_index, summary.rich);
-          }
-          for (int k = 0; k < kSubSamplesPerInterval; ++k) {
-            machine_sums[k] += sub_samples[k];
-          }
-        }
-        true_peak[t] =
-            static_cast<float>(*std::max_element(machine_sums.begin(), machine_sums.end()));
-      }
-    };
-
-    // Machines are independent (distinct trace rows, per-task RNG streams
-    // forked from task ids), so the loop shards freely; the generated bytes
-    // are identical at any pool size.
-    ThreadPool* pool = options_.pool;
-    if (pool != nullptr && pool->num_threads() > 1 && profile_.num_machines > 1) {
-      pool->ParallelForRanges(profile_.num_machines, 1, [&](int, int begin, int end) {
-        for (int m = begin; m < end; ++m) {
-          generate_machine(m);
-        }
-      });
-    } else {
-      for (int m = 0; m < profile_.num_machines; ++m) {
-        generate_machine(m);
-      }
+      peak_row[t] = static_cast<float>(kernel.Step(shared_load[t], options_.rich_stats, write));
     }
-
-    // Every task must have exactly runtime() worth of samples.
-    for (int32_t i = 0; i < builder_.num_tasks(); ++i) {
-      CRF_CHECK_EQ(builder_.task_runtime(i), runtimes_[i]);
+    // Every task must have exactly its sampled runtime worth of samples.
+    int64_t expected = 0;
+    for (const int32_t task : placed) {
+      expected += runtimes_[task];
     }
+    CRF_CHECK_EQ(next, order.size()) << "machine " << m << " has tasks that never started";
+    CRF_CHECK_EQ(samples, expected) << "machine " << m << " usage rows do not match runtimes";
   }
 
-  // Usage generation straight into a mapped file. Tasks are renumbered
-  // machine-major (the concatenation of the per-machine placement lists);
-  // within a machine the per-task series, the active-set evolution, and the
-  // float-addition order of the machine sums all match GenerateUsage exactly
-  // — task usage RNG streams are forked from the preserved task ids — so each
-  // machine's usage rows and true-peak series are bit-identical to the batch
-  // path's. Machines generate in chunks (pool-parallel when a pool is set;
-  // every write lands in that machine's disjoint file rows) and completed
-  // chunks are flushed and evicted before the next begins.
-  bool StreamUsageToFile(const std::string& path, std::string* error, StreamedTraceInfo* info) {
-    const int32_t n = builder_.num_tasks();
-    const int num_machines = profile_.num_machines;
-
-    std::vector<int32_t> old_of_new;
-    old_of_new.reserve(n);
-    for (int m = 0; m < num_machines; ++m) {
-      const std::span<const int32_t> placed = builder_.machine_tasks(m);
-      old_of_new.insert(old_of_new.end(), placed.begin(), placed.end());
-    }
-    CRF_CHECK_EQ(static_cast<int32_t>(old_of_new.size()), n)
-        << "CSR rows must cover every task exactly once";
-
-    std::vector<TaskId> task_id(n);
-    std::vector<JobId> job_id(n);
-    std::vector<int32_t> machine_of(n);
-    std::vector<Interval> start(n);
-    std::vector<uint8_t> sched_class(n);
-    std::vector<double> limit(n);
-    std::vector<Interval> runtime(n);
-    for (int32_t i = 0; i < n; ++i) {
-      const int32_t old = old_of_new[i];
-      task_id[i] = builder_.task_id(old);
-      job_id[i] = builder_.job_id(old);
-      machine_of[i] = builder_.task_machine(old);
-      start[i] = builder_.task_start(old);
-      sched_class[i] = static_cast<uint8_t>(builder_.task_class(old));
-      limit[i] = builder_.task_limit(old);
-      runtime[i] = runtimes_[old];
-    }
-    const std::vector<Interval> true_peak_len(num_machines, options_.num_intervals);
-
-    StreamTraceSpec spec;
-    spec.name = profile_.name;
-    spec.num_intervals = options_.num_intervals;
-    spec.dropped_tasks = builder_.dropped_tasks();
-    spec.rich = options_.rich_stats;
-    spec.task_id = task_id;
-    spec.job_id = job_id;
-    spec.machine_of = machine_of;
-    spec.start = start;
-    spec.sched_class = sched_class;
-    spec.limit = limit;
-    spec.runtime = runtime;
-    std::vector<double> capacity(num_machines);
-    for (int m = 0; m < num_machines; ++m) {
-      capacity[m] = builder_.machine_capacity(m);
-    }
-    spec.capacity = capacity;
-    spec.true_peak_len = true_peak_len;
-
-    StreamingTraceWriter writer(spec, path, error);
-    if (!writer.ok()) {
-      return false;
-    }
-
+  // The usage phase of both outputs (see GenerateMachineUsage). Machines are
+  // independent, so they run pool-parallel with identical bytes at any pool
+  // size. When streaming, machines run in chunks whose pages are flushed and
+  // evicted before the next chunk starts; at one thread that is a
+  // 256-machine retire cadence, and with a pool the chunk scales with the
+  // thread count so every worker has machines to claim.
+  void GenerateUsage(StreamingTraceWriter* writer) {
     const std::vector<double> shared_load =
         BuildSharedLoadSeries(profile_, options_.num_intervals, usage_rng_);
-
-    const auto stream_machine = [&](int m) {
-      std::array<double, kSubSamplesPerInterval> sub_samples;
-      std::array<double, kSubSamplesPerInterval> machine_sums;
-      const int32_t task_begin = writer.machine_begin(m);
-      const int32_t task_end = writer.machine_end(m);
-      // Same sort as GenerateUsage: the new indices are order-isomorphic to
-      // the placement list the batch path sorts, and the comparator sees the
-      // identical key sequence, so std::sort produces the same permutation.
-      std::vector<int32_t> order(task_end - task_begin);
-      std::iota(order.begin(), order.end(), task_begin);
-      std::sort(order.begin(), order.end(),
-                [&start](int32_t a, int32_t b) { return start[a] < start[b]; });
-
-      struct ActiveTask {
-        int32_t task_index;
-        Interval end;
-        Interval written;
-        TaskUsageModel model;
-      };
-      std::vector<ActiveTask> active;
-      size_t next = 0;
-      const std::span<float> peak_row = writer.true_peak_row(m);
-
-      for (Interval t = 0; t < options_.num_intervals; ++t) {
-        for (size_t i = 0; i < active.size();) {
-          if (active[i].end <= t) {
-            active[i] = std::move(active.back());
-            active.pop_back();
-          } else {
-            ++i;
-          }
-        }
-        while (next < order.size() && start[order[next]] == t) {
-          const int32_t task_index = order[next++];
-          const int32_t old = old_of_new[task_index];
-          active.push_back(
-              {task_index, t + runtimes_[old], 0,
-               TaskUsageModel(task_params_[old], t,
-                              usage_rng_.Fork(static_cast<uint64_t>(task_id[task_index])))});
-        }
-
-        machine_sums.fill(0.0);
-        for (auto& entry : active) {
-          entry.model.Step(sub_samples, shared_load[t]);
-          const IntervalSummary summary = SummarizeInterval(sub_samples);
-          writer.usage_row(entry.task_index)[entry.written] = summary.scalar_p90;
-          if (options_.rich_stats) {
-            const RichUsage& rich = summary.rich;
-            writer.rich_row(entry.task_index, RichColumn::kAvg)[entry.written] = rich.avg;
-            writer.rich_row(entry.task_index, RichColumn::kP50)[entry.written] = rich.p50;
-            writer.rich_row(entry.task_index, RichColumn::kP60)[entry.written] = rich.p60;
-            writer.rich_row(entry.task_index, RichColumn::kP70)[entry.written] = rich.p70;
-            writer.rich_row(entry.task_index, RichColumn::kP80)[entry.written] = rich.p80;
-            writer.rich_row(entry.task_index, RichColumn::kP90)[entry.written] = rich.p90;
-            writer.rich_row(entry.task_index, RichColumn::kP95)[entry.written] = rich.p95;
-            writer.rich_row(entry.task_index, RichColumn::kP99)[entry.written] = rich.p99;
-            writer.rich_row(entry.task_index, RichColumn::kMax)[entry.written] = rich.max;
-          }
-          ++entry.written;
-          for (int k = 0; k < kSubSamplesPerInterval; ++k) {
-            machine_sums[k] += sub_samples[k];
-          }
-        }
-        peak_row[t] =
-            static_cast<float>(*std::max_element(machine_sums.begin(), machine_sums.end()));
-      }
-      CRF_CHECK_EQ(next, order.size());
-      for (const ActiveTask& entry : active) {
-        CRF_CHECK_EQ(entry.written, entry.end - builder_.task_start(old_of_new[entry.task_index]))
-            << "task ran past the horizon without filling its row";
-      }
-    };
-
-    // Chunked generation bounds residency: a chunk of machines is generated
-    // (pool-parallel), then its pages are flushed and dropped before the
-    // next chunk starts. At one thread this is the original 256-machine
-    // retire cadence; with a pool the chunk scales with the thread count so
-    // every worker has machines to claim.
+    const int num_machines = profile_.num_machines;
     ThreadPool* pool = options_.pool;
     const bool parallel = pool != nullptr && pool->num_threads() > 1 && num_machines > 1;
     constexpr int kRetireBlock = 256;
-    const int chunk = kRetireBlock * (parallel ? pool->num_threads() : 1);
+    const int chunk = writer == nullptr ? num_machines
+                                        : kRetireBlock * (parallel ? pool->num_threads() : 1);
     for (int base = 0; base < num_machines; base += chunk) {
       const int end = std::min(num_machines, base + chunk);
       if (parallel) {
         pool->ParallelForRanges(end - base, 1, [&](int, int begin, int stop) {
           for (int k = begin; k < stop; ++k) {
-            stream_machine(base + k);
+            GenerateMachineUsage(base + k, shared_load, writer);
           }
         });
       } else {
         for (int m = base; m < end; ++m) {
-          stream_machine(m);
+          GenerateMachineUsage(m, shared_load, writer);
         }
       }
-      writer.RetireMachines(base, end);
+      if (writer != nullptr) {
+        writer->RetireMachines(base, end);
+      }
     }
-    if (!writer.Finish(error)) {
-      return false;
-    }
-    if (info != nullptr) {
-      info->num_tasks = n;
-      info->dropped_tasks = builder_.dropped_tasks();
-      info->file_bytes = writer.file_bytes();
-    }
-    return true;
   }
 
   const CellProfile& profile_;

@@ -5,7 +5,10 @@
 // job arrivals with diurnally modulated rates held near the target population
 // by a backfill controller, fixed placements chosen by a worst-fit packer
 // (the paper keeps the Borg scheduler's placements, Section 5.1.2), and
-// per-task usage series from the workload model.
+// per-task usage series from the workload model. Usage is synthesized one
+// machine at a time by MachineUsageKernel (workload_model.h), the same loop
+// the cluster simulator's machine step runs; the in-memory and streamed
+// outputs differ only in where the kernel's rows are written.
 
 #ifndef CRF_TRACE_GENERATOR_H_
 #define CRF_TRACE_GENERATOR_H_
@@ -77,8 +80,10 @@ struct StreamedTraceInfo {
 // metadata (O(tasks)) plus the machine blocks in flight, not with the usage
 // samples. Per-machine content — task set, usage series, true peaks — is
 // bit-identical to GenerateCellTrace's; only the task numbering
-// (machine-major vs arrival order) differs. Returns false with `*error` on
-// I/O failure.
+// (machine-major vs arrival order) differs. The file is built under a
+// temporary name and renamed over `path` only once complete, so a failure
+// or a killed process leaves `path` as it was. Returns false with `*error`
+// on I/O failure.
 bool GenerateCellTraceToFile(const CellProfile& profile, const GeneratorOptions& options,
                              const Rng& rng, const std::string& path, std::string* error,
                              StreamedTraceInfo* info = nullptr);

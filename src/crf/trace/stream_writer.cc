@@ -6,8 +6,10 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "crf/trace/trace_format.h"
+#include "crf/util/atomic_file.h"
 #include "crf/util/check.h"
 
 namespace crf {
@@ -32,7 +34,8 @@ T* Slab(std::byte* arena, uint64_t offset) {
 }  // namespace
 
 StreamingTraceWriter::StreamingTraceWriter(const StreamTraceSpec& spec, const std::string& path,
-                                           std::string* error) {
+                                           std::string* error)
+    : path_(path), temp_path_(AtomicTempPath(path)) {
   const int64_t n = static_cast<int64_t>(spec.task_id.size());
   const int64_t m = static_cast<int64_t>(spec.capacity.size());
   CRF_CHECK_EQ(spec.job_id.size(), spec.task_id.size());
@@ -41,7 +44,6 @@ StreamingTraceWriter::StreamingTraceWriter(const StreamTraceSpec& spec, const st
   CRF_CHECK_EQ(spec.sched_class.size(), spec.task_id.size());
   CRF_CHECK_EQ(spec.limit.size(), spec.task_id.size());
   CRF_CHECK_EQ(spec.runtime.size(), spec.task_id.size());
-  CRF_CHECK_EQ(spec.true_peak_len.size(), spec.capacity.size());
   CRF_CHECK_GE(spec.num_intervals, 0);
   CRF_CHECK_GE(spec.dropped_tasks, 0);
 
@@ -54,38 +56,31 @@ StreamingTraceWriter::StreamingTraceWriter(const StreamTraceSpec& spec, const st
     CRF_CHECK(i == 0 || spec.machine_of[i] >= spec.machine_of[i - 1])
         << "streaming seal requires machine-major task order (task " << i << ")";
   }
-  int64_t peak_samples = 0;
-  for (int64_t machine = 0; machine < m; ++machine) {
-    CRF_CHECK_GE(spec.true_peak_len[machine], 0);
-    peak_samples += spec.true_peak_len[machine];
-  }
+  const int64_t peak_samples = m * spec.num_intervals;
 
   const trace_internal::ArenaLayout layout =
       trace_internal::ComputeArenaLayout(n, m, usage_samples, peak_samples, n, spec.rich);
   arena_offset_ = sizeof(trace_internal::BinaryHeader) +
                   trace_internal::PaddedNameLength(spec.name.size());
   file_bytes_ = arena_offset_ + layout.total_bytes;
-  num_tasks_ = static_cast<int32_t>(n);
-  num_machines_ = static_cast<int>(m);
   rich_ = spec.rich;
   usage_samples_ = static_cast<uint64_t>(usage_samples);
 
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    SetError(error, "cannot create " + path + ": " + std::strerror(errno));
+  // The trace is built in a temporary sibling and renamed over `path` only
+  // by Finish, so `path` never holds a partial trace.
+  fd_ = ::open(temp_path_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd_ < 0) {
+    SetError(error, "cannot create " + temp_path_ + ": " + std::strerror(errno));
     return;
   }
-  if (::ftruncate(fd, static_cast<off_t>(file_bytes_)) != 0) {
-    SetError(error, "cannot size " + path + " to " + std::to_string(file_bytes_) +
+  if (::ftruncate(fd_, static_cast<off_t>(file_bytes_)) != 0) {
+    SetError(error, "cannot size " + temp_path_ + " to " + std::to_string(file_bytes_) +
                         " bytes: " + std::strerror(errno));
-    ::close(fd);
     return;
   }
-  void* base = ::mmap(nullptr, file_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  const int map_errno = errno;
-  ::close(fd);  // The mapping keeps its own reference to the file.
+  void* base = ::mmap(nullptr, file_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
   if (base == MAP_FAILED) {
-    SetError(error, "mmap of " + path + " failed: " + std::strerror(map_errno));
+    SetError(error, "mmap of " + temp_path_ + " failed: " + std::strerror(errno));
     return;
   }
   map_ = static_cast<std::byte*>(base);
@@ -131,24 +126,22 @@ StreamingTraceWriter::StreamingTraceWriter(const StreamTraceSpec& spec, const st
   usage_off[n] = offset;
 
   uint64_t* peak_off = Slab<uint64_t>(arena_, layout.peak_off);
-  uint64_t peak_offset = 0;
   uint64_t* csr_off = Slab<uint64_t>(arena_, layout.csr_off);
   int32_t* csr_tasks = Slab<int32_t>(arena_, layout.csr_tasks);
   int64_t next_task = 0;
   for (int64_t machine = 0; machine < m; ++machine) {
-    peak_off[machine] = peak_offset;
-    peak_offset += static_cast<uint64_t>(spec.true_peak_len[machine]);
+    peak_off[machine] = static_cast<uint64_t>(machine * spec.num_intervals);
     csr_off[machine] = static_cast<uint64_t>(next_task);
     while (next_task < n && spec.machine_of[next_task] == machine) {
       ++next_task;
     }
   }
-  peak_off[m] = peak_offset;
+  peak_off[m] = static_cast<uint64_t>(peak_samples);
   csr_off[m] = static_cast<uint64_t>(next_task);
   CRF_CHECK_EQ(next_task, n);
   // Machine-major numbering makes the CSR index the identity permutation.
-  for (int32_t i = 0; i < num_tasks_; ++i) {
-    csr_tasks[i] = i;
+  for (int64_t i = 0; i < n; ++i) {
+    csr_tasks[i] = static_cast<int32_t>(i);
   }
 
   usage_off_ = usage_off;
@@ -162,7 +155,16 @@ StreamingTraceWriter::StreamingTraceWriter(const StreamTraceSpec& spec, const st
   peak_slab_offset_ = layout.true_peak;
 }
 
-StreamingTraceWriter::~StreamingTraceWriter() { Unmap(); }
+StreamingTraceWriter::~StreamingTraceWriter() {
+  Unmap();
+  if (fd_ >= 0) {
+    ::close(fd_);
+  }
+  // Not finished (or never opened): no half-built trace outlives the writer.
+  if (!temp_path_.empty()) {
+    ::unlink(temp_path_.c_str());
+  }
+}
 
 void StreamingTraceWriter::Unmap() {
   if (map_ != nullptr) {
@@ -238,14 +240,16 @@ bool StreamingTraceWriter::Finish(std::string* error) {
     SetError(error, "writer is not open");
     return false;
   }
-  // MS_ASYNC queues the remaining dirty pages; the unified page cache keeps
-  // readers coherent whether or not the disk write-back has completed.
-  const bool ok = ::msync(map_, file_bytes_, MS_ASYNC) == 0;
-  if (!ok) {
-    SetError(error, std::string("msync failed: ") + std::strerror(errno));
+  // Every page reaches the disk before the rename publishes the file.
+  const bool synced = ::msync(map_, file_bytes_, MS_SYNC) == 0;
+  if (!synced) {
+    SetError(error, "msync of " + temp_path_ + " failed: " + std::strerror(errno));
   }
   Unmap();
-  return ok;
+  if (!synced) {
+    return false;  // the destructor removes the temporary file
+  }
+  return CommitAtomicFile(std::exchange(fd_, -1), std::exchange(temp_path_, {}), path_, error);
 }
 
 }  // namespace crf

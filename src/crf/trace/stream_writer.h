@@ -13,14 +13,20 @@
 // a finished block of machines (msync) and evicts its pages (madvise), so
 // resident memory tracks the block in flight, not the cell.
 //
+// The write is crash-safe like WriteFileAtomic: the mapped file is a
+// temporary sibling of the target, and only Finish syncs it and renames it
+// over the target. A killed process or a writer destroyed without Finish
+// leaves the target's previous contents (or no file) in place, never a
+// partial trace that would load as valid.
+//
 // Machine-major invariant: tasks must be numbered so machine_of is
 // non-decreasing — machine m's tasks are exactly the index range
-// [machine_begin(m), machine_end(m)) and its usage samples one contiguous
-// slab run (the CSR index is the identity permutation). This is what makes
-// block retirement page-clean, and it is the layout CellTrace's
+// [machine_begin(m), machine_begin(m + 1)) and its usage samples one
+// contiguous slab run (the CSR index is the identity permutation). This is
+// what makes block retirement page-clean, and it is the layout CellTrace's
 // MachineRowsContiguous / DropMachinePages exploit on the read side.
-// CellTraceBuilder::SealToFile and the streaming generator renumber their
-// tasks into this order before writing.
+// The streaming generator (GenerateCellTraceToFile) renumbers its tasks into
+// this order before writing.
 
 #ifndef CRF_TRACE_STREAM_WRITER_H_
 #define CRF_TRACE_STREAM_WRITER_H_
@@ -33,10 +39,10 @@
 
 namespace crf {
 
-// Borrowed views of the placement metadata, all sized num_tasks() (per-task)
-// or num_machines() (per-machine). The writer copies everything it needs
-// during construction; the spans need only stay valid for the constructor
-// call.
+// Borrowed views of the placement metadata, sized by the task count
+// (per-task) or the machine count (per-machine). The writer copies what it
+// needs during construction; the spans need only stay valid for the
+// constructor call.
 struct StreamTraceSpec {
   std::string name;
   Interval num_intervals = 0;
@@ -53,32 +59,27 @@ struct StreamTraceSpec {
   std::span<const double> limit;
   std::span<const Interval> runtime;
 
-  // Per-machine.
+  // Per-machine. Every machine's true-peak series has num_intervals samples.
   std::span<const double> capacity;
-  std::span<const Interval> true_peak_len;
 };
 
 class StreamingTraceWriter {
  public:
-  // Creates `path`, sizes it for the full trace, maps it, and writes the
-  // header plus every metadata column. On failure ok() is false and `error`
-  // names the cause; the partially written file is left behind.
+  // Creates a temporary file next to `path`, sizes it for the full trace,
+  // maps it, and writes the header plus every metadata column. On failure
+  // ok() is false and `error` names the cause; `path` is untouched and the
+  // destructor removes the temporary file.
   StreamingTraceWriter(const StreamTraceSpec& spec, const std::string& path, std::string* error);
   ~StreamingTraceWriter();
   StreamingTraceWriter(const StreamingTraceWriter&) = delete;
   StreamingTraceWriter& operator=(const StreamingTraceWriter&) = delete;
 
   bool ok() const { return map_ != nullptr; }
-  int32_t num_tasks() const { return num_tasks_; }
-  int num_machines() const { return num_machines_; }
   uint64_t file_bytes() const { return file_bytes_; }
 
-  // Machine m's task index range (machine-major numbering).
+  // Machine m's first task index (machine-major numbering).
   int32_t machine_begin(int machine_index) const {
     return static_cast<int32_t>(csr_off_[machine_index]);
-  }
-  int32_t machine_end(int machine_index) const {
-    return static_cast<int32_t>(csr_off_[machine_index + 1]);
   }
 
   // Mutable rows straight into the mapped file. A row stays writable for the
@@ -93,16 +94,19 @@ class StreamingTraceWriter {
   // monotonically increasing, fully written blocks.
   void RetireMachines(int begin_machine, int end_machine);
 
-  // Flushes outstanding writes and unmaps. Returns false (with `error`) on
-  // I/O failure. The writer is unusable afterwards.
+  // Syncs the whole file to disk, unmaps it, renames it over `path` and
+  // syncs the directory. Returns false (with `error`) on I/O failure, with
+  // `path` untouched. The writer is unusable afterwards.
   bool Finish(std::string* error);
 
  private:
   void FlushAndDropArenaRange(uint64_t arena_begin, uint64_t arena_end);
   void Unmap();
 
-  int32_t num_tasks_ = 0;
-  int num_machines_ = 0;
+  std::string path_;       // the target, replaced only by Finish
+  std::string temp_path_;  // the mapped file; empty once renamed or removed
+  int fd_ = -1;            // open until Finish, which fsyncs it
+
   bool rich_ = false;
   uint64_t file_bytes_ = 0;
   uint64_t arena_offset_ = 0;

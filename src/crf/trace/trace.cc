@@ -274,15 +274,9 @@ RichUsage TaskView::RichAt(Interval k) const {
   CRF_CHECK_LT(at, cell_->usage_off_[index_ + 1]);
   const std::span<const float> rich = cell_->rich_;
   RichUsage row;
-  row.avg = rich[0 * samples + at];
-  row.p50 = rich[1 * samples + at];
-  row.p60 = rich[2 * samples + at];
-  row.p70 = rich[3 * samples + at];
-  row.p80 = rich[4 * samples + at];
-  row.p90 = rich[5 * samples + at];
-  row.p95 = rich[6 * samples + at];
-  row.p99 = rich[7 * samples + at];
-  row.max = rich[8 * samples + at];
+  for (int c = 0; c < kNumRichColumns; ++c) {
+    row.*kRichColumnFields[c] = rich[c * samples + at];
+  }
   return row;
 }
 

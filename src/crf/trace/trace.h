@@ -94,6 +94,11 @@ enum class RichColumn : int {
 };
 inline constexpr int kNumRichColumns = 9;
 
+// The RichUsage field stored in each RichColumn, in column order.
+inline constexpr float RichUsage::*kRichColumnFields[kNumRichColumns] = {
+    &RichUsage::avg, &RichUsage::p50, &RichUsage::p60, &RichUsage::p70, &RichUsage::p80,
+    &RichUsage::p90, &RichUsage::p95, &RichUsage::p99, &RichUsage::max};
+
 // Maps a percentile to the nearest stored column (same rounding as
 // RichUsage::AtPercentile).
 RichColumn RichColumnForPercentile(int p);

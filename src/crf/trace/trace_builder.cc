@@ -1,10 +1,8 @@
 #include "crf/trace/trace_builder.h"
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 
-#include "crf/trace/stream_writer.h"
 #include "crf/util/check.h"
 
 namespace crf {
@@ -123,16 +121,9 @@ CellTrace CellTraceBuilder::Seal() {
     if (rich_enabled_) {
       const uint64_t s = static_cast<uint64_t>(samples);
       for (size_t k = 0; k < rich_[i].size(); ++k) {
-        const RichUsage& row = rich_[i][k];
-        rich[0 * s + offset + k] = row.avg;
-        rich[1 * s + offset + k] = row.p50;
-        rich[2 * s + offset + k] = row.p60;
-        rich[3 * s + offset + k] = row.p70;
-        rich[4 * s + offset + k] = row.p80;
-        rich[5 * s + offset + k] = row.p90;
-        rich[6 * s + offset + k] = row.p95;
-        rich[7 * s + offset + k] = row.p99;
-        rich[8 * s + offset + k] = row.max;
+        for (int c = 0; c < kNumRichColumns; ++c) {
+          rich[c * s + offset + k] = rich_[i][k].*kRichColumnFields[c];
+        }
       }
     }
     offset += usage_[i].size();
@@ -164,116 +155,6 @@ CellTrace CellTraceBuilder::Seal() {
                                                csr_entries, rich_enabled_);
   Reset("", 0, 0);
   return cell;
-}
-
-bool CellTraceBuilder::SealToFile(const std::string& path, std::string* error) {
-  const int32_t n = num_tasks();
-  const int m = num_machines();
-
-  // Same invariants Seal() enforces.
-  for (int32_t i = 0; i < n; ++i) {
-    CRF_CHECK_GE(machine_of_[i], 0) << "task " << i << " has no machine";
-    CRF_CHECK_LT(machine_of_[i], m) << "task " << i << " machine index out of range";
-    if (rich_enabled_) {
-      CRF_CHECK_EQ(rich_[i].size(), usage_[i].size())
-          << "task " << i << " rich ladder does not match its usage series";
-    }
-  }
-  int64_t csr_entries = 0;
-  for (int machine = 0; machine < m; ++machine) {
-    csr_entries += static_cast<int64_t>(machine_tasks_[machine].size());
-  }
-  CRF_CHECK_EQ(csr_entries, n) << "CSR rows must cover every task exactly once";
-
-  // Machine-major renumbering: new index order is the concatenation of the
-  // CSR rows, which preserves each machine's placement order.
-  std::vector<int32_t> old_of_new;
-  old_of_new.reserve(n);
-  for (int machine = 0; machine < m; ++machine) {
-    old_of_new.insert(old_of_new.end(), machine_tasks_[machine].begin(),
-                      machine_tasks_[machine].end());
-  }
-
-  std::vector<TaskId> task_id(n);
-  std::vector<JobId> job_id(n);
-  std::vector<int32_t> machine_of(n);
-  std::vector<Interval> start(n);
-  std::vector<uint8_t> sched_class(n);
-  std::vector<double> limit(n);
-  std::vector<Interval> runtime(n);
-  for (int32_t i = 0; i < n; ++i) {
-    const int32_t old = old_of_new[i];
-    task_id[i] = task_id_[old];
-    job_id[i] = job_id_[old];
-    machine_of[i] = machine_of_[old];
-    start[i] = start_[old];
-    sched_class[i] = static_cast<uint8_t>(sched_class_[old]);
-    limit[i] = limit_[old];
-    runtime[i] = static_cast<Interval>(usage_[old].size());
-  }
-  std::vector<Interval> true_peak_len(m);
-  for (int machine = 0; machine < m; ++machine) {
-    true_peak_len[machine] = static_cast<Interval>(true_peak_[machine].size());
-  }
-
-  StreamTraceSpec spec;
-  spec.name = name_;
-  spec.num_intervals = num_intervals_;
-  spec.dropped_tasks = dropped_tasks_;
-  spec.rich = rich_enabled_;
-  spec.task_id = task_id;
-  spec.job_id = job_id;
-  spec.machine_of = machine_of;
-  spec.start = start;
-  spec.sched_class = sched_class;
-  spec.limit = limit;
-  spec.runtime = runtime;
-  spec.capacity = capacity_;
-  spec.true_peak_len = true_peak_len;
-
-  StreamingTraceWriter writer(spec, path, error);
-  if (!writer.ok()) {
-    return false;
-  }
-  constexpr int kRetireBlock = 256;
-  int retired = 0;
-  for (int machine = 0; machine < m; ++machine) {
-    for (int32_t i = writer.machine_begin(machine); i < writer.machine_end(machine); ++i) {
-      const int32_t old = old_of_new[i];
-      const std::vector<float>& usage = usage_[old];
-      std::copy(usage.begin(), usage.end(), writer.usage_row(i).begin());
-      if (rich_enabled_) {
-        std::span<float> cols[kNumRichColumns];
-        for (int c = 0; c < kNumRichColumns; ++c) {
-          cols[c] = writer.rich_row(i, static_cast<RichColumn>(c));
-        }
-        for (size_t k = 0; k < rich_[old].size(); ++k) {
-          const RichUsage& row = rich_[old][k];
-          cols[0][k] = row.avg;
-          cols[1][k] = row.p50;
-          cols[2][k] = row.p60;
-          cols[3][k] = row.p70;
-          cols[4][k] = row.p80;
-          cols[5][k] = row.p90;
-          cols[6][k] = row.p95;
-          cols[7][k] = row.p99;
-          cols[8][k] = row.max;
-        }
-      }
-    }
-    const std::vector<float>& peak = true_peak_[machine];
-    std::copy(peak.begin(), peak.end(), writer.true_peak_row(machine).begin());
-    if (machine + 1 - retired >= kRetireBlock) {
-      writer.RetireMachines(retired, machine + 1);
-      retired = machine + 1;
-    }
-  }
-  writer.RetireMachines(retired, m);
-  if (!writer.Finish(error)) {
-    return false;
-  }
-  Reset("", 0, 0);
-  return true;
 }
 
 // Defined here rather than in trace.cc so the sealed-trace translation unit

@@ -12,7 +12,9 @@
 //
 // Distinct tasks may be built concurrently (the sharded cluster step loop
 // appends usage to different tasks from different threads); AddTask and
-// Seal are not thread-safe.
+// Seal are not thread-safe. Cells too large to hold here are not built at
+// all: the streaming generator writes its rows straight into a mapped file
+// through StreamingTraceWriter (stream_writer.h).
 
 #ifndef CRF_TRACE_TRACE_BUILDER_H_
 #define CRF_TRACE_TRACE_BUILDER_H_
@@ -90,16 +92,6 @@ class CellTraceBuilder {
   // agreement) and packs all columns into one sealed arena. The builder is
   // left in the reset (empty) state.
   CellTrace Seal();
-
-  // Spill/seal-by-machine-block mode: writes the binary .crftrace directly
-  // to `path` through StreamingTraceWriter, never materializing the sealed
-  // arena (the file is the arena; machine blocks are flushed and evicted as
-  // they complete). Tasks are renumbered machine-major — machine 0's tasks
-  // first, in placement order, then machine 1's, and so on — so per-machine
-  // content is identical to Seal()'s but task indices and file order differ
-  // unless tasks were already added machine-major. Leaves the builder reset
-  // like Seal(). Returns false with `*error` on I/O failure.
-  bool SealToFile(const std::string& path, std::string* error);
 
  private:
   std::string name_;

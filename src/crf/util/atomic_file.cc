@@ -22,54 +22,65 @@ bool WriteAll(int fd, std::span<const uint8_t> bytes) {
   return true;
 }
 
+// Records "<what>: <errno text>" — call right after the failing syscall.
+bool Fail(std::string* error, const std::string& what) {
+  if (error != nullptr) {
+    *error = what + ": " + std::strerror(errno);
+  }
+  return false;
+}
+
 }  // namespace
 
-bool WriteFileAtomic(const std::string& path,
-                     std::initializer_list<std::span<const uint8_t>> parts, std::string* error) {
+std::string AtomicTempPath(const std::string& path) {
   // Unique per process and call, so concurrent writers never share one.
   static std::atomic<uint64_t> counter{0};
-  const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                           std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-  const size_t slash = path.rfind('/');
-  const std::string directory =
-      slash == std::string::npos ? "." : slash == 0 ? "/" : path.substr(0, slash);
-  // Records "<what>: <errno text>" — call right after the failing syscall.
-  const auto fail = [error](const std::string& what) {
-    *error = what + ": " + std::strerror(errno);
-    return false;
-  };
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+}
 
-  const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
-  if (fd < 0) {
-    return fail("cannot create " + temp);
-  }
-  bool ok = true;
-  for (const std::span<const uint8_t> part : parts) {
-    if (ok && !WriteAll(fd, part)) {
-      ok = fail("short write to " + temp);
-    }
-  }
-  if (ok && ::fsync(fd) != 0) {
-    ok = fail("cannot fsync " + temp);
-  }
+bool CommitAtomicFile(int fd, const std::string& temp, const std::string& path,
+                      std::string* error) {
+  bool ok = ::fsync(fd) == 0 || Fail(error, "cannot fsync " + temp);
   if (::close(fd) != 0 && ok) {
-    ok = fail("cannot close " + temp);
+    ok = Fail(error, "cannot close " + temp);
   }
   if (ok && ::rename(temp.c_str(), path.c_str()) != 0) {
-    ok = fail("cannot rename " + temp + " over " + path);
+    ok = Fail(error, "cannot rename " + temp + " over " + path);
   }
   if (!ok) {
     ::unlink(temp.c_str());
     return false;
   }
   // The rename is durable only once the directory entry is.
+  const size_t slash = path.rfind('/');
+  const std::string directory =
+      slash == std::string::npos ? "." : slash == 0 ? "/" : path.substr(0, slash);
   const int dir_fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dir_fd < 0) {
-    return fail("cannot open directory " + directory);
+    return Fail(error, "cannot open directory " + directory);
   }
-  ok = ::fsync(dir_fd) == 0 || fail("cannot fsync directory " + directory);
+  ok = ::fsync(dir_fd) == 0 || Fail(error, "cannot fsync directory " + directory);
   ::close(dir_fd);
   return ok;
+}
+
+bool WriteFileAtomic(const std::string& path,
+                     std::initializer_list<std::span<const uint8_t>> parts, std::string* error) {
+  const std::string temp = AtomicTempPath(path);
+  const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return Fail(error, "cannot create " + temp);
+  }
+  for (const std::span<const uint8_t> part : parts) {
+    if (!WriteAll(fd, part)) {
+      Fail(error, "short write to " + temp);
+      ::close(fd);
+      ::unlink(temp.c_str());
+      return false;
+    }
+  }
+  return CommitAtomicFile(fd, temp, path, error);
 }
 
 bool WriteFileAtomic(const std::string& path, std::string_view text, std::string* error) {

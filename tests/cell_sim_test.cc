@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <span>
+#include <vector>
+
+#include "crf/util/byte_io.h"
 
 namespace crf {
 namespace {
@@ -130,6 +135,32 @@ TEST(CellSimTest, DeterministicGivenSeed) {
     }
   }
   EXPECT_EQ(a.predictions, b.predictions);
+}
+
+// Pins the closed-loop cell's bytes across commits: the sealed trace
+// (placements, per-task p90 usage, true peaks) and the per-machine series
+// the machine step publishes. The expected values were recorded by running
+// RunClusterSim at commit c2fc6f1, before ClusterMachine::Step moved onto
+// MachineUsageKernel.
+uint64_t BytesHash(std::span<const std::byte> bytes) {
+  return Xxh64({reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()});
+}
+
+uint64_t SeriesHash(const MachineIntervalSeries& series) {
+  std::vector<float> values;
+  for (Interval t = 0; t < series.num_intervals(); ++t) {
+    const std::span<const float> row = series.IntervalRow(t);
+    values.insert(values.end(), row.begin(), row.end());
+  }
+  return BytesHash(std::as_bytes(std::span<const float>(values)));
+}
+
+TEST(CellSimGoldenTest, TraceAndSeriesHashesMatchRecordedValues) {
+  const ClusterSimResult result = RunClusterSim(SmallProfile(), ShortOptions(), Rng(48));
+  EXPECT_EQ(BytesHash(result.trace.arena_bytes()), 0x9b6f14a666cb289aull);
+  EXPECT_EQ(SeriesHash(result.predictions), 0xaf1a528f492ccc5dull);
+  EXPECT_EQ(SeriesHash(result.demand_mean), 0xd46b7909e5db81fcull);
+  EXPECT_EQ(SeriesHash(result.latencies), 0xa15cd6480dcb2cb1ull);
 }
 
 TEST(CellSimTest, PendingTimeoutBoundsQueue) {

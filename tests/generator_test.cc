@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <set>
 
 #include "crf/stats/running_stats.h"
+#include "crf/trace/trace_io.h"
 #include "crf/trace/trace_stats.h"
+#include "crf/util/byte_io.h"
 
 namespace crf {
 namespace {
@@ -275,6 +279,47 @@ TEST(GeneratorShardedTest, MeasurePlacementPhaseQualityNearGlobal) {
   EXPECT_GE(sharded.tasks_placed, (global.tasks_placed * 90) / 100);
   EXPECT_LE(sharded.tasks_placed, (global.tasks_placed * 110) / 100);
   EXPECT_LE(sharded.stranded_fraction, global.stranded_fraction + 0.10);
+}
+
+// Golden hashes pin the generated bytes across commits; the differential
+// tests above only compare two paths of one build, which a drifting RNG
+// stream or summary would pass. The expected values were recorded by
+// running the generator at commit c2fc6f1, before its heap and streamed
+// usage loops were merged into MachineUsageKernel. A deliberate change to
+// the generated cells must re-record them and say so.
+uint64_t ArenaHash(const CellTrace& cell) {
+  const std::span<const std::byte> arena = cell.arena_bytes();
+  return Xxh64({reinterpret_cast<const uint8_t*>(arena.data()), arena.size()});
+}
+
+uint64_t StreamedArenaHash(const GeneratorOptions& options) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "crf_generator_golden.crftrace").string();
+  std::string error;
+  EXPECT_TRUE(GenerateCellTraceToFile(SmallProfile(), options, Rng(7), path, &error)) << error;
+  const auto cell = LoadCellTrace(path, {TraceLoadMode::kHeap}, &error);
+  EXPECT_TRUE(cell.has_value()) << error;
+  std::remove(path.c_str());
+  return cell.has_value() ? ArenaHash(*cell) : 0;
+}
+
+TEST(GeneratorGoldenTest, ArenaHashesMatchRecordedValues) {
+  GeneratorOptions options;
+  options.num_intervals = kIntervalsPerDay;
+  GeneratorOptions rich = options;
+  rich.rich_stats = true;
+  GeneratorOptions sharded = options;
+  sharded.placement_shards = 4;
+  sharded.placement_probes = 4;
+
+  const auto heap = [](const GeneratorOptions& o) {
+    return ArenaHash(GenerateCellTrace(SmallProfile(), o, Rng(7)));
+  };
+  EXPECT_EQ(heap(options), 0x1163026cc77be0faull) << "heap";
+  EXPECT_EQ(heap(rich), 0x5652a1613782e5b9ull) << "heap rich";
+  EXPECT_EQ(StreamedArenaHash(options), 0x36cecfc66f534b08ull) << "streamed";
+  EXPECT_EQ(StreamedArenaHash(rich), 0xd1f2d0f6e34b19a1ull) << "streamed rich";
+  EXPECT_EQ(heap(sharded), 0x41c7066e0f07b187ull) << "sharded placement with probes";
 }
 
 TEST(GeneratorTest, UsageToLimitTailNearCalibration) {

@@ -1,5 +1,5 @@
 // Tests for streaming trace generation (GenerateCellTraceToFile) and the
-// spill/seal-by-machine-block writer (CellTraceBuilder::SealToFile).
+// seal-by-machine-block writer it drives (StreamingTraceWriter).
 //
 // The streamed path renumbers tasks machine-major, so whole-trace task order
 // differs from the batch seal. The contract is per-machine bit-identity:
@@ -229,53 +229,138 @@ TEST(StreamTraceTest, ProbedPlacementIsDeterministic) {
   std::remove(path_b.c_str());
 }
 
-TEST(StreamTraceTest, SealToFileMatchesSealPerMachine) {
-  const auto build = [](CellTraceBuilder& builder, bool machine_major) {
-    builder.Reset("hand", 4, 2);
-    builder.set_machine_capacity(0, 2.0);
-    builder.set_machine_capacity(1, 4.0);
-    builder.mutable_true_peak(0) = {0.5f, 0.25f, 0.0f, 0.0f};
-    builder.mutable_true_peak(1) = {1.0f, 1.0f, 0.5f, 0.25f};
-    // Interleaved across machines unless machine_major is requested.
-    struct Spec {
-      TaskId id;
-      int32_t machine;
-    };
-    std::vector<Spec> specs = {{10, 0}, {11, 1}, {12, 0}, {13, 1}};
-    if (machine_major) {
-      std::stable_sort(specs.begin(), specs.end(),
-                       [](const Spec& a, const Spec& b) { return a.machine < b.machine; });
+// A hand-built two-machine cell whose tasks are added machine-major, with
+// rich rows, so the writer can be fed the builder's rows as they are.
+void BuildMachineMajorCell(CellTraceBuilder& builder) {
+  builder.Reset("hand", 4, 2);
+  builder.set_dropped_tasks(3);
+  builder.set_machine_capacity(0, 2.0);
+  builder.set_machine_capacity(1, 4.0);
+  builder.mutable_true_peak(0) = {0.5f, 0.25f, 0.0f, 0.0f};
+  builder.mutable_true_peak(1) = {1.0f, 1.0f, 0.5f, 0.25f};
+  const int32_t machines[] = {0, 0, 1, 1};
+  for (int i = 0; i < 4; ++i) {
+    const TaskId id = 10 + i;
+    const int32_t task =
+        builder.AddTask(id, id / 2, machines[i], i % 2, 0.5 + 0.1 * static_cast<double>(id),
+                        i == 3 ? SchedulingClass::kLatencySensitive : SchedulingClass::kBatch);
+    for (int k = 0; k < 3 - i % 2; ++k) {
+      const float value = 0.125f * static_cast<float>(id) + 0.25f * static_cast<float>(k);
+      builder.AppendUsage(task, value);
+      RichUsage ladder;
+      ladder.avg = value * 0.5f;
+      ladder.p50 = value * 0.6f;
+      ladder.p90 = value;
+      ladder.max = value * 1.5f;
+      builder.AppendRich(task, ladder);
     }
-    for (const Spec& spec : specs) {
-      const int32_t task = builder.AddTask(spec.id, spec.id / 2, spec.machine, 0,
-                                           0.5 + 0.1 * static_cast<double>(spec.id),
-                                           SchedulingClass::kBatch);
-      builder.AppendUsage(task, 0.125f * static_cast<float>(spec.id));
-      builder.AppendUsage(task, 0.25f);
-    }
-  };
+  }
+}
 
+// The writer's view of a sealed machine-major trace. `spec` points into the
+// columns, so a SealedSpec is neither copied nor moved.
+struct SealedSpec {
+  explicit SealedSpec(const CellTrace& cell) {
+    for (int32_t i = 0; i < cell.num_tasks(); ++i) {
+      const TaskView task = cell.task(i);
+      task_id.push_back(task.task_id());
+      job_id.push_back(task.job_id());
+      machine_of.push_back(task.machine_index());
+      start.push_back(task.start());
+      sched_class.push_back(static_cast<uint8_t>(task.sched_class()));
+      limit.push_back(task.limit());
+      runtime.push_back(task.runtime());
+    }
+    for (int m = 0; m < cell.num_machines(); ++m) {
+      capacity.push_back(cell.machine_capacity(m));
+    }
+    spec = {cell.name, cell.num_intervals, cell.dropped_tasks, cell.has_rich(), task_id, job_id,
+            machine_of, start, sched_class, limit, runtime, capacity};
+  }
+  SealedSpec(const SealedSpec&) = delete;
+  SealedSpec& operator=(const SealedSpec&) = delete;
+
+  std::vector<TaskId> task_id;
+  std::vector<JobId> job_id;
+  std::vector<int32_t> machine_of;
+  std::vector<Interval> start;
+  std::vector<uint8_t> sched_class;
+  std::vector<double> limit;
+  std::vector<Interval> runtime;
+  std::vector<double> capacity;
+  StreamTraceSpec spec;
+};
+
+// The streaming writer and the heap seal are two writers of one format: for
+// machine-major input they must produce the same file bytes.
+TEST(StreamTraceTest, WriterMatchesSealedBinaryForMachineMajorInput) {
   CellTraceBuilder builder;
-  build(builder, /*machine_major=*/false);
+  BuildMachineMajorCell(builder);
   const CellTrace sealed = builder.Seal();
+  const std::string sealed_path = TempPath("sealed.crftrace");
+  SaveCellTraceBinary(sealed, sealed_path);
 
-  // SealToFile renumbers interleaved input machine-major itself; the
-  // per-machine content must match the in-memory seal of the same build.
-  build(builder, /*machine_major=*/false);
-  const std::string path = TempPath("seal.crftrace");
+  const SealedSpec columns(sealed);
+  const std::string streamed_path = TempPath("streamed.crftrace");
   std::string error;
-  ASSERT_TRUE(builder.SealToFile(path, &error)) << error;
-  const auto streamed = LoadCellTrace(path, {TraceLoadMode::kHeap}, &error);
-  ASSERT_TRUE(streamed.has_value()) << error;
-  ExpectSameMachineContent(sealed, *streamed);
+  StreamingTraceWriter writer(columns.spec, streamed_path, &error);
+  ASSERT_TRUE(writer.ok()) << error;
+  for (int32_t i = 0; i < sealed.num_tasks(); ++i) {
+    const TaskView task = sealed.task(i);
+    std::copy(task.usage().begin(), task.usage().end(), writer.usage_row(i).begin());
+    for (int c = 0; c < kNumRichColumns; ++c) {
+      const auto column = task.rich_column(static_cast<RichColumn>(c));
+      std::copy(column.begin(), column.end(),
+                writer.rich_row(i, static_cast<RichColumn>(c)).begin());
+    }
+  }
+  for (int m = 0; m < sealed.num_machines(); ++m) {
+    std::copy(sealed.true_peak(m).begin(), sealed.true_peak(m).end(),
+              writer.true_peak_row(m).begin());
+  }
+  writer.RetireMachines(0, sealed.num_machines());
+  ASSERT_TRUE(writer.Finish(&error)) << error;
+  EXPECT_EQ(FileBytes(streamed_path), FileBytes(sealed_path));
+  std::remove(sealed_path.c_str());
+  std::remove(streamed_path.c_str());
+}
 
-  // Tasks already added machine-major stream to the identical file.
-  build(builder, /*machine_major=*/true);
-  const std::string path2 = TempPath("seal2.crftrace");
-  ASSERT_TRUE(builder.SealToFile(path2, &error)) << error;
-  EXPECT_EQ(FileBytes(path), FileBytes(path2));
+// Temporary files the writer left next to `path`.
+int TempSiblings(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  int found = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(target.parent_path())) {
+    found += entry.path().filename().string().rfind(prefix, 0) == 0 ? 1 : 0;
+  }
+  return found;
+}
+
+// A writer abandoned half-written (generation failed, or the process is
+// unwinding) must leave the file already at the path as it was, and no
+// temporary file. Only Finish replaces it.
+TEST(StreamTraceTest, AbandonedWriterLeavesExistingFileIntact) {
+  const std::string path = TempPath("existing.crftrace");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "previous contents";
+  }
+  const std::vector<char> before = FileBytes(path);
+  CellTraceBuilder builder;
+  BuildMachineMajorCell(builder);
+  const SealedSpec columns(builder.Seal());
+  {
+    std::string error;
+    StreamingTraceWriter writer(columns.spec, path, &error);
+    ASSERT_TRUE(writer.ok()) << error;
+    writer.usage_row(0)[0] = 0.25f;
+    writer.RetireMachines(0, 1);
+    EXPECT_EQ(FileBytes(path), before);
+    EXPECT_EQ(TempSiblings(path), 1);
+  }
+  EXPECT_EQ(FileBytes(path), before);
+  EXPECT_EQ(TempSiblings(path), 0);
   std::remove(path.c_str());
-  std::remove(path2.c_str());
 }
 
 TEST(StreamTraceTest, WriterRejectsNonMachineMajorSpec) {
@@ -290,7 +375,6 @@ TEST(StreamTraceTest, WriterRejectsNonMachineMajorSpec) {
   const std::vector<double> limit = {0.5, 0.5};
   const std::vector<Interval> runtime = {1, 1};
   const std::vector<double> capacity = {1.0, 1.0};
-  const std::vector<Interval> true_peak_len = {0, 0};
 
   StreamTraceSpec spec;
   spec.name = "bad";
@@ -303,7 +387,6 @@ TEST(StreamTraceTest, WriterRejectsNonMachineMajorSpec) {
   spec.limit = limit;
   spec.runtime = runtime;
   spec.capacity = capacity;
-  spec.true_peak_len = true_peak_len;
 
   const std::string path = TempPath("bad_spec.crftrace");
   std::string error;

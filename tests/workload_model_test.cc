@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "crf/stats/running_stats.h"
 #include "crf/util/rng.h"
@@ -158,34 +161,67 @@ TEST(TaskUsageModelTest, UncoupledTasksIgnoreSharedLoad) {
   }
 }
 
+using SubSamples = std::array<double, kSubSamplesPerInterval>;
+
+// The selection-based p90 must equal the sorted ladder's p90 bit for bit.
+void ExpectP90MatchesLadder(const SubSamples& sub) {
+  EXPECT_EQ(std::bit_cast<uint32_t>(IntervalP90(sub)),
+            std::bit_cast<uint32_t>(IntervalLadder(sub).p90));
+}
+
+// Ties around ranks 9..11 and samples clamped to 0 and to the limit (1.0),
+// in several orders.
+std::vector<SubSamples> EdgeInputs() {
+  return {
+      {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3},
+      {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4, 0.3, 0.0},
+      {1.0, 1.0, 1.0, 1.0, 0.2, 0.3, 1.0, 0.9, 1.0, 1.0, 1.0, 1.0},
+      {0.2, 0.3, 0.1, 0.4, 0.2, 0.3, 0.5, 0.1, 0.6, 1.0, 0.9, 1.0},
+      {0.7, 0.2, 0.7, 0.1, 0.7, 0.3, 0.7, 0.2, 0.4, 0.7, 0.0, 0.7},
+      {0.8, 0.8, 0.1, 0.2, 0.3, 0.6, 0.1, 0.2, 0.3, 0.4, 0.5, 0.5},
+      {0.9, 0.6, 0.6, 0.1, 0.2, 0.3, 0.4, 0.5, 0.1, 0.2, 0.3, 0.4},
+      {1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0, 0.0},
+      {0.0, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
+  };
+}
+
 TEST(SummarizeIntervalTest, PercentileLadderIsOrdered) {
   Rng rng(31);
+  std::vector<SubSamples> inputs = EdgeInputs();
   for (int round = 0; round < 50; ++round) {
-    std::array<double, kSubSamplesPerInterval> sub;
+    SubSamples sub;
     for (auto& s : sub) {
       s = rng.UniformDouble();
     }
-    const IntervalSummary summary = SummarizeInterval(sub);
-    EXPECT_LE(summary.rich.p50, summary.rich.p60);
-    EXPECT_LE(summary.rich.p60, summary.rich.p70);
-    EXPECT_LE(summary.rich.p70, summary.rich.p80);
-    EXPECT_LE(summary.rich.p80, summary.rich.p90);
-    EXPECT_LE(summary.rich.p90, summary.rich.p95);
-    EXPECT_LE(summary.rich.p95, summary.rich.p99);
-    EXPECT_LE(summary.rich.p99, summary.rich.max);
-    EXPECT_EQ(summary.scalar_p90, summary.rich.p90);
-    EXPECT_LE(summary.rich.avg, summary.rich.max);
+    inputs.push_back(sub);
+  }
+  for (const SubSamples& sub : inputs) {
+    const RichUsage ladder = IntervalLadder(sub);
+    EXPECT_LE(ladder.p50, ladder.p60);
+    EXPECT_LE(ladder.p60, ladder.p70);
+    EXPECT_LE(ladder.p70, ladder.p80);
+    EXPECT_LE(ladder.p80, ladder.p90);
+    EXPECT_LE(ladder.p90, ladder.p95);
+    EXPECT_LE(ladder.p95, ladder.p99);
+    EXPECT_LE(ladder.p99, ladder.max);
+    EXPECT_LE(ladder.avg, ladder.max);
+    ExpectP90MatchesLadder(sub);
   }
 }
 
 TEST(SummarizeIntervalTest, ConstantSamples) {
-  std::array<double, kSubSamplesPerInterval> sub;
+  SubSamples sub;
   sub.fill(0.25);
-  const IntervalSummary summary = SummarizeInterval(sub);
-  EXPECT_FLOAT_EQ(summary.rich.p50, 0.25f);
-  EXPECT_FLOAT_EQ(summary.rich.max, 0.25f);
-  EXPECT_FLOAT_EQ(summary.rich.avg, 0.25f);
-  EXPECT_FLOAT_EQ(summary.scalar_p90, 0.25f);
+  const RichUsage ladder = IntervalLadder(sub);
+  EXPECT_FLOAT_EQ(ladder.p50, 0.25f);
+  EXPECT_FLOAT_EQ(ladder.max, 0.25f);
+  EXPECT_FLOAT_EQ(ladder.avg, 0.25f);
+  EXPECT_FLOAT_EQ(IntervalP90(sub), 0.25f);
+  // Whole intervals clamped to 0 or to the limit.
+  for (const double value : {0.25, 0.0, 1.0}) {
+    sub.fill(value);
+    ExpectP90MatchesLadder(sub);
+  }
 }
 
 }  // namespace

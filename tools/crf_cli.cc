@@ -52,8 +52,9 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -136,18 +137,15 @@ class Args {
   std::string error_;
 };
 
+// Accepts exactly a..h, cell_a..cell_h and production_1..production_5.
 std::optional<CellProfile> ResolveProfile(const std::string& name) {
-  if (name.size() == 1 && name[0] >= 'a' && name[0] <= 'h') {
-    return SimCellProfile(name[0]);
+  const std::string letter = name.rfind("cell_", 0) == 0 ? name.substr(5) : name;
+  if (letter.size() == 1 && letter[0] >= 'a' && letter[0] <= 'h') {
+    return SimCellProfile(letter[0]);
   }
-  if (name.rfind("cell_", 0) == 0 && name.size() == 6) {
-    return SimCellProfile(name[5]);
-  }
-  if (name.rfind("production_", 0) == 0) {
-    const int index = std::atoi(name.c_str() + strlen("production_"));
-    if (index >= 1 && index <= 5) {
-      return ProductionCellProfile(index);
-    }
+  if (name.size() == 12 && name.rfind("production_", 0) == 0 && name[11] >= '1' &&
+      name[11] <= '5') {
+    return ProductionCellProfile(name[11] - '0');
   }
   return std::nullopt;
 }
@@ -219,6 +217,56 @@ bool PlacementArgsInto(Args& args, int& shards, int& rebalance_interval, std::st
   return true;
 }
 
+// The cell generate, info, simulate, serve and loadgen synthesize.
+struct CellSynthesis {
+  CellProfile profile;
+  GeneratorOptions options;  // options.pool points at `pool`
+  int64_t seed = 42;  // any 64-bit value; Rng takes its bits
+  std::unique_ptr<ThreadPool> pool;
+};
+
+// Reads --cell, --machines, --days, --rich, --probes, --seed, the placement
+// knobs and --threads, strictly: a bad value fails naming its flag. --days
+// must give at least one interval; its bound keeps the count from overflow.
+std::optional<CellSynthesis> CellFromArgs(Args& args, std::string& error) {
+  const std::string cell_name = args.GetOr("cell", "a");
+  const auto profile = ResolveProfile(cell_name);
+  if (!profile.has_value()) {
+    error = "--cell value \"" + cell_name + "\" is not a cell (use a..h or production_1..5)";
+    return std::nullopt;
+  }
+  CellSynthesis synthesis{*profile, GeneratorOptions{}, 42, nullptr};
+  const std::string days_text = args.GetOr("days", "7");
+  int64_t machines = 0;
+  double days = 0.0;
+  int64_t probes = 0;
+  if (!GetIntFlag(args, "machines", profile->num_machines, 1, 1000000, &machines, &error) ||
+      !ParseDoubleFlag("days", days_text, 0.0, 3650.0, &days, &error) ||
+      !GetIntFlag(args, "probes", 0, 0, 1 << 20, &probes, &error) ||
+      !GetIntFlag(args, "seed", 42, INT64_MIN, INT64_MAX, &synthesis.seed, &error)) {
+    return std::nullopt;
+  }
+  const int64_t intervals = static_cast<int64_t>(days * kIntervalsPerDay);
+  if (intervals < 1) {
+    error = "--days value \"" + days_text + "\" is shorter than one 5-minute interval";
+    return std::nullopt;
+  }
+  synthesis.profile.num_machines = static_cast<int>(machines);
+  synthesis.options.num_intervals = static_cast<Interval>(intervals);
+  synthesis.options.rich_stats = args.GetBool("rich");
+  synthesis.options.placement_probes = static_cast<int>(probes);
+  if (!PlacementArgsInto(args, synthesis.options.placement_shards,
+                         synthesis.options.placement_rebalance_interval, error)) {
+    return std::nullopt;
+  }
+  synthesis.pool = PoolFromArgs(args, error);
+  synthesis.options.pool = synthesis.pool.get();
+  if (!error.empty()) {
+    return std::nullopt;
+  }
+  return synthesis;
+}
+
 std::optional<CellTrace> BuildOrLoadCell(Args& args, std::string& error) {
   const TraceLoadOptions load = LoadOptionsFromArgs(args);
   const auto trace_path = args.Get("trace");
@@ -231,30 +279,11 @@ std::optional<CellTrace> BuildOrLoadCell(Args& args, std::string& error) {
     }
     return cell;
   }
-  const std::string cell_name = args.GetOr("cell", "a");
-  auto profile = ResolveProfile(cell_name);
-  if (!profile.has_value()) {
-    error = "unknown cell '" + cell_name + "' (use a..h or production_1..5)";
+  auto synthesis = CellFromArgs(args, error);
+  if (!synthesis.has_value()) {
     return std::nullopt;
   }
-  profile->num_machines =
-      static_cast<int>(args.GetInt("machines", profile->num_machines));
-  GeneratorOptions options;
-  options.num_intervals =
-      static_cast<Interval>(args.GetDouble("days", 7.0) * kIntervalsPerDay);
-  options.rich_stats = args.GetBool("rich");
-  options.placement_probes = static_cast<int>(args.GetInt("probes", 0));
-  if (!PlacementArgsInto(args, options.placement_shards,
-                         options.placement_rebalance_interval, error)) {
-    return std::nullopt;
-  }
-  const auto pool = PoolFromArgs(args, error);
-  if (!error.empty()) {
-    return std::nullopt;
-  }
-  options.pool = pool.get();
-  const Rng rng(static_cast<uint64_t>(args.GetInt("seed", 42)));
-  return GenerateCellTrace(*profile, options, rng);
+  return GenerateCellTrace(synthesis->profile, synthesis->options, Rng(synthesis->seed));
 }
 
 int CmdGenerate(Args& args) {
@@ -264,60 +293,41 @@ int CmdGenerate(Args& args) {
   }
   const bool binary = args.GetBool("binary");
   const bool stream = args.GetBool("stream");
+  // Streaming generation writes the binary file directly; it never holds
+  // the sealed cell, so it cannot start from --trace or emit text.
+  if (stream && args.Get("trace").has_value()) {
+    return Fail("--stream generates a fresh cell; it cannot re-save --trace=FILE");
+  }
+  std::string error;
+  std::optional<CellSynthesis> synthesis;
+  std::optional<CellTrace> cell;
   if (stream) {
-    // Streaming generation writes the binary file directly; it never holds
-    // the sealed cell, so it cannot start from --trace or emit text.
-    if (args.Get("trace").has_value()) {
-      return Fail("--stream generates a fresh cell; it cannot re-save --trace=FILE");
-    }
-    const std::string cell_name = args.GetOr("cell", "a");
-    auto profile = ResolveProfile(cell_name);
-    if (!profile.has_value()) {
-      return Fail("unknown cell '" + cell_name + "' (use a..h or production_1..5)");
-    }
-    profile->num_machines =
-        static_cast<int>(args.GetInt("machines", profile->num_machines));
-    GeneratorOptions options;
-    options.num_intervals =
-        static_cast<Interval>(args.GetDouble("days", 7.0) * kIntervalsPerDay);
-    options.rich_stats = args.GetBool("rich");
-    options.placement_probes = static_cast<int>(args.GetInt("probes", 0));
-    std::string arg_error;
-    if (!PlacementArgsInto(args, options.placement_shards,
-                           options.placement_rebalance_interval, arg_error)) {
-      return Fail(arg_error);
-    }
-    const auto pool = PoolFromArgs(args, arg_error);
-    if (!arg_error.empty()) {
-      return Fail(arg_error);
-    }
-    options.pool = pool.get();
-    const Rng rng(static_cast<uint64_t>(args.GetInt("seed", 42)));
-    if (const auto unknown = args.UnknownFlag()) {
-      return Fail("unknown flag --" + *unknown);
-    }
-    std::string error;
+    synthesis = CellFromArgs(args, error);
+  } else {
+    cell = BuildOrLoadCell(args, error);
+  }
+  if (!error.empty()) {
+    return Fail(error);
+  }
+  if (const auto unknown = args.UnknownFlag()) {
+    return Fail("unknown flag --" + *unknown);
+  }
+  if (stream) {
     StreamedTraceInfo info;
-    if (!GenerateCellTraceToFile(*profile, options, rng, *out, &error, &info)) {
+    if (!GenerateCellTraceToFile(synthesis->profile, synthesis->options, Rng(synthesis->seed),
+                                 *out, &error, &info)) {
       return Fail(error);
     }
     std::printf("wrote %s (binary, streamed): %d machines, %lld tasks, %d intervals,"
                 " %llu bytes\n",
-                out->c_str(), profile->num_machines, static_cast<long long>(info.num_tasks),
-                options.num_intervals, static_cast<unsigned long long>(info.file_bytes));
+                out->c_str(), synthesis->profile.num_machines,
+                static_cast<long long>(info.num_tasks), synthesis->options.num_intervals,
+                static_cast<unsigned long long>(info.file_bytes));
     std::fprintf(stderr, "crf: placement %.0f ms (%lld attempts, %.0f placements/s)\n",
                  info.placement_ms, static_cast<long long>(info.placement_attempts),
                  info.placement_ms > 0.0 ? info.placement_attempts * 1000.0 / info.placement_ms
                                          : 0.0);
     return 0;
-  }
-  std::string error;
-  auto cell = BuildOrLoadCell(args, error);
-  if (!cell.has_value()) {
-    return Fail(error);
-  }
-  if (const auto unknown = args.UnknownFlag()) {
-    return Fail("unknown flag --" + *unknown);
   }
   if (binary) {
     SaveCellTraceBinary(*cell, *out);
