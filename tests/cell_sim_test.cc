@@ -163,6 +163,17 @@ TEST(CellSimGoldenTest, TraceAndSeriesHashesMatchRecordedValues) {
   EXPECT_EQ(SeriesHash(result.latencies), 0xa15cd6480dcb2cb1ull);
 }
 
+// Borg-default keeps no per-task state, so the case above never hashes the
+// order in which a machine hands its samples to the predictor or the
+// per-task history windows. The production max() spec reads both, and its
+// predictions steer placement, so the sealed trace depends on them too.
+TEST(CellSimGoldenTest, ProductionMaxHashesMatchRecordedValues) {
+  const ClusterSimResult result =
+      RunClusterSim(SmallProfile(), ShortOptions(ProductionMaxSpec()), Rng(48));
+  EXPECT_EQ(BytesHash(result.trace.arena_bytes()), 0x5039566048811cb0ull);
+  EXPECT_EQ(SeriesHash(result.predictions), 0x7654663cedf72f1cull);
+}
+
 TEST(CellSimTest, PendingTimeoutBoundsQueue) {
   // An absurdly overloaded cell must shed load through timeouts rather than
   // grow the queue without bound.

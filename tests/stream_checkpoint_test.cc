@@ -22,6 +22,8 @@
 #include "crf/core/predictor_factory.h"
 #include "crf/core/spec_parser.h"
 #include "crf/serve/replay.h"
+#include "crf/trace/cell_profile.h"
+#include "crf/trace/generator.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/util/byte_io.h"
 #include "crf/util/rng.h"
@@ -512,6 +514,25 @@ TEST(StreamCheckpointAtomicWriteTest, FailedOverwriteKeepsPreviousCheckpoint) {
   ASSERT_NE(restored, nullptr) << error;
   EXPECT_EQ(restored->next_tick(), cell.num_intervals / 2);
   std::filesystem::remove_all(dir);
+}
+
+// The sealed bytes are a file format: a checkpoint written by one build must
+// resume under the next. Pins the whole file of a fixed replay, so any
+// change to what a machine, a bank or an accumulator serializes shows here.
+TEST(StreamCheckpointGoldenTest, SealedBytesMatchRecordedHash) {
+  CellProfile profile = SimCellProfile('a');
+  profile.num_machines = 4;
+  GeneratorOptions generator;
+  generator.num_intervals = kIntervalsPerDay;
+  const CellTrace cell = GenerateCellTrace(profile, generator, Rng(2021));
+  StreamReplayer replayer(cell, SimulationMaxSpec());
+  replayer.Advance(100);
+  const std::string path = TempPath("golden.crfckpt");
+  std::string error;
+  ASSERT_TRUE(SaveCheckpoint(replayer, path, &error)) << error;
+  const std::vector<uint8_t> bytes = ReadAll(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(Xxh64(bytes), 0x7f21a1f86fe006b2ull);
 }
 
 }  // namespace
