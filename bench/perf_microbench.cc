@@ -1276,7 +1276,11 @@ void RecordTraceBench() {
   // validator's scattered faults with readahead off).
   const std::string trace_path =
       (std::filesystem::temp_directory_path() / "crf_bench_trace.crftrace").string();
-  SaveCellTraceBinary(cell, trace_path);
+  std::string save_error;
+  if (!SaveCellTraceBinary(cell, trace_path, &save_error)) {
+    std::fprintf(stderr, "trace bench: save failed: %s\n", save_error.c_str());
+    return;
+  }
   const auto drop_file_cache = [&trace_path] {
     const int fd = open(trace_path.c_str(), O_RDONLY);
     if (fd < 0) {

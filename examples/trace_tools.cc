@@ -31,8 +31,12 @@ int main() {
       (std::filesystem::temp_directory_path() / "crf_example_cell_c.trace").string();
   const std::string binary_path =
       (std::filesystem::temp_directory_path() / "crf_example_cell_c.crftrace").string();
-  SaveCellTrace(cell, text_path);
-  SaveCellTraceBinary(cell, binary_path);
+  std::string error;
+  if (!SaveCellTrace(cell, text_path, &error) ||
+      !SaveCellTraceBinary(cell, binary_path, &error)) {
+    std::fprintf(stderr, "save failed: %s\n", error.c_str());
+    return 1;
+  }
   std::printf("saved text -> %s (%.1f KiB), binary -> %s (%.1f KiB)\n", text_path.c_str(),
               std::filesystem::file_size(text_path) / 1024.0, binary_path.c_str(),
               std::filesystem::file_size(binary_path) / 1024.0);

@@ -4,6 +4,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "crf/cluster/machine.h"
 #include "crf/cluster/sharded_scheduler.h"
@@ -73,13 +74,15 @@ ClusterSimResult RunClusterSim(const CellProfile& profile, const ClusterSimOptio
   const std::vector<double> shared_load =
       BuildSharedLoadSeries(profile, num_intervals, rng.Fork(0x757367));
 
+  // One predictor plan for the cell; every machine runs its own bank on it.
+  const SweepPlan plan(std::span(&options.predictor, 1));
   std::vector<ClusterMachine> machines;
   machines.reserve(num_machines);
   for (int m = 0; m < num_machines; ++m) {
     trace.set_machine_capacity(m, profile.machine_capacity);
     trace.mutable_true_peak(m).assign(num_intervals, 0.0f);
-    machines.emplace_back(m, profile.machine_capacity, CreatePredictor(options.predictor),
-                          options.latency, rng.Fork(0x6d000000 + m));
+    machines.emplace_back(m, profile.machine_capacity, plan, options.latency,
+                          rng.Fork(0x6d000000 + m));
   }
 
   result.predictions.Assign(num_machines, num_intervals);

@@ -6,16 +6,15 @@
 
 namespace crf {
 
-ClusterMachine::ClusterMachine(int machine_index, double capacity,
-                               std::unique_ptr<PeakPredictor> predictor,
+ClusterMachine::ClusterMachine(int machine_index, double capacity, const SweepPlan& plan,
                                const LatencyModelParams& latency, const Rng& rng)
     : machine_index_(machine_index),
       capacity_(capacity),
-      predictor_(std::move(predictor)),
       latency_model_(latency, rng.Fork(0x6c6174)),  // "lat"
       usage_rng_(rng.Fork(0x757367)) {              // "usg"
   CRF_CHECK_GT(capacity, 0.0);
-  CRF_CHECK(predictor_ != nullptr);
+  CRF_CHECK_EQ(plan.num_specs(), 1);
+  bank_.Attach(&plan);
 }
 
 void ClusterMachine::StartTask(CellTraceBuilder& trace, int32_t trace_index,
@@ -57,13 +56,10 @@ ClusterMachine::StepStats ClusterMachine::Step(Interval now, double shared_load,
 
   stats.latency = latency_model_.Sample(stats.demand_mean, stats.demand_peak, capacity_);
 
-  predictor_->Observe(now, samples_scratch_);
-  prediction_ = predictor_->PredictPeak();
-  stats.prediction = prediction_;
-  stats.free_capacity = FreeCapacity();
+  bank_.Observe(now, samples_scratch_);
+  stats.prediction = bank_.Predictions()[0];
+  stats.free_capacity = std::max(0.0, capacity_ - stats.prediction);
   return stats;
 }
-
-double ClusterMachine::FreeCapacity() const { return std::max(0.0, capacity_ - prediction_); }
 
 }  // namespace crf

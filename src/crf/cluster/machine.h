@@ -2,21 +2,21 @@
 //
 // Owns the machine-local pieces a Borglet owns: the resident task set (each
 // with its live usage model, held by the same MachineUsageKernel the trace
-// generator runs), the peak predictor, and the latency tracker. Each
-// interval the machine generates its tasks' usage, measures demand against
-// physical capacity, samples a CPU scheduling latency, feeds the predictor,
-// and publishes a prediction. Usage samples are appended to a
+// generator runs), the peak predictor's state — a SweepBank attached to the
+// cell's one shared SweepPlan — and the latency tracker. Each interval the
+// machine generates its tasks' usage, measures demand against physical
+// capacity, samples a CPU scheduling latency, feeds the bank, and publishes
+// a prediction. Usage samples are appended to a
 // CellTraceBuilder so the sealed trace can feed post-hoc oracle analysis
 // through the trace-simulator machinery.
 
 #ifndef CRF_CLUSTER_MACHINE_H_
 #define CRF_CLUSTER_MACHINE_H_
 
-#include <memory>
 #include <vector>
 
 #include "crf/cluster/latency_model.h"
-#include "crf/core/predictor.h"
+#include "crf/core/sweep_bank.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/trace/workload_model.h"
 #include "crf/util/rng.h"
@@ -25,9 +25,9 @@ namespace crf {
 
 class ClusterMachine {
  public:
-  ClusterMachine(int machine_index, double capacity,
-                 std::unique_ptr<PeakPredictor> predictor, const LatencyModelParams& latency,
-                 const Rng& rng);
+  // `plan` holds one spec and must outlive the machine.
+  ClusterMachine(int machine_index, double capacity, const SweepPlan& plan,
+                 const LatencyModelParams& latency, const Rng& rng);
 
   // Starts running the task registered in the builder at `trace_index` for
   // `runtime` intervals beginning at `now`.
@@ -49,19 +49,13 @@ class ClusterMachine {
   // records it into `trace`, samples latency, and refreshes the prediction.
   StepStats Step(Interval now, double shared_load, CellTraceBuilder& trace);
 
-  double capacity() const { return capacity_; }
-  // Advertised free capacity for the scheduler: capacity - predicted peak.
-  double FreeCapacity() const;
-  int resident_count() const { return usage_.size(); }
-
  private:
   int machine_index_;
   double capacity_;
-  std::unique_ptr<PeakPredictor> predictor_;
+  SweepBank bank_;
   LatencyModel latency_model_;
   Rng usage_rng_;
   MachineUsageKernel usage_;  // rows are trace indices
-  double prediction_ = 0.0;
   std::vector<TaskSample> samples_scratch_;
 };
 

@@ -16,10 +16,13 @@
 //    sane prediction never exceeds the sum of limits: implementations clamp
 //    to [current usage, sum of limits].
 //
-// The built-in families are all evaluated by SweepBank
-// (crf/core/sweep_bank.h); CreatePredictor (crf/core/predictor_factory.h)
-// returns them behind this interface. User-defined policies implement it
-// directly (examples/custom_predictor.cc).
+// This interface is the library's extension point, not its engine. The
+// built-in families are all evaluated by SweepBank (crf/core/sweep_bank.h):
+// the batch simulator, the serve tier and the cluster simulator drive banks
+// over one shared SweepPlan directly, and CreatePredictor
+// (crf/core/predictor_factory.h) returns a built-in behind this interface
+// for standalone use. User-defined policies implement it directly
+// (examples/custom_predictor.cc).
 
 #ifndef CRF_CORE_PREDICTOR_H_
 #define CRF_CORE_PREDICTOR_H_
@@ -32,9 +35,6 @@
 #include "crf/util/time_grid.h"
 
 namespace crf {
-
-class ByteReader;
-class ByteWriter;
 
 // One task's state at the current polling interval.
 struct TaskSample {
@@ -75,19 +75,6 @@ class PeakPredictor {
   virtual void Reset() = 0;
 
   virtual std::string name() const = 0;
-
-  // Checkpoint support (crf/serve). SaveState serializes the COMPLETE
-  // observed state — rosters, history windows, running moments, the last
-  // published prediction — such that LoadState into a predictor constructed
-  // from the same spec resumes bit-identically to an uninterrupted run.
-  // Configuration is NOT serialized; it is re-derived from the spec, and
-  // LoadState validates structural fits (window capacities) against it.
-  // LoadState returns false and latches the reader's failure flag on any
-  // malformed or mismatched payload, leaving the predictor unspecified (the
-  // caller discards it). The default implementations return false: a
-  // predictor without an override simply cannot be checkpointed.
-  virtual bool SaveState(ByteWriter& out) const;
-  virtual bool LoadState(ByteReader& in);
 };
 
 // Clamps a raw prediction to the sane range [usage_now, limit_sum]: the

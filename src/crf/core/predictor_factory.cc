@@ -27,12 +27,6 @@ class BankPredictor final : public PeakPredictor {
   void Reset() override { bank_.BeginMachine(); }
   std::string name() const override { return plan_.spec(0).Name(); }
 
-  bool SaveState(ByteWriter& out) const override {
-    bank_.SaveState(out);
-    return true;
-  }
-  bool LoadState(ByteReader& in) override { return bank_.LoadState(in); }
-
  private:
   SweepPlan plan_;
   SweepBank bank_;

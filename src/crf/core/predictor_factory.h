@@ -4,9 +4,10 @@
 // paper's Figs 8-12 are parameter sweeps); a PredictorSpec is a value type
 // describing one configuration. Every built-in family is evaluated by one
 // engine, SweepBank (crf/core/sweep_bank.h): the batch simulator runs whole
-// spec grids through it, and CreatePredictor wraps a one-spec bank in the
-// PeakPredictor interface for per-machine owners (the serve tier, the
-// cluster simulator).
+// spec grids through it, and the serve tier and the cluster simulator each
+// compile one SweepPlan and give every machine a bank on it.
+// CreatePredictor wraps a one-spec bank in the PeakPredictor interface, the
+// extension point for standalone callers (examples, microbenchmarks).
 
 #ifndef CRF_CORE_PREDICTOR_FACTORY_H_
 #define CRF_CORE_PREDICTOR_FACTORY_H_

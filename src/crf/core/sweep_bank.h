@@ -36,11 +36,13 @@
 // SweepBank is the per-thread mutable state executing a plan over one
 // machine at a time: Observe() ingests each interval's resident task set
 // once and Predictions() returns one clamped prediction per input spec.
-// This is the only implementation of the families in the library: the batch
-// simulator drives banks directly, and CreatePredictor
-// (crf/core/predictor_factory.h) wraps a one-spec bank for the serve tier
-// and the cluster simulator. The independent per-family reference lives in
-// tests/reference/, and sweep_engine_test pins the bank to it bit for bit.
+// This is the only implementation of the families in the library. The batch
+// simulator, the serve tier (OvercommitService) and the cluster simulator
+// (ClusterMachine) each build one plan and drive plain banks on it; only
+// CreatePredictor (crf/core/predictor_factory.h), the PeakPredictor
+// extension point, wraps a one-spec bank. The independent per-family
+// reference lives in tests/reference/, and sweep_engine_test pins the bank
+// to it bit for bit.
 
 #ifndef CRF_CORE_SWEEP_BANK_H_
 #define CRF_CORE_SWEEP_BANK_H_
@@ -182,8 +184,6 @@ class SweepBank {
 
   // One prediction per input spec (plan order), for the last Observe.
   std::span<const double> Predictions() const { return spec_predictions_; }
-
-  const SweepPlan* plan() const { return plan_; }
 
   // Checkpoint support (crf/serve): the current machine's complete state —
   // roster and warm-up counters, every window, the last predictions — so a

@@ -80,12 +80,9 @@ bool StreamReplayer::ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, i
       std::max(shard_metrics.max_batch_events, static_cast<int64_t>(events.size()));
 
   const double prediction = service_.Predict(machine);
-  const double oracle_value = shard.oracle[tau];
-  const double limit_sum = service_.LimitSum(machine);
-  const bool occupied = !service_.Roster(machine).empty();
-  accums_[machine].risk.Record(prediction, oracle_value, limit_sum, occupied);
-  shard.cell_limit[tau] += limit_sum;
-  shard.cell_prediction[tau] += prediction;
+  ScoreTick(tau, std::span(&prediction, 1), shard.oracle[tau], service_.LimitSum(machine),
+            !service_.Roster(machine).empty(), std::span(&accums_[machine].risk, 1),
+            &shard.cell_limit, std::span(&shard.cell_prediction, 1));
   return true;
 }
 

@@ -1,5 +1,6 @@
 #include "crf/serve/service.h"
 
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -14,11 +15,11 @@ constexpr uint64_t kMaxRosterTasks = 1 << 20;
 }  // namespace
 
 OvercommitService::OvercommitService(const PredictorSpec& spec, int num_machines)
-    : spec_(spec) {
+    : plan_(std::make_unique<const SweepPlan>(std::span(&spec, 1))) {
   CRF_CHECK_GT(num_machines, 0);
   machines_.resize(num_machines);
   for (MachineState& machine : machines_) {
-    machine.predictor = CreatePredictor(spec_);
+    machine.bank.Attach(plan_.get());
   }
 }
 
@@ -33,8 +34,7 @@ bool OvercommitService::IngestTick(int machine, Interval tau,
   if (!state.roster.Apply(tau, events, error)) {
     return false;
   }
-  state.predictor->Observe(tau, state.roster.samples());
-  state.last_prediction = state.predictor->PredictPeak();
+  state.bank.Observe(tau, state.roster.samples());
   state.last_tick = tau;
   return true;
 }
@@ -43,10 +43,10 @@ void OvercommitService::SaveMachine(int machine, ByteWriter& out) const {
   const MachineState& state = machines_[machine];
   out.Write<int32_t>(state.last_tick);
   out.Write<double>(state.roster.limit_sum());
-  out.Write<double>(state.last_prediction);
+  out.Write<double>(Predict(machine));
   out.WriteVec(state.roster.indices());
   out.WriteVec(state.roster.samples());
-  state.predictor->SaveState(out);
+  state.bank.SaveState(out);
 }
 
 bool OvercommitService::LoadMachine(int machine, ByteReader& in) {
@@ -60,7 +60,6 @@ bool OvercommitService::LoadMachine(int machine, ByteReader& in) {
     return false;
   }
   if (!in.ok() || last_tick < -1 || !std::isfinite(limit_sum) || limit_sum < 0.0 ||
-      !std::isfinite(last_prediction) || last_prediction < 0.0 ||
       roster.size() != roster_index.size()) {
     in.Fail();
     return false;
@@ -71,11 +70,15 @@ bool OvercommitService::LoadMachine(int machine, ByteReader& in) {
       return false;
     }
   }
-  if (!state.predictor->LoadState(in)) {
+  if (!state.bank.LoadState(in)) {
+    return false;
+  }
+  // The published prediction is written twice; both copies must agree.
+  if (std::bit_cast<uint64_t>(last_prediction) != std::bit_cast<uint64_t>(Predict(machine))) {
+    in.Fail();
     return false;
   }
   state.last_tick = last_tick;
-  state.last_prediction = last_prediction;
   state.roster.Restore(std::move(roster_index), std::move(roster), limit_sum);
   return true;
 }

@@ -1,11 +1,12 @@
 // OvercommitService: incremental per-machine predictor state (DESIGN.md §7).
 //
-// Each machine owns a predictor (built from one PredictorSpec), a
-// MachineRoster — the resident-set kernel the batch engine walks — and its
-// last published prediction. IngestTick applies one interval's events
-// through MachineRoster::Apply, in the batch walk's arithmetic order, then
-// runs one Observe/PredictPeak round, so the prediction stream is
-// bit-identical to the batch engine's. Steady state allocates nothing.
+// The service compiles its PredictorSpec into one SweepPlan, shared by every
+// machine. Each machine owns a SweepBank attached to that plan and a
+// MachineRoster — the resident-set kernel the batch engine walks.
+// IngestTick applies one interval's events through MachineRoster::Apply, in
+// the batch walk's arithmetic order, then feeds the roster to the bank, so
+// the prediction stream is bit-identical to the batch engine's. Steady
+// state allocates nothing.
 //
 // Thread-safety: calls for DISTINCT machines may run concurrently; calls for
 // one machine must be serialized (the replayer owns each machine in exactly
@@ -21,7 +22,7 @@
 #include <vector>
 
 #include "crf/core/machine_roster.h"
-#include "crf/core/predictor_factory.h"
+#include "crf/core/sweep_bank.h"
 #include "crf/trace/stream_event.h"
 
 namespace crf {
@@ -34,7 +35,7 @@ class OvercommitService {
   OvercommitService(const PredictorSpec& spec, int num_machines);
 
   // Applies machine `machine`'s event batch for interval `tau` (canonical
-  // order of stream_event.h) and runs one predictor round; Predict() then
+  // order of stream_event.h) and runs one bank round; Predict() then
   // returns the published prediction. Returns false with a diagnostic, and
   // leaves the machine untouched, when `tau` does not follow the machine's
   // last ingested tick or MachineRoster::Apply rejects the batch.
@@ -42,7 +43,7 @@ class OvercommitService {
                   std::string* error);
 
   // The last published prediction / the machine's resident limit sum.
-  double Predict(int machine) const { return machines_[machine].last_prediction; }
+  double Predict(int machine) const { return machines_[machine].bank.Predictions()[0]; }
   double LimitSum(int machine) const { return machines_[machine].roster.limit_sum(); }
   Interval LastTick(int machine) const { return machines_[machine].last_tick; }
   // Resident roster (trace task indices, roster order) for validation.
@@ -55,10 +56,10 @@ class OvercommitService {
   }
 
   int num_machines() const { return static_cast<int>(machines_.size()); }
-  const PredictorSpec& spec() const { return spec_; }
+  const PredictorSpec& spec() const { return plan_->spec(0); }
 
   // Checkpoint support: serializes / restores one machine's complete state
-  // (roster, limit sum, predictor internals, last prediction). LoadMachine
+  // (roster, limit sum, bank state, last prediction). LoadMachine
   // validates structural consistency and returns false on malformed input,
   // leaving the machine unspecified (the caller discards the service).
   void SaveMachine(int machine, ByteWriter& out) const;
@@ -66,13 +67,13 @@ class OvercommitService {
 
  private:
   struct MachineState {
-    std::unique_ptr<PeakPredictor> predictor;
+    SweepBank bank;
     MachineRoster roster;
-    double last_prediction = 0.0;
     Interval last_tick = -1;
   };
 
-  PredictorSpec spec_;
+  // On the heap, so the banks' plan pointers survive a move of the service.
+  std::unique_ptr<const SweepPlan> plan_;
   std::vector<MachineState> machines_;
 };
 

@@ -80,6 +80,21 @@ void FinalizeMachineMetrics(const RiskAccumulator& risk, int machine_index,
   metrics.tail = risk.TailSummary();
 }
 
+void ScoreTick(Interval tau, std::span<const double> predictions, double oracle,
+               double limit_sum, bool occupied, std::span<RiskAccumulator> risk,
+               std::vector<double>* cell_limit,
+               std::span<std::vector<double>> cell_predictions) {
+  for (size_t s = 0; s < predictions.size(); ++s) {
+    risk[s].Record(predictions[s], oracle, limit_sum, occupied);
+  }
+  if (cell_limit != nullptr) {
+    (*cell_limit)[tau] += limit_sum;
+  }
+  for (size_t s = 0; s < cell_predictions.size(); ++s) {
+    cell_predictions[s][tau] += predictions[s];
+  }
+}
+
 double SimResult::MeanCellSavings() const {
   if (cell_savings_series.empty()) {
     return 0.0;

@@ -17,6 +17,7 @@
 
 #include "crf/risk/risk_accumulator.h"
 #include "crf/stats/ecdf.h"
+#include "crf/util/time_grid.h"
 
 namespace crf {
 
@@ -46,10 +47,21 @@ struct MachineMetrics {
 // Fills the mean-level fields of `metrics` from an accumulator using the
 // engines' shared divisor arithmetic (severity/prediction/limit means over
 // all intervals, savings over occupied intervals) plus the tail summary.
-// Shared by the batch simulator, the sweep engine, and the streaming
-// replayer so all three finalize identically.
+// Shared by the batch simulator and the streaming replayer so both finalize
+// identically.
 void FinalizeMachineMetrics(const RiskAccumulator& risk, int machine_index,
                             int64_t num_intervals, MachineMetrics& metrics);
+
+// Scores one machine-interval, the per-tick step after the predictor round
+// that the batch walk and the streaming replayer share: records spec s's
+// prediction against `oracle` into risk[s] (risk holds at least one
+// accumulator per prediction), adds `limit_sum` to (*cell_limit)[tau] and
+// spec s's prediction to cell_predictions[s][tau]. `cell_limit` may be null
+// and `cell_predictions` empty (SimulateMachine without series).
+void ScoreTick(Interval tau, std::span<const double> predictions, double oracle,
+               double limit_sum, bool occupied, std::span<RiskAccumulator> risk,
+               std::vector<double>* cell_limit,
+               std::span<std::vector<double>> cell_predictions);
 
 struct SimResult {
   std::string cell_name;

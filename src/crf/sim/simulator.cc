@@ -128,17 +128,8 @@ void SimulatePlanMachine(const CellTrace& cell, int machine_index, const SweepPl
   WalkMachine(cell, machine_index, options, ws,
               [&](Interval tau, const MachineRoster& roster, double oracle_value) {
                 bank.Observe(tau, roster.samples());
-                const std::span<const double> predictions = bank.Predictions();
-                const double limit_sum = roster.limit_sum();
-                if (cell_limit != nullptr) {
-                  (*cell_limit)[tau] += limit_sum;
-                }
-                for (int s = 0; s < num_specs; ++s) {
-                  ws.risk[s].Record(predictions[s], oracle_value, limit_sum, !roster.empty());
-                }
-                for (size_t s = 0; s < cell_predictions.size(); ++s) {
-                  cell_predictions[s][tau] += predictions[s];
-                }
+                ScoreTick(tau, bank.Predictions(), oracle_value, roster.limit_sum(),
+                          !roster.empty(), ws.risk, cell_limit, cell_predictions);
               });
 
   for (int s = 0; s < num_specs; ++s) {

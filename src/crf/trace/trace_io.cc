@@ -1,5 +1,6 @@
 #include "crf/trace/trace_io.h"
 
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -405,9 +406,12 @@ std::optional<CellTrace> LoadCellTraceBinaryMapped(const std::string& path, std:
 
 }  // namespace
 
-void SaveCellTrace(const CellTrace& cell, const std::string& path) {
+bool SaveCellTrace(const CellTrace& cell, const std::string& path, std::string* error) {
   std::ofstream out(path);
-  CRF_CHECK(out.is_open()) << "cannot open " << path;
+  if (!out.is_open()) {
+    SetError(error, "cannot open " + path + ": " + std::strerror(errno));
+    return false;
+  }
   out << kTextMagic << '\n';
   out << "cell," << cell.name << ',' << cell.num_intervals << ',' << cell.num_machines() << ','
       << cell.dropped_tasks << '\n';
@@ -439,18 +443,22 @@ void SaveCellTrace(const CellTrace& cell, const std::string& path) {
     AppendSeries(line, task.usage());
     out << line << '\n';
   }
-  CRF_CHECK(out.good()) << "write failure on " << path;
+  out.close();
+  if (!out) {
+    SetError(error, "write failure on " + path);
+    return false;
+  }
+  return true;
 }
 
-void SaveCellTraceBinary(const CellTrace& cell, const std::string& path) {
+bool SaveCellTraceBinary(const CellTrace& cell, const std::string& path, std::string* error) {
   // A default-constructed (never sealed) trace has no arena; seal an empty
   // one so the writer has a blob to emit.
   if (cell.arena_bytes().empty()) {
     CRF_CHECK_EQ(cell.num_tasks(), 0);
     CellTraceBuilder builder(cell.name, cell.num_intervals, 0);
     builder.set_dropped_tasks(cell.dropped_tasks);
-    SaveCellTraceBinary(builder.Seal(), path);
-    return;
+    return SaveCellTraceBinary(builder.Seal(), path, error);
   }
 
   BinaryHeader header;
@@ -470,8 +478,7 @@ void SaveCellTraceBinary(const CellTrace& cell, const std::string& path) {
 
   const uint64_t padding = PaddedNameLength(header.name_length) - header.name_length;
   static constexpr uint8_t kZeros[kHeaderAlignment] = {};
-  std::string error;
-  const bool ok = WriteFileAtomic(
+  return WriteFileAtomic(
       path,
       {std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&header), sizeof(header)),
        std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(cell.name.data()),
@@ -479,8 +486,7 @@ void SaveCellTraceBinary(const CellTrace& cell, const std::string& path) {
        std::span<const uint8_t>(kZeros, padding),
        std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(cell.arena_bytes().data()),
                                 cell.arena_bytes().size())},
-      &error);
-  CRF_CHECK(ok) << error;
+      error);
 }
 
 std::optional<CellTrace> LoadCellTrace(const std::string& path) {

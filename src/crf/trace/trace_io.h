@@ -46,12 +46,11 @@
 
 namespace crf {
 
-// Writes `cell` to `path` in the text format. Aborts on I/O error (paths are
-// operator input).
-void SaveCellTrace(const CellTrace& cell, const std::string& path);
-
-// Writes `cell` to `path` in the binary format.
-void SaveCellTraceBinary(const CellTrace& cell, const std::string& path);
+// Write `cell` to `path` in the text / binary format. Paths are operator
+// input: an I/O error returns false with `*error` naming the path. The binary
+// writer is atomic (crf/util/atomic_file.h); the text one may leave a part.
+bool SaveCellTrace(const CellTrace& cell, const std::string& path, std::string* error);
+bool SaveCellTraceBinary(const CellTrace& cell, const std::string& path, std::string* error);
 
 enum class TraceLoadMode {
   kAuto,    // heap load, either format (the historical default)

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Bad cell-synthesis flag values are usage errors, not crashes.
+"""Bad flag values and unwritable outputs are usage errors, not crashes.
 
-Runs `crf generate` (heap and --stream) and `crf simulate` with each bad
-value of --cell, --machines, --days, --probes and --seed, and requires exit
-status 2 with a message that names the flag. Usage: cli_flags_test.py <path to crf>.
+Runs `crf generate` (heap and --stream), `crf simulate`, `crf serve`,
+`crf loadgen` and `crf cluster` with each bad value of their numeric and
+cell-synthesis flags, and requires exit status 2 with a message that names
+the flag. Then runs `crf generate` (text, --binary and --stream) into a
+directory that does not exist and requires exit status 2 with a message that
+names the path. Usage: cli_flags_test.py <path to crf>.
 """
 
 import os
@@ -11,13 +14,28 @@ import subprocess
 import sys
 import tempfile
 
-BAD_VALUES = {
+CELL_FLAGS = {
     "cell": ["z", "cell_z", "cell_", "production_0", "production_6", "production_1x", ""],
     "machines": ["0", "-3", "abc", "", "1e9", "99999999999999999999"],
     "days": ["0", "-1", "0.001", "nan", "inf", "1e9", "abc", ""],
     "probes": ["-1", "abc", "", "1e9"],
     "seed": ["abc", "", "1.5", "99999999999999999999"],
 }
+HORIZON_FLAGS = {
+    "horizon-hours": ["0", "-1", "0.01", "nan", "inf", "1e9", "abc", ""],
+}
+CHECKPOINT_FLAGS = {
+    "checkpoint-at": ["abc", "", "-1", "1.5", "1e9", "99999999999"],
+}
+CLUSTER_FLAGS = {
+    "machines": CELL_FLAGS["machines"],
+    "days": CELL_FLAGS["days"],
+    "seed": CELL_FLAGS["seed"],
+}
+
+
+def run(argv):
+    return subprocess.run(argv, capture_output=True, text=True, timeout=60)
 
 
 def main():
@@ -25,23 +43,34 @@ def main():
     failures = []
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "never_written.crftrace")
-        commands = [
-            ["generate", "--binary", "--out=" + out],
-            ["generate", "--stream", "--out=" + out],
-            ["simulate"],
+        cases = [
+            (["generate", "--binary", "--out=" + out], CELL_FLAGS),
+            (["generate", "--stream", "--out=" + out], CELL_FLAGS),
+            (["simulate"], dict(CELL_FLAGS, **HORIZON_FLAGS)),
+            (["serve", "--checkpoint-out=" + out], dict(HORIZON_FLAGS, **CHECKPOINT_FLAGS)),
+            (["loadgen", "--connect=127.0.0.1:1"], HORIZON_FLAGS),
+            (["cluster"], CLUSTER_FLAGS),
         ]
-        for flag, values in BAD_VALUES.items():
-            for value in values:
-                for command in commands:
+        for command, flags in cases:
+            for flag, values in flags.items():
+                for value in values:
                     argv = [crf] + command + ["--machines=2", "--days=1"]
                     argv.append("--%s=%s" % (flag, value))
-                    run = subprocess.run(argv, capture_output=True, text=True, timeout=60)
-                    if run.returncode != 2 or ("--" + flag) not in run.stderr:
+                    result = run(argv)
+                    if result.returncode != 2 or ("--" + flag) not in result.stderr:
                         failures.append("%s: exit %d, stderr %r" %
-                                        (" ".join(argv[1:]), run.returncode, run.stderr))
+                                        (" ".join(argv[1:]), result.returncode, result.stderr))
                     if os.path.exists(out):
                         failures.append("%s: wrote %s" % (" ".join(argv[1:]), out))
                         os.remove(out)
+
+        unwritable = os.path.join(scratch, "missing", "trace.crftrace")
+        for mode in [[], ["--binary"], ["--stream"]]:
+            argv = [crf, "generate", "--machines=2", "--days=1", "--out=" + unwritable] + mode
+            result = run(argv)
+            if result.returncode != 2 or unwritable not in result.stderr:
+                failures.append("%s: exit %d, stderr %r" %
+                                (" ".join(argv[1:]), result.returncode, result.stderr))
     for failure in failures:
         print(failure)
     print("%d failures" % len(failures))

@@ -45,7 +45,7 @@ TEST(IntegrationTest, SavedTraceSimulatesIdentically) {
   const CellTrace cell = Pipeline(91);
   const std::string path =
       (std::filesystem::temp_directory_path() / "crf_integration.trace").string();
-  SaveCellTrace(cell, path);
+  ASSERT_TRUE(SaveCellTrace(cell, path, nullptr));
   const auto loaded = LoadCellTrace(path);
   ASSERT_TRUE(loaded.has_value());
 
@@ -63,7 +63,7 @@ TEST(IntegrationTest, BinaryTraceSimulatesExactly) {
   const CellTrace cell = Pipeline(94);
   const std::string path =
       (std::filesystem::temp_directory_path() / "crf_integration.crftrace").string();
-  SaveCellTraceBinary(cell, path);
+  ASSERT_TRUE(SaveCellTraceBinary(cell, path, nullptr));
   const auto loaded = LoadCellTrace(path);  // auto-detects the binary format
   ASSERT_TRUE(loaded.has_value());
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "crf/core/predictor_factory.h"
+#include "crf/core/sweep_bank.h"
 #include "crf/trace/trace_builder.h"
 
 namespace crf {
@@ -22,6 +22,13 @@ int32_t AddTask(CellTraceBuilder& trace, TaskId id, int machine, Interval start,
   return trace.AddTask(id, id, machine, start, limit, SchedulingClass::kLatencySensitive);
 }
 
+// The one-spec plan every machine below runs; it outlives them all.
+const SweepPlan& LimitSumPlan() {
+  static const PredictorSpec spec = LimitSumSpec();
+  static const SweepPlan plan(std::span(&spec, 1));
+  return plan;
+}
+
 TaskUsageParams CalmParams(double limit) {
   TaskUsageParams params;
   params.limit = limit;
@@ -34,17 +41,17 @@ TaskUsageParams CalmParams(double limit) {
 
 TEST(ClusterMachineTest, EmptyMachinePredictsZero) {
   CellTraceBuilder trace = EmptyBuilder(1, 10);
-  ClusterMachine machine(0, 1.0, CreatePredictor(LimitSumSpec()), LatencyModelParams{}, Rng(1));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(1));
   const auto stats = machine.Step(0, 1.0, trace);
   EXPECT_EQ(stats.resident_tasks, 0);
   EXPECT_DOUBLE_EQ(stats.prediction, 0.0);
-  EXPECT_DOUBLE_EQ(machine.FreeCapacity(), 1.0);
+  EXPECT_DOUBLE_EQ(stats.free_capacity, 1.0);
   EXPECT_GT(stats.latency, 0.0);
 }
 
 TEST(ClusterMachineTest, TaskLifecycleRecordsUsage) {
   CellTraceBuilder trace = EmptyBuilder(1, 10);
-  ClusterMachine machine(0, 1.0, CreatePredictor(LimitSumSpec()), LatencyModelParams{}, Rng(2));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(2));
   const int32_t index = AddTask(trace, 1, 0, 2, 0.4);
   machine.StartTask(trace, index, CalmParams(0.4), 2, 3);
 
@@ -64,17 +71,17 @@ TEST(ClusterMachineTest, TaskLifecycleRecordsUsage) {
 
 TEST(ClusterMachineTest, FreeCapacityIsCapacityMinusPrediction) {
   CellTraceBuilder trace = EmptyBuilder(1, 20);
-  ClusterMachine machine(0, 1.0, CreatePredictor(LimitSumSpec()), LatencyModelParams{}, Rng(3));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(3));
   const int32_t index = AddTask(trace, 1, 0, 0, 0.3);
   machine.StartTask(trace, index, CalmParams(0.3), 0, 20);
   const auto stats = machine.Step(0, 1.0, trace);
   EXPECT_DOUBLE_EQ(stats.prediction, 0.3);  // limit-sum
-  EXPECT_DOUBLE_EQ(machine.FreeCapacity(), 0.7);
+  EXPECT_DOUBLE_EQ(stats.free_capacity, 0.7);
 }
 
 TEST(ClusterMachineTest, DemandAggregatesTasks) {
   CellTraceBuilder trace = EmptyBuilder(1, 10);
-  ClusterMachine machine(0, 1.0, CreatePredictor(LimitSumSpec()), LatencyModelParams{}, Rng(4));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(4));
   const int32_t a = AddTask(trace, 1, 0, 0, 0.4);
   const int32_t b = AddTask(trace, 2, 0, 0, 0.4);
   machine.StartTask(trace, a, CalmParams(0.4), 0, 10);
@@ -89,7 +96,7 @@ TEST(ClusterMachineTest, DemandAggregatesTasks) {
 
 TEST(ClusterMachineTest, SealedTraceCarriesRecordedUsage) {
   CellTraceBuilder trace = EmptyBuilder(1, 10);
-  ClusterMachine machine(0, 1.0, CreatePredictor(LimitSumSpec()), LatencyModelParams{}, Rng(6));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(6));
   const int32_t index = AddTask(trace, 1, 0, 0, 0.5);
   machine.StartTask(trace, index, CalmParams(0.5), 0, 4);
   for (Interval t = 0; t < 10; ++t) {
@@ -108,7 +115,7 @@ TEST(ClusterMachineTest, SealedTraceCarriesRecordedUsage) {
 
 TEST(ClusterMachineDeathTest, StartTaskValidatesInvariants) {
   CellTraceBuilder trace = EmptyBuilder(2, 10);
-  ClusterMachine machine(0, 1.0, CreatePredictor(LimitSumSpec()), LatencyModelParams{}, Rng(5));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(5));
   // Wrong machine index on the task.
   const int32_t index = AddTask(trace, 1, 1, 0, 0.3);
   EXPECT_DEATH(machine.StartTask(trace, index, CalmParams(0.3), 0, 5), "CHECK failed");

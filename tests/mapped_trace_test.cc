@@ -79,7 +79,7 @@ TEST(MappedTraceTest, BitIdenticalToHeapLoad) {
   for (const bool rich : {false, true}) {
     const CellTrace original = SmallCell(11, rich);
     const std::string path = TempPath(rich ? "diff_rich.crftrace" : "diff.crftrace");
-    SaveCellTraceBinary(original, path);
+    ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
 
     std::string error;
     const auto heap = LoadCellTrace(path, {TraceLoadMode::kHeap}, &error);
@@ -122,7 +122,7 @@ TEST(MappedTraceTest, BitIdenticalWithEmptyMachinesAndEmptyTasks) {
   CellTrace original = builder.Seal();
 
   const std::string path = TempPath("corner.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   std::string error;
   const auto heap = LoadCellTrace(path, {TraceLoadMode::kHeap}, &error);
   ASSERT_TRUE(heap.has_value()) << error;
@@ -137,7 +137,7 @@ TEST(MappedTraceTest, BitIdenticalWithEmptyMachinesAndEmptyTasks) {
 TEST(MappedTraceTest, RejectsTextTraceWithDiagnostic) {
   const CellTrace original = SmallCell(3);
   const std::string path = TempPath("text.trace");
-  SaveCellTrace(original, path);
+  ASSERT_TRUE(SaveCellTrace(original, path, nullptr));
   std::string error;
   EXPECT_FALSE(LoadMapped(path, &error).has_value());
   EXPECT_NE(error.find("mmap loading requires the binary format"), std::string::npos) << error;
@@ -153,7 +153,7 @@ TEST(MappedTraceTest, RejectsMissingFile) {
 TEST(MappedTraceTest, RejectsTruncatedFiles) {
   const CellTrace original = SmallCell(3);
   const std::string path = TempPath("trunc.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   const auto full_size = std::filesystem::file_size(path);
 
   // Shorter than the fixed header.
@@ -163,14 +163,14 @@ TEST(MappedTraceTest, RejectsTruncatedFiles) {
   EXPECT_NE(error.find("truncated file"), std::string::npos) << error;
 
   // One byte missing from the arena blob.
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   std::filesystem::resize_file(path, full_size - 1);
   error.clear();
   EXPECT_FALSE(LoadMapped(path, &error).has_value());
   EXPECT_NE(error.find("truncated arena"), std::string::npos) << error;
 
   // Bytes beyond the arena blob.
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   {
     std::ofstream out(path, std::ios::app | std::ios::binary);
     out << "extra";
@@ -205,7 +205,7 @@ TEST(MappedTraceTest, RejectsBitFlippedHeaderFields) {
       {80, 64, 8, "arena byte count mismatch"},
   };
   for (const Case& c : cases) {
-    SaveCellTraceBinary(original, path);
+    ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
     CorruptAt(path, c.offset, &c.value, c.size);
     std::string error;
     EXPECT_FALSE(LoadMapped(path, &error).has_value()) << c.expect;
@@ -219,7 +219,7 @@ TEST(MappedTraceTest, RejectsMisalignedOffsetTables) {
   const CellTrace original = SmallCell(3);
   ASSERT_GE(original.num_tasks(), 3);
   const std::string path = TempPath("offsets.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   const uint64_t arena = ArenaFileOffset(original, path);
   const trace_internal::ArenaLayout layout = LayoutOf(original);
 
@@ -231,7 +231,7 @@ TEST(MappedTraceTest, RejectsMisalignedOffsetTables) {
   EXPECT_NE(error.find("offset table corrupt: entry 0"), std::string::npos) << error;
 
   // usage_off[N] must equal the total sample count.
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   const uint64_t bad_final = static_cast<uint64_t>(original.usage_sample_count()) + 7;
   CorruptAt(path, arena + layout.usage_off + 8 * static_cast<uint64_t>(original.num_tasks()),
             &bad_final, sizeof(bad_final));
@@ -241,7 +241,7 @@ TEST(MappedTraceTest, RejectsMisalignedOffsetTables) {
 
   // Interior entries must be monotone (a slab boundary pointing backwards
   // would hand task i+1 a negative-length span).
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   const uint64_t bad_mid = static_cast<uint64_t>(original.usage_sample_count()) + (1u << 20);
   CorruptAt(path, arena + layout.usage_off + 8, &bad_mid, sizeof(bad_mid));
   error.clear();
@@ -249,7 +249,7 @@ TEST(MappedTraceTest, RejectsMisalignedOffsetTables) {
   EXPECT_NE(error.find("offset table not monotone"), std::string::npos) << error;
 
   // The per-machine peak offset table is validated the same way.
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   CorruptAt(path, arena + layout.peak_off, &bad_first, sizeof(bad_first));
   error.clear();
   EXPECT_FALSE(LoadMapped(path, &error).has_value());
@@ -264,7 +264,7 @@ TEST(MappedTraceTest, RejectsCorruptArenaIndices) {
   const trace_internal::ArenaLayout layout = LayoutOf(original);
 
   // Out-of-range machine index.
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   uint64_t arena = ArenaFileOffset(original, path);
   const int32_t bad_machine = 1 << 20;
   CorruptAt(path, arena + layout.machine_of, &bad_machine, sizeof(bad_machine));
@@ -274,7 +274,7 @@ TEST(MappedTraceTest, RejectsCorruptArenaIndices) {
   EXPECT_NE(error.find("out of range"), std::string::npos) << error;
 
   // Out-of-range scheduling class.
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   const uint8_t bad_class = 200;
   CorruptAt(path, arena + layout.sched_class, &bad_class, sizeof(bad_class));
   error.clear();
@@ -282,7 +282,7 @@ TEST(MappedTraceTest, RejectsCorruptArenaIndices) {
   EXPECT_NE(error.find("scheduling class"), std::string::npos) << error;
 
   // CSR task list must be a permutation: duplicate an entry.
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   int32_t first_task = 0;
   {
     std::ifstream in(path, std::ios::binary);
@@ -299,7 +299,7 @@ TEST(MappedTraceTest, RejectsCorruptArenaIndices) {
 TEST(MappedTraceTest, ResidencyAndPageHints) {
   const CellTrace original = SmallCell(7);
   const std::string path = TempPath("hints.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   std::string error;
   const auto heap = LoadCellTrace(path, {TraceLoadMode::kHeap}, &error);
   ASSERT_TRUE(heap.has_value()) << error;

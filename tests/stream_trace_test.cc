@@ -298,7 +298,7 @@ TEST(StreamTraceTest, WriterMatchesSealedBinaryForMachineMajorInput) {
   BuildMachineMajorCell(builder);
   const CellTrace sealed = builder.Seal();
   const std::string sealed_path = TempPath("sealed.crftrace");
-  SaveCellTraceBinary(sealed, sealed_path);
+  ASSERT_TRUE(SaveCellTraceBinary(sealed, sealed_path, nullptr));
 
   const SealedSpec columns(sealed);
   const std::string streamed_path = TempPath("streamed.crftrace");

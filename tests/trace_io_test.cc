@@ -81,7 +81,7 @@ void ExpectTracesEqual(const CellTrace& a, const CellTrace& b, double tolerance)
 TEST(TraceIoTest, TextRoundTripPreservesEverything) {
   const CellTrace original = SmallCell(3);
   const std::string path = TempPath("roundtrip.trace");
-  SaveCellTrace(original, path);
+  ASSERT_TRUE(SaveCellTrace(original, path, nullptr));
   const auto loaded = LoadCellTrace(path);
   ASSERT_TRUE(loaded.has_value());
   ExpectTracesEqual(*loaded, original, 1e-4);
@@ -91,7 +91,7 @@ TEST(TraceIoTest, TextRoundTripPreservesEverything) {
 TEST(TraceIoTest, BinaryRoundTripIsExact) {
   const CellTrace original = SmallCell(3);
   const std::string path = TempPath("roundtrip.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   const auto loaded = LoadCellTrace(path);
   ASSERT_TRUE(loaded.has_value());
   ExpectTracesEqual(*loaded, original, 0.0);
@@ -109,7 +109,7 @@ TEST(TraceIoTest, BinaryRoundTripPreservesRichLadderAndDroppedTasks) {
   CellTrace original = SmallCell(5, /*rich=*/true);
   ASSERT_TRUE(original.has_rich());
   const std::string path = TempPath("rich.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   const auto loaded = LoadCellTrace(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->has_rich());
@@ -122,8 +122,8 @@ TEST(TraceIoTest, BinaryMatchesTextLoad) {
   const CellTrace original = SmallCell(7);
   const std::string text_path = TempPath("pair.trace");
   const std::string binary_path = TempPath("pair.crftrace");
-  SaveCellTrace(original, text_path);
-  SaveCellTraceBinary(original, binary_path);
+  ASSERT_TRUE(SaveCellTrace(original, text_path, nullptr));
+  ASSERT_TRUE(SaveCellTraceBinary(original, binary_path, nullptr));
   const auto from_text = LoadCellTrace(text_path);
   const auto from_binary = LoadCellTrace(binary_path);
   ASSERT_TRUE(from_text.has_value());
@@ -139,7 +139,7 @@ TEST(TraceIoTest, BinaryRoundTripOfEmptyTrace) {
   builder.set_dropped_tasks(4);
   const CellTrace original = builder.Seal();
   const std::string path = TempPath("empty.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   const auto loaded = LoadCellTrace(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->name, "empty");
@@ -147,6 +147,18 @@ TEST(TraceIoTest, BinaryRoundTripOfEmptyTrace) {
   EXPECT_EQ(loaded->dropped_tasks, 4);
   EXPECT_EQ(loaded->num_tasks(), 0);
   std::remove(path.c_str());
+}
+
+TEST(TraceIoTest, WritersReportUnwritablePath) {
+  const CellTrace cell = SmallCell(13);
+  const std::string path = TempPath("missing_dir/never_written.trace");
+  std::string error;
+  EXPECT_FALSE(SaveCellTrace(cell, path, &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(SaveCellTraceBinary(cell, path, &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(TraceIoTest, MissingFileReturnsNullopt) {
@@ -166,7 +178,7 @@ TEST(TraceIoTest, WrongMagicReturnsNullopt) {
 TEST(TraceIoTest, CorruptedBinaryHeaderReturnsNullopt) {
   const CellTrace original = SmallCell(3);
   const std::string path = TempPath("corrupt_header.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
 
   // Flip the version field (bytes 8..11, just after the 8-byte magic).
   {
@@ -178,7 +190,7 @@ TEST(TraceIoTest, CorruptedBinaryHeaderReturnsNullopt) {
   EXPECT_FALSE(LoadCellTrace(path).has_value());
 
   // Restore, then corrupt a count field instead (num_tasks at offset 16).
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   {
     std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
     file.seekp(16);
@@ -192,14 +204,14 @@ TEST(TraceIoTest, CorruptedBinaryHeaderReturnsNullopt) {
 TEST(TraceIoTest, TruncatedBinarySlabReturnsNullopt) {
   const CellTrace original = SmallCell(3);
   const std::string path = TempPath("truncated.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   const auto full_size = std::filesystem::file_size(path);
   ASSERT_GT(full_size, 256u);
   std::filesystem::resize_file(path, full_size - 128);
   EXPECT_FALSE(LoadCellTrace(path).has_value());
 
   // Even a single missing byte in the arena slab must be rejected.
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   std::filesystem::resize_file(path, full_size - 1);
   EXPECT_FALSE(LoadCellTrace(path).has_value());
   std::remove(path.c_str());
@@ -208,7 +220,7 @@ TEST(TraceIoTest, TruncatedBinarySlabReturnsNullopt) {
 TEST(TraceIoTest, TrailingGarbageInBinaryReturnsNullopt) {
   const CellTrace original = SmallCell(3);
   const std::string path = TempPath("trailing.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   {
     std::ofstream out(path, std::ios::app | std::ios::binary);
     out << "extra";
@@ -221,7 +233,7 @@ TEST(TraceIoTest, CorruptedBinaryArenaIndexReturnsNullopt) {
   const CellTrace original = SmallCell(3);
   ASSERT_GT(original.num_tasks(), 0);
   const std::string path = TempPath("corrupt_arena.crftrace");
-  SaveCellTraceBinary(original, path);
+  ASSERT_TRUE(SaveCellTraceBinary(original, path, nullptr));
   // Scribble an out-of-range machine index into the arena payload's
   // machine_of column. The validator must reject it rather than trust the
   // payload.

@@ -54,7 +54,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -109,14 +108,6 @@ class Args {
   }
   std::string GetOr(const std::string& key, const std::string& fallback) {
     return Get(key).value_or(fallback);
-  }
-  double GetDouble(const std::string& key, double fallback) {
-    const auto value = Get(key);
-    return value.has_value() ? std::strtod(value->c_str(), nullptr) : fallback;
-  }
-  int64_t GetInt(const std::string& key, int64_t fallback) {
-    const auto value = Get(key);
-    return value.has_value() ? std::strtoll(value->c_str(), nullptr, 10) : fallback;
   }
   bool GetBool(const std::string& key) { return Get(key).value_or("") == "true"; }
 
@@ -179,6 +170,33 @@ bool GetIntFlag(Args& args, const std::string& key, int64_t fallback, int64_t mi
   return ParseIntFlag(key, *text, min_value, max_value, value, error);
 }
 
+// Strict duration flag: a number of `unit` intervals (hours or days) in
+// [0, max_units], truncated to whole 5-minute intervals in int64. An absent
+// flag yields `fallback` units; a present one must parse in full and give
+// at least one interval.
+bool GetIntervalsFlag(Args& args, const std::string& key, double fallback, Interval unit,
+                      double max_units, Interval* value, std::string* error) {
+  const auto text = args.Get(key);
+  double units = fallback;
+  if (text.has_value() && !ParseDoubleFlag(key, *text, 0.0, max_units, &units, error)) {
+    return false;
+  }
+  const int64_t intervals = static_cast<int64_t>(units * unit);
+  if (intervals < 1) {
+    *error = "--" + key + " value \"" + text.value_or("") +
+             "\" is shorter than one 5-minute interval";
+    return false;
+  }
+  *value = static_cast<Interval>(intervals);
+  return true;
+}
+
+// --horizon-hours: the oracle horizon, at most ten years.
+bool GetHorizonFlag(Args& args, Interval* horizon, std::string* error) {
+  return GetIntervalsFlag(args, "horizon-hours", 24.0, kIntervalsPerHour, 24.0 * 3650.0,
+                          horizon, error);
+}
+
 TraceLoadOptions LoadOptionsFromArgs(Args& args) {
   TraceLoadOptions load;
   if (args.GetBool("mmap")) {
@@ -236,23 +254,16 @@ std::optional<CellSynthesis> CellFromArgs(Args& args, std::string& error) {
     return std::nullopt;
   }
   CellSynthesis synthesis{*profile, GeneratorOptions{}, 42, nullptr};
-  const std::string days_text = args.GetOr("days", "7");
   int64_t machines = 0;
-  double days = 0.0;
   int64_t probes = 0;
   if (!GetIntFlag(args, "machines", profile->num_machines, 1, 1000000, &machines, &error) ||
-      !ParseDoubleFlag("days", days_text, 0.0, 3650.0, &days, &error) ||
+      !GetIntervalsFlag(args, "days", 7.0, kIntervalsPerDay, 3650.0,
+                        &synthesis.options.num_intervals, &error) ||
       !GetIntFlag(args, "probes", 0, 0, 1 << 20, &probes, &error) ||
       !GetIntFlag(args, "seed", 42, INT64_MIN, INT64_MAX, &synthesis.seed, &error)) {
     return std::nullopt;
   }
-  const int64_t intervals = static_cast<int64_t>(days * kIntervalsPerDay);
-  if (intervals < 1) {
-    error = "--days value \"" + days_text + "\" is shorter than one 5-minute interval";
-    return std::nullopt;
-  }
   synthesis.profile.num_machines = static_cast<int>(machines);
-  synthesis.options.num_intervals = static_cast<Interval>(intervals);
   synthesis.options.rich_stats = args.GetBool("rich");
   synthesis.options.placement_probes = static_cast<int>(probes);
   if (!PlacementArgsInto(args, synthesis.options.placement_shards,
@@ -329,10 +340,8 @@ int CmdGenerate(Args& args) {
                                          : 0.0);
     return 0;
   }
-  if (binary) {
-    SaveCellTraceBinary(*cell, *out);
-  } else {
-    SaveCellTrace(*cell, *out);
+  if (!(binary ? SaveCellTraceBinary(*cell, *out, &error) : SaveCellTrace(*cell, *out, &error))) {
+    return Fail(error);
   }
   std::printf("wrote %s (%s): %d machines, %d tasks, %d intervals\n", out->c_str(),
               binary ? "binary" : "text", cell->num_machines(), cell->num_tasks(),
@@ -360,10 +369,9 @@ int CmdConvert(Args& args) {
     return Fail("cannot load trace " + *trace_path +
                 (load_error.empty() ? "" : ": " + load_error));
   }
-  if (binary) {
-    SaveCellTraceBinary(*cell, *out);
-  } else {
-    SaveCellTrace(*cell, *out);
+  std::string error;
+  if (!(binary ? SaveCellTraceBinary(*cell, *out, &error) : SaveCellTrace(*cell, *out, &error))) {
+    return Fail(error);
   }
   std::printf("converted %s -> %s (%s): %d machines, %d tasks, %d intervals\n",
               trace_path->c_str(), out->c_str(), binary ? "binary" : "text",
@@ -417,11 +425,12 @@ int CmdSimulate(Args& args) {
     return Fail("bad --predictor spec: " + spec_error);
   }
   SimOptions options;
-  options.horizon =
-      static_cast<Interval>(args.GetDouble("horizon-hours", 24.0) * kIntervalsPerHour);
+  std::string error;
+  if (!GetHorizonFlag(args, &options.horizon, &error)) {
+    return Fail(error);
+  }
   const bool all_classes = args.GetBool("all-classes");
 
-  std::string error;
   auto cell = BuildOrLoadCell(args, error);
   if (!cell.has_value()) {
     return Fail(error);
@@ -475,11 +484,12 @@ int CmdServe(Args& args) {
   }
 
   ReplayOptions options;
-  options.horizon =
-      static_cast<Interval>(args.GetDouble("horizon-hours", 24.0) * kIntervalsPerHour);
   std::string arg_error;
   int64_t num_shards = 16;
-  if (!GetIntFlag(args, "shards", 16, 1, 65536, &num_shards, &arg_error)) {
+  int64_t checkpoint_at = -1;  // -1: none given
+  if (!GetHorizonFlag(args, &options.horizon, &arg_error) ||
+      !GetIntFlag(args, "shards", 16, 1, 65536, &num_shards, &arg_error) ||
+      !GetIntFlag(args, "checkpoint-at", -1, 0, INT32_MAX, &checkpoint_at, &arg_error)) {
     return Fail(arg_error);
   }
   options.num_shards = static_cast<int>(num_shards);
@@ -494,7 +504,6 @@ int CmdServe(Args& args) {
   const bool all_classes = args.GetBool("all-classes");
   const auto resume_path = args.Get("resume");
   const auto checkpoint_out = args.Get("checkpoint-out");
-  const int64_t checkpoint_at = args.GetInt("checkpoint-at", -1);
   const bool stop_after_checkpoint = args.GetBool("stop-after-checkpoint");
   const auto metrics_out = args.Get("metrics-out");
   const auto listen_text = args.Get("listen");
@@ -669,10 +678,13 @@ int CmdLoadgen(Args& args) {
   int64_t batch_ticks = 256;
   int64_t until = -1;
   int64_t shards = 16;
+  // The verification replay must mirror the server's replay options:
+  // --shards fixes the cell-series rounding, --horizon-hours the oracle.
   if (!GetIntFlag(args, "clients", 4, 1, 256, &clients, &arg_error) ||
       !GetIntFlag(args, "batch-ticks", 256, 1, 1 << 20, &batch_ticks, &arg_error) ||
       !GetIntFlag(args, "until", -1, -1, 1 << 30, &until, &arg_error) ||
-      !GetIntFlag(args, "shards", 16, 1, 65536, &shards, &arg_error)) {
+      !GetIntFlag(args, "shards", 16, 1, 65536, &shards, &arg_error) ||
+      !GetHorizonFlag(args, &options.verify_options.horizon, &arg_error)) {
     return Fail(arg_error);
   }
   options.client_threads = static_cast<int>(clients);
@@ -680,10 +692,6 @@ int CmdLoadgen(Args& args) {
   options.until = static_cast<Interval>(until);
   options.verify = !args.GetBool("no-verify");
   options.send_shutdown = !args.GetBool("no-shutdown");
-  // The verification replay must mirror the server's replay options:
-  // --shards fixes the cell-series rounding, --horizon-hours the oracle.
-  options.verify_options.horizon =
-      static_cast<Interval>(args.GetDouble("horizon-hours", 24.0) * kIntervalsPerHour);
   options.verify_options.num_shards = static_cast<int>(shards);
   options.verify_options.parallel = false;
   const bool all_classes = args.GetBool("all-classes");
@@ -770,11 +778,17 @@ int CmdCluster(Args& args) {
   if (!profile.has_value()) {
     return Fail("unknown cell '" + cell_name + "'");
   }
-  profile->num_machines = static_cast<int>(args.GetInt("machines", profile->num_machines));
-
   ClusterSimOptions options;
-  options.num_intervals =
-      static_cast<Interval>(args.GetDouble("days", 14.0) * kIntervalsPerDay);
+  std::string arg_error;
+  int64_t machines = 0;
+  int64_t seed = 42;
+  if (!GetIntFlag(args, "machines", profile->num_machines, 1, 1000000, &machines, &arg_error) ||
+      !GetIntervalsFlag(args, "days", 14.0, kIntervalsPerDay, 3650.0, &options.num_intervals,
+                        &arg_error) ||
+      !GetIntFlag(args, "seed", 42, INT64_MIN, INT64_MAX, &seed, &arg_error)) {
+    return Fail(arg_error);
+  }
+  profile->num_machines = static_cast<int>(machines);
   options.warmup = std::min<Interval>(2 * kIntervalsPerDay, options.num_intervals / 4);
   options.predictor = *spec;
   const std::string packing = args.GetOr("packing", "best-fit");
@@ -787,7 +801,6 @@ int CmdCluster(Args& args) {
   } else {
     return Fail("unknown --packing '" + packing + "'");
   }
-  std::string arg_error;
   if (!PlacementArgsInto(args, options.placement_shards,
                          options.placement_rebalance_interval, arg_error)) {
     return Fail(arg_error);
@@ -797,7 +810,7 @@ int CmdCluster(Args& args) {
     return Fail(arg_error);
   }
   options.pool = pool.get();
-  const Rng rng(static_cast<uint64_t>(args.GetInt("seed", 42)));
+  const Rng rng(static_cast<uint64_t>(seed));
   if (const auto unknown = args.UnknownFlag()) {
     return Fail("unknown flag --" + *unknown);
   }
