@@ -418,6 +418,8 @@ class Generator {
     departure_counts_.assign(options_.num_intervals + 1, 0);
     departure_sum_.assign(profile_.num_machines, 0.0);
     departure_epoch_.assign(profile_.num_machines, -1);
+    job_stamp_.assign(profile_.num_machines, 0);
+    job_epoch_ = 0;
     if (options_.placement_shards > 0) {
       // The shard RNGs fork from the placement stream after the machine
       // weights are drawn, so (seed, shards) fully determines them.
@@ -432,8 +434,14 @@ class Generator {
   // allocation ratio, preferring machines not already hosting a task of this
   // job (spreading, a stand-in for Borg's anti-affinity). The static
   // per-machine weight skews packing so some machines run persistently
-  // fuller than others, like a production cell.
+  // fuller than others, like a production cell. The job's machines are
+  // stamped with a fresh epoch first, so the anti-affinity test is one load
+  // per candidate instead of a search of the job's list.
   int PlaceTask(double limit, const std::vector<int>& machines_used_by_job) {
+    ++job_epoch_;
+    for (const int m : machines_used_by_job) {
+      job_stamp_[m] = job_epoch_;
+    }
     int best = -1;
     int best_used = -1;  // Fallback if every feasible machine hosts the job.
     double best_ratio = std::numeric_limits<double>::infinity();
@@ -445,10 +453,7 @@ class Generator {
         return;
       }
       const double ratio = alloc_[m] / (capacity * machine_weight_[m]);
-      const bool used =
-          std::find(machines_used_by_job.begin(), machines_used_by_job.end(), m) !=
-          machines_used_by_job.end();
-      if (used) {
+      if (job_stamp_[m] == job_epoch_) {
         if (ratio < best_used_ratio) {
           best_used_ratio = ratio;
           best_used = m;
@@ -466,10 +471,14 @@ class Generator {
         consider(static_cast<int>(placement_rng_.UniformInt(num_machines)));
       }
     } else {
-      // Scan from a random offset so ties do not always favor machine 0.
+      // Scan cyclically from a random offset so ties do not always favor
+      // machine 0; the strict < keeps the first minimum in that order.
       const int offset = static_cast<int>(placement_rng_.UniformInt(num_machines));
-      for (int k = 0; k < num_machines; ++k) {
-        consider((k + offset) % num_machines);
+      for (int m = offset; m < num_machines; ++m) {
+        consider(m);
+      }
+      for (int m = 0; m < offset; ++m) {
+        consider(m);
       }
     }
     return best >= 0 ? best : best_used;
@@ -772,6 +781,8 @@ class Generator {
   std::vector<int64_t> departure_counts_;
   std::vector<double> departure_sum_;     // per-machine scratch for one sweep step
   std::vector<Interval> departure_epoch_; // interval the scratch entry is valid for
+  std::vector<uint64_t> job_stamp_;       // PlaceTask epoch that last stamped each machine
+  uint64_t job_epoch_ = 0;
   std::vector<Interval> runtimes_;
   std::vector<TaskUsageParams> task_params_;
 
