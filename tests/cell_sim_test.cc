@@ -157,10 +157,10 @@ uint64_t SeriesHash(const MachineIntervalSeries& series) {
 
 TEST(CellSimGoldenTest, TraceAndSeriesHashesMatchRecordedValues) {
   const ClusterSimResult result = RunClusterSim(SmallProfile(), ShortOptions(), Rng(48));
-  EXPECT_EQ(BytesHash(result.trace.arena_bytes()), 0x9b6f14a666cb289aull);
-  EXPECT_EQ(SeriesHash(result.predictions), 0xaf1a528f492ccc5dull);
-  EXPECT_EQ(SeriesHash(result.demand_mean), 0xd46b7909e5db81fcull);
-  EXPECT_EQ(SeriesHash(result.latencies), 0xa15cd6480dcb2cb1ull);
+  EXPECT_EQ(BytesHash(result.trace.arena_bytes()), 0xda836715ef199d40ull);
+  EXPECT_EQ(SeriesHash(result.predictions), 0x90a2add7bedde35dull);
+  EXPECT_EQ(SeriesHash(result.demand_mean), 0xdb4677d012e54537ull);
+  EXPECT_EQ(SeriesHash(result.latencies), 0xd401c85d7a7e6a3bull);
 }
 
 // Borg-default keeps no per-task state, so the case above never hashes the
@@ -170,8 +170,8 @@ TEST(CellSimGoldenTest, TraceAndSeriesHashesMatchRecordedValues) {
 TEST(CellSimGoldenTest, ProductionMaxHashesMatchRecordedValues) {
   const ClusterSimResult result =
       RunClusterSim(SmallProfile(), ShortOptions(ProductionMaxSpec()), Rng(48));
-  EXPECT_EQ(BytesHash(result.trace.arena_bytes()), 0x5039566048811cb0ull);
-  EXPECT_EQ(SeriesHash(result.predictions), 0x7654663cedf72f1cull);
+  EXPECT_EQ(BytesHash(result.trace.arena_bytes()), 0xc51c98382a7a5806ull);
+  EXPECT_EQ(SeriesHash(result.predictions), 0x5ec801cdc176569aull);
 }
 
 TEST(CellSimTest, PendingTimeoutBoundsQueue) {

@@ -283,10 +283,11 @@ TEST(GeneratorShardedTest, MeasurePlacementPhaseQualityNearGlobal) {
 
 // Golden hashes pin the generated bytes across commits; the differential
 // tests above only compare two paths of one build, which a drifting RNG
-// stream or summary would pass. The expected values were recorded by
-// running the generator at commit c2fc6f1, before its heap and streamed
-// usage loops were merged into MachineUsageKernel. A deliberate change to
-// the generated cells must re-record them and say so.
+// stream or summary would pass. The expected values were re-recorded when
+// Rng::Normal became a ziggurat and exp/log became the in-repo IeeeExp and
+// IeeeLog kernels (every generated cell changed then); the placement scan's
+// stamped anti-affinity check, one commit earlier, left them unchanged. A
+// deliberate change to the generated cells must re-record them and say so.
 uint64_t ArenaHash(const CellTrace& cell) {
   const std::span<const std::byte> arena = cell.arena_bytes();
   return Xxh64({reinterpret_cast<const uint8_t*>(arena.data()), arena.size()});
@@ -315,11 +316,11 @@ TEST(GeneratorGoldenTest, ArenaHashesMatchRecordedValues) {
   const auto heap = [](const GeneratorOptions& o) {
     return ArenaHash(GenerateCellTrace(SmallProfile(), o, Rng(7)));
   };
-  EXPECT_EQ(heap(options), 0x1163026cc77be0faull) << "heap";
-  EXPECT_EQ(heap(rich), 0x5652a1613782e5b9ull) << "heap rich";
-  EXPECT_EQ(StreamedArenaHash(options), 0x36cecfc66f534b08ull) << "streamed";
-  EXPECT_EQ(StreamedArenaHash(rich), 0xd1f2d0f6e34b19a1ull) << "streamed rich";
-  EXPECT_EQ(heap(sharded), 0x41c7066e0f07b187ull) << "sharded placement with probes";
+  EXPECT_EQ(heap(options), 0xcab928c9ff5ecfe4ull) << "heap";
+  EXPECT_EQ(heap(rich), 0x8cc56be889cfd6cfull) << "heap rich";
+  EXPECT_EQ(StreamedArenaHash(options), 0xbdadd11620d9f52full) << "streamed";
+  EXPECT_EQ(StreamedArenaHash(rich), 0xe00dcdcbf686b581ull) << "streamed rich";
+  EXPECT_EQ(heap(sharded), 0x8bce472692cec43bull) << "sharded placement with probes";
 }
 
 TEST(GeneratorTest, UsageToLimitTailNearCalibration) {
