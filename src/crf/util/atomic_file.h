@@ -26,6 +26,12 @@ bool WriteFileAtomic(const std::string& path,
                      std::initializer_list<std::span<const uint8_t>> parts, std::string* error);
 bool WriteFileAtomic(const std::string& path, std::string_view text, std::string* error);
 
+// Whether an atomic write to `path` can succeed as far as the file system
+// says now: its directory exists and is writable, and `path` is not a
+// directory. Lets a command reject an output flag before doing the work
+// whose result it would write. Returns false with a diagnostic in `*error`.
+bool CheckAtomicTarget(const std::string& path, std::string* error);
+
 // A temporary path next to `path` (same directory, so the rename cannot
 // cross filesystems), unique per process and call.
 std::string AtomicTempPath(const std::string& path);

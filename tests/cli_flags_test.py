@@ -6,7 +6,11 @@ Runs `crf generate` (heap and --stream), `crf simulate`, `crf serve`,
 cell-synthesis flags, and requires exit status 2 with a message that names
 the flag. Then runs `crf generate` (text, --binary and --stream) into a
 directory that does not exist and requires exit status 2 with a message that
-names the path. Usage: cli_flags_test.py <path to crf>.
+names the path; `crf serve` must reject such a --metrics-out or
+--checkpoint-out before it replays anything (empty stdout). Last, a directory
+given where a checkpoint file is read (`crf checkpoint --file`, `crf serve
+--resume`) must be rejected with exit status 2. Usage: cli_flags_test.py
+<path to crf>.
 """
 
 import os
@@ -69,6 +73,20 @@ def main():
             argv = [crf, "generate", "--machines=2", "--days=1", "--out=" + unwritable] + mode
             result = run(argv)
             if result.returncode != 2 or unwritable not in result.stderr:
+                failures.append("%s: exit %d, stderr %r" %
+                                (" ".join(argv[1:]), result.returncode, result.stderr))
+        for flag in ["metrics-out", "checkpoint-out"]:
+            argv = [crf, "serve", "--machines=2", "--days=1", "--%s=%s" % (flag, unwritable)]
+            result = run(argv)
+            if result.returncode != 2 or result.stdout or ("--" + flag) not in result.stderr:
+                failures.append("%s: exit %d, stdout %r, stderr %r" %
+                                (" ".join(argv[1:]), result.returncode, result.stdout,
+                                 result.stderr))
+
+        for argv in [[crf, "checkpoint", "--file=" + scratch],
+                     [crf, "serve", "--machines=2", "--days=1", "--resume=" + scratch]]:
+            result = run(argv)
+            if result.returncode != 2 or "not a regular file" not in result.stderr:
                 failures.append("%s: exit %d, stderr %r" %
                                 (" ".join(argv[1:]), result.returncode, result.stderr))
     for failure in failures:

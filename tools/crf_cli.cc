@@ -59,6 +59,7 @@
 #include <set>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "crf/cluster/ab_experiment.h"
 #include "crf/core/spec_parser.h"
@@ -519,6 +520,14 @@ int CmdServe(Args& args) {
   }
   if (!listen_text.has_value() && (port_file.has_value() || args.Get("max-conns"))) {
     return Fail("--port-file/--max-conns require --listen=HOST:PORT");
+  }
+  // Both outputs are written only after the replay: reject an unwritable
+  // destination before loading the trace, not after the work is done.
+  for (const auto& [flag, path] : {std::pair{"metrics-out", metrics_out},
+                                   std::pair{"checkpoint-out", checkpoint_out}}) {
+    if (path.has_value() && !CheckAtomicTarget(*path, &arg_error)) {
+      return Fail(std::string("--") + flag + ": " + arg_error);
+    }
   }
 
   std::string error;
