@@ -25,11 +25,16 @@ TEST(P2QuantileTest, ExactForFewerThanFive) {
   EXPECT_DOUBLE_EQ(q.Value(), 3.0);
 }
 
-// Accuracy sweep across quantiles and distributions.
+// Accuracy sweep across quantiles and distributions. gtest names each case by
+// the bytes of its P2Case, so the padding after `lognormal` is an explicit,
+// zeroed member: left implicit, its bytes are indeterminate and the case names
+// change from build to build.
 struct P2Case {
   double quantile;
   bool lognormal;
+  char zero_padding[7] = {};
 };
+static_assert(sizeof(P2Case) == 16, "P2Case must have no implicit padding");
 
 class P2AccuracyTest : public ::testing::TestWithParam<P2Case> {};
 
