@@ -9,8 +9,8 @@
 // Results are recorded as JSON under $REPRO_OUT (default bench_out/) in
 // perf_microbench.json so engine throughput is a regression-checkable
 // number; pass --benchmark_out=... to override. The closed-loop cluster
-// engine (serial/linear-scan reference vs sharded/indexed) is additionally
-// timed into the tracked BENCH_cluster.json (see RecordClusterBench below),
+// engine's thread-scaling matrix is additionally timed into the tracked
+// BENCH_cluster.json (see RecordClusterBench below),
 // and the multi-spec sweep engine (per-spec SimulateCell loop vs one
 // SimulateCellMulti pass over the Fig 8+9 grid) into the tracked
 // BENCH_sweep.json (see RecordSweepBench below).
@@ -648,17 +648,13 @@ std::vector<int> BenchThreadCounts() {
 // cell in-process, load_mode "generated", load_ms 0) and scale rows (which
 // mmap a streamed .crftrace) share one schema.
 //
-// v4 restructures the matrix around the sharded placement engine: one
-// reference row per matrix (threads 1, placement_shards 0 — the global
-// scheduler) plus one sharded row (placement_shards $CRF_BENCH_SHARDS,
-// default 8) per pool size in $CRF_BENCH_THREADS. Rows carry the packing-
-// quality columns (`violation_rate_p90`, `pending_task_intervals`,
-// `tasks_timed_out`) the check script gates sharded rows against the
-// reference with, plus the isolated generator placement-phase throughput
-// (`placement_phase_ms` / `placement_phase_per_sec`) whose 8-thread scaling
-// is the placement-parallelism gate. The record lands in
+// v5 is one row per pool size in $CRF_BENCH_THREADS on the cell's one
+// scheduler; the threads-1 row is serial and is the speedup baseline. Rows
+// carry the packing telemetry (`violation_rate_p90`,
+// `pending_task_intervals`, `tasks_timed_out`), which the determinism
+// contract makes identical at every pool size. The record lands in
 // $CRF_BENCH_CLUSTER_FILE (default ./BENCH_cluster.json) as
-// {"schema":"crf-cluster-bench-v4","entries":[...]}; reruns append, so the
+// {"schema":"crf-cluster-bench-v5","entries":[...]}; reruns append, so the
 // tracked file accumulates a regression history.
 //
 // The "scale" lane is the cloud-scale trace-I/O proof (DESIGN.md §6c): it
@@ -682,7 +678,7 @@ struct ClusterBenchTiming {
   double placements_per_sec = 0.0;
   int64_t placement_attempts = 0;
   int64_t tasks_placed = 0;
-  // Packing-quality telemetry, compared across engines by the check script.
+  // Packing telemetry; identical at every pool size.
   int64_t tasks_timed_out = 0;
   int64_t pending_task_intervals = 0;
   double violation_rate_p90 = 0.0;
@@ -707,33 +703,6 @@ ClusterBenchTiming TimeClusterSim(const CellProfile& profile,
   const std::vector<ClusterSimResult> results{result};
   const GroupMetrics metrics = ComputeGroupMetrics(result.predictor_name, results);
   timing.violation_rate_p90 = metrics.violation_rate.Quantile(0.9);
-  return timing;
-}
-
-// The isolated placement-phase throughput matrix: the generator's placement
-// phase (initial fill + arrival sweep, no usage generation) on the same cell,
-// per pool size. This is the number the sharded engine exists to scale —
-// machine_steps_per_sec is dominated by the per-interval usage stepping,
-// which parallelized two PRs ago.
-struct PlacementPhaseTiming {
-  double ms = 0.0;
-  double per_sec = 0.0;
-};
-
-PlacementPhaseTiming TimePlacementPhase(const CellProfile& profile, int shards,
-                                        ThreadPool* pool) {
-  GeneratorOptions options;
-  options.num_intervals = kIntervalsPerDay;
-  options.placement_probes = 16;
-  options.placement_shards = shards;
-  options.pool = pool;
-  MeasurePlacementPhase(profile, options, Rng(10));  // warm-up
-  const PlacementPhaseStats stats = MeasurePlacementPhase(profile, options, Rng(10));
-  PlacementPhaseTiming timing;
-  timing.ms = stats.placement_ms;
-  timing.per_sec = stats.placement_ms > 0.0
-                       ? stats.placement_attempts * 1000.0 / stats.placement_ms
-                       : 0.0;
   return timing;
 }
 
@@ -804,68 +773,43 @@ void RecordClusterBench() {
   // indexed placement in isolation.)
   options.placement = PlacementEngine::kIndexed;
 
-  // v4 matrix: one reference lane (the global scheduler, serial) plus one
-  // sharded lane per pool size. The reference row carries the quality
-  // numbers the sharded rows are gated against; the sharded rows carry the
-  // thread scaling. Each lane also times the generator's isolated placement
-  // phase at the same shard/pool configuration.
-  const int matrix_shards = static_cast<int>(GetEnvInt("CRF_BENCH_SHARDS", 8));
   struct Lane {
     int threads = 1;
-    int placement_shards = 0;
     ClusterBenchTiming timing;
     int64_t peak_rss_bytes = 0;
-    PlacementPhaseTiming phase;
   };
   std::vector<Lane> lanes;
-  {
-    options.placement_shards = 0;
-    options.pool = nullptr;
-    options.parallel = false;
-    ResetPeakRss();
-    Lane lane{1, 0, TimeClusterSim(profile, options), 0, {}};
-    lane.peak_rss_bytes = ReadPeakRssBytes();
-    lane.phase = TimePlacementPhase(profile, 0, nullptr);
-    lanes.push_back(lane);
-  }
   for (const int threads : BenchThreadCounts()) {
     ThreadPool pool(threads);
-    options.placement_shards = matrix_shards;
     options.pool = &pool;
     options.parallel = threads > 1;
     ResetPeakRss();
-    Lane lane{threads, matrix_shards, TimeClusterSim(profile, options), 0, {}};
+    Lane lane{threads, TimeClusterSim(profile, options), 0};
     lane.peak_rss_bytes = ReadPeakRssBytes();
-    lane.phase = TimePlacementPhase(profile, matrix_shards, threads > 1 ? &pool : nullptr);
     lanes.push_back(lane);
   }
 
   // Integrity gate: the determinism contract says every pool size places
-  // exactly the same tasks for a fixed (seed, shards), so sharded lanes with
-  // diverging counters would be timing different computations. (The
-  // reference lane is a different engine and legitimately differs.)
-  const Lane& first_sharded = lanes[1];
+  // exactly the same tasks, so lanes with diverging counters would be
+  // timing different computations.
+  const Lane& serial = lanes.front();
   for (const Lane& lane : lanes) {
-    if (lane.placement_shards != matrix_shards) {
-      continue;
-    }
-    if (lane.timing.tasks_placed != first_sharded.timing.tasks_placed ||
-        lane.timing.placement_attempts != first_sharded.timing.placement_attempts) {
+    if (lane.timing.tasks_placed != serial.timing.tasks_placed ||
+        lane.timing.placement_attempts != serial.timing.placement_attempts) {
       std::fprintf(stderr,
-                   "cluster bench: sharded lanes diverged (threads=%d placed %lld vs "
+                   "cluster bench: lanes diverged (threads=%d placed %lld vs "
                    "%lld), not recording\n",
                    lane.threads, static_cast<long long>(lane.timing.tasks_placed),
-                   static_cast<long long>(first_sharded.timing.tasks_placed));
+                   static_cast<long long>(serial.timing.tasks_placed));
       return;
     }
   }
 
   const std::string matrix = TodayUtc() + std::string("-") + (full ? "full" : "short");
-  const double base = first_sharded.timing.machine_steps_per_sec;
+  const double base = serial.timing.machine_steps_per_sec;
   const std::string path = GetEnvString("CRF_BENCH_CLUSTER_FILE", "BENCH_cluster.json");
   for (const Lane& lane : lanes) {
-    // Serial rows (the reference engine and the one-thread sharded baseline)
-    // report speedup 1.0 by definition.
+    // The serial row reports speedup 1.0 by definition.
     const double speedup = lane.threads == 1 ? 1.0 : lane.timing.machine_steps_per_sec / base;
     std::ostringstream entry;
     entry.precision(6);
@@ -876,7 +820,6 @@ void RecordClusterBench() {
           << "      \"threads\": " << lane.threads << ",\n"
           << "      \"parallel\": " << (lane.threads > 1 ? "true" : "false") << ",\n"
           << "      \"host_cores\": " << HostCores() << ",\n"
-          << "      \"placement_shards\": " << lane.placement_shards << ",\n"
           << "      \"num_machines\": " << profile.num_machines << ",\n"
           << "      \"num_intervals\": " << options.num_intervals << ",\n"
           << "      \"machine_steps_per_sec\": " << lane.timing.machine_steps_per_sec << ",\n"
@@ -888,18 +831,15 @@ void RecordClusterBench() {
           << "      \"pending_task_intervals\": " << lane.timing.pending_task_intervals
           << ",\n"
           << "      \"violation_rate_p90\": " << lane.timing.violation_rate_p90 << ",\n"
-          << "      \"placement_phase_ms\": " << lane.phase.ms << ",\n"
-          << "      \"placement_phase_per_sec\": " << lane.phase.per_sec << ",\n"
           << "      \"peak_rss_bytes\": " << lane.peak_rss_bytes << ",\n"
           << "      \"load_ms\": 0,\n"
           << "      \"load_mode\": \"generated\"\n"
           << "    }";
-    AppendTrackedBenchEntry(path, "crf-cluster-bench-v4", entry.str());
-    std::printf(
-        "cluster bench (%s): threads=%d shards=%d %.0f machine-steps/s (%.2fx), "
-        "placement phase %.0f/s -> %s\n",
-        full ? "full" : "short", lane.threads, lane.placement_shards,
-        lane.timing.machine_steps_per_sec, speedup, lane.phase.per_sec, path.c_str());
+    AppendTrackedBenchEntry(path, "crf-cluster-bench-v5", entry.str());
+    std::printf("cluster bench (%s): threads=%d %.0f machine-steps/s (%.2fx), "
+                "%.0f placements/s -> %s\n",
+                full ? "full" : "short", lane.threads, lane.timing.machine_steps_per_sec,
+                speedup, lane.timing.placements_per_sec, path.c_str());
   }
 }
 
@@ -909,7 +849,6 @@ void RecordClusterBench() {
 void RecordClusterScaleBench() {
   const int num_machines = static_cast<int>(GetEnvInt("CRF_SCALE_MACHINES", 100000));
   const int probes = static_cast<int>(GetEnvInt("CRF_SCALE_PROBES", 16));
-  const int shards = static_cast<int>(GetEnvInt("CRF_SCALE_SHARDS", 8));
   const int threads = static_cast<int>(GetEnvInt("CRF_SCALE_THREADS", HostCores()));
   std::string trace_path = GetEnvString("CRF_BENCH_SCALE_TRACE", "");
   const bool keep_trace = !trace_path.empty();
@@ -926,10 +865,8 @@ void RecordClusterScaleBench() {
   // placement phase alone would dwarf the I/O being measured, so the scale
   // lane uses bounded-probe placement (still deterministic for the seed).
   gen_options.placement_probes = probes;
-  // Sharded placement + a generation pool: the placement batches and the
-  // per-machine usage loops run shard-parallel. The bytes depend on
-  // (seed, shards, probes) but never on the pool size.
-  gen_options.placement_shards = shards;
+  // Placement is serial; the per-machine usage loops run on the pool. The
+  // bytes depend on (seed, probes) but never on the pool size.
   std::optional<ThreadPool> gen_pool;
   if (threads > 1) {
     gen_pool.emplace(threads);
@@ -938,8 +875,8 @@ void RecordClusterScaleBench() {
 
   std::printf(
       "cluster bench (scale): streaming %d machines x %d intervals "
-      "(%d shards, %d threads) -> %s\n",
-      num_machines, static_cast<int>(gen_options.num_intervals), shards, threads,
+      "(%d probes, %d threads) -> %s\n",
+      num_machines, static_cast<int>(gen_options.num_intervals), probes, threads,
       trace_path.c_str());
   ResetPeakRss();
   std::string error;
@@ -1008,7 +945,6 @@ void RecordClusterScaleBench() {
         << "      \"threads\": " << std::max(1, threads) << ",\n"
         << "      \"parallel\": " << (threads > 1 ? "true" : "false") << ",\n"
         << "      \"host_cores\": " << HostCores() << ",\n"
-        << "      \"placement_shards\": " << shards << ",\n"
         << "      \"num_machines\": " << num_machines << ",\n"
         << "      \"num_intervals\": " << gen_options.num_intervals << ",\n"
         << "      \"num_tasks\": " << info.num_tasks << ",\n"
@@ -1031,7 +967,7 @@ void RecordClusterScaleBench() {
         << "      \"peak_rss_bytes\": " << peak_rss << "\n"
         << "    }";
   const std::string path = GetEnvString("CRF_BENCH_CLUSTER_FILE", "BENCH_cluster.json");
-  AppendTrackedBenchEntry(path, "crf-cluster-bench-v4", entry.str());
+  AppendTrackedBenchEntry(path, "crf-cluster-bench-v5", entry.str());
   std::printf(
       "cluster bench (scale): %d machines, %lld tasks, gen %.0f ms "
       "(peak rss %.1f MB), mmap load %.2f ms (%.1f MB resident of %.1f MB file), "

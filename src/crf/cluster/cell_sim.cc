@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <span>
 
 #include "crf/cluster/machine.h"
-#include "crf/cluster/sharded_scheduler.h"
 #include "crf/trace/job_sampler.h"
 #include "crf/util/check.h"
 
@@ -57,20 +55,7 @@ ClusterSimResult RunClusterSim(const CellProfile& profile, const ClusterSimOptio
   JobSampler sampler(profile, rng.Fork(0x6a6f62));
   Rng arrival_rng = rng.Fork(0x617272);
   Scheduler scheduler(options.packing, rng.Fork(0x736368), options.placement);
-  std::optional<ShardedScheduler> sharded;
-  if (options.placement_shards > 0) {
-    ShardedSchedulerOptions sharded_options;
-    sharded_options.num_shards = options.placement_shards;
-    sharded_options.rebalance_interval = options.placement_rebalance_interval;
-    sharded_options.packing = options.packing;
-    sharded_options.engine = options.placement;
-    sharded_options.pool = options.pool;
-    sharded_options.parallel = options.parallel;
-    sharded.emplace(sharded_options, rng.Fork(0x736368));
-    sharded->Reset(num_machines);
-  } else {
-    scheduler.Reset(num_machines);
-  }
+  scheduler.Reset(num_machines);
   const std::vector<double> shared_load =
       BuildSharedLoadSeries(profile, num_intervals, rng.Fork(0x757367));
 
@@ -90,9 +75,14 @@ ClusterSimResult RunClusterSim(const CellProfile& profile, const ClusterSimOptio
   result.demand_mean.Assign(num_machines, num_intervals);
   result.limit_sum.Assign(num_machines, num_intervals);
 
-  ThreadPool& pool = options.pool != nullptr ? *options.pool : ThreadPool::Default();
-  const bool parallel = options.parallel && pool.num_threads() > 1 && num_machines > 1;
-  const int slots = parallel ? pool.num_threads() : 1;
+  // A serial run never touches ThreadPool::Default(), so it starts no
+  // worker threads.
+  ThreadPool* pool = nullptr;
+  if (options.parallel) {
+    pool = options.pool != nullptr ? options.pool : &ThreadPool::Default();
+  }
+  const bool parallel = pool != nullptr && pool->num_threads() > 1 && num_machines > 1;
+  const int slots = parallel ? pool->num_threads() : 1;
   // A few blocks per thread balances steal granularity against shared-counter
   // traffic on this fine-grained, every-interval loop. Rounding the block up
   // to 16 machines aligns claim boundaries with whole cache lines of the
@@ -105,9 +95,6 @@ ClusterSimResult RunClusterSim(const CellProfile& profile, const ClusterSimOptio
   std::vector<ShardAccum> shard_accum(slots);
 
   std::deque<PendingTask> pending;
-  std::vector<PendingTask> batch_entries;
-  std::vector<ShardedScheduler::Request> batch_requests;
-  std::vector<int> batch_results;
   std::vector<double> free_capacity(num_machines, 0.0);
   int64_t resident = 0;
   TaskId next_task_id = 1;
@@ -141,7 +128,7 @@ ClusterSimResult RunClusterSim(const CellProfile& profile, const ClusterSimOptio
       shard_accum[slot].resident_tasks += resident_tasks;
     };
     if (parallel) {
-      pool.ParallelForRanges(num_machines, block, step_machines);
+      pool->ParallelForRanges(num_machines, block, step_machines);
     } else {
       step_machines(0, 0, num_machines);
     }
@@ -158,14 +145,9 @@ ClusterSimResult RunClusterSim(const CellProfile& profile, const ClusterSimOptio
     }
 
     // (2) The scheduler ingests the published view as per-machine deltas
-    // into its capacity index (no vector copy, no full rebuild). The sharded
-    // engine ingests shard-parallel; the global scheduler is serial.
-    if (sharded.has_value()) {
-      sharded->PublishAll(free_capacity);
-    } else {
-      for (int m = 0; m < num_machines; ++m) {
-        scheduler.Publish(m, free_capacity[m]);
-      }
+    // into its capacity index (no vector copy, no full rebuild).
+    for (int m = 0; m < num_machines; ++m) {
+      scheduler.Publish(m, free_capacity[m]);
     }
 
     // (3) New arrivals join the pending queue...
@@ -183,7 +165,21 @@ ClusterSimResult RunClusterSim(const CellProfile& profile, const ClusterSimOptio
     // ...and the queue is drained oldest-first against the advertised
     // capacities. Tasks that cannot be placed stay queued; stale ones are
     // abandoned.
-    const auto commit_placed = [&](PendingTask& entry, int machine) {
+    size_t scan = pending.size();
+    while (scan-- > 0) {
+      PendingTask entry = std::move(pending.front());
+      pending.pop_front();
+      if (t - entry.enqueued >= options.pending_timeout) {
+        ++result.tasks_timed_out;
+        continue;
+      }
+      ++result.placement_attempts;
+      const int machine = scheduler.Place(entry.job->job.limit, entry.job->machines);
+      if (machine < 0) {
+        pending.push_back(std::move(entry));  // Retry next interval.
+        continue;
+      }
+      entry.job->machines.push_back(machine);
       const Interval start = t + 1;
       // Continuously-running services enter while the cell ramps up (the
       // online analogue of the trace generator's initial service
@@ -201,58 +197,6 @@ ClusterSimResult RunClusterSim(const CellProfile& profile, const ClusterSimOptio
                                   sampler.JitterTaskParams(entry.job->job.params), start,
                                   runtime);
       ++result.tasks_placed;
-    };
-
-    if (sharded.has_value()) {
-      // Sharded drain: the eligible queue snapshot becomes one placement
-      // batch, placed shard-parallel; placements are then committed serially
-      // in batch order so every sampler/arrival RNG draw happens in a fixed
-      // sequence regardless of thread count.
-      batch_entries.clear();
-      batch_requests.clear();
-      size_t scan = pending.size();
-      while (scan-- > 0) {
-        PendingTask entry = std::move(pending.front());
-        pending.pop_front();
-        if (t - entry.enqueued >= options.pending_timeout) {
-          ++result.tasks_timed_out;
-          continue;
-        }
-        batch_entries.push_back(std::move(entry));
-      }
-      for (const PendingTask& entry : batch_entries) {
-        batch_requests.push_back({entry.job->job.limit, &entry.job->machines,
-                                  static_cast<uint64_t>(entry.job->job.job_id)});
-      }
-      batch_results.assign(batch_entries.size(), -1);
-      result.placement_attempts += static_cast<int64_t>(batch_entries.size());
-      sharded->PlaceBatch(batch_requests, batch_results);
-      for (size_t i = 0; i < batch_entries.size(); ++i) {
-        if (batch_results[i] < 0) {
-          pending.push_back(std::move(batch_entries[i]));  // Retry next interval.
-          continue;
-        }
-        // The engine already appended the machine to job->machines.
-        commit_placed(batch_entries[i], batch_results[i]);
-      }
-    } else {
-      size_t scan = pending.size();
-      while (scan-- > 0) {
-        PendingTask entry = std::move(pending.front());
-        pending.pop_front();
-        if (t - entry.enqueued >= options.pending_timeout) {
-          ++result.tasks_timed_out;
-          continue;
-        }
-        ++result.placement_attempts;
-        const int machine = scheduler.Place(entry.job->job.limit, entry.job->machines);
-        if (machine < 0) {
-          pending.push_back(std::move(entry));  // Retry next interval.
-          continue;
-        }
-        entry.job->machines.push_back(machine);
-        commit_placed(entry, machine);
-      }
     }
     result.pending_task_intervals += static_cast<int64_t>(pending.size());
   }

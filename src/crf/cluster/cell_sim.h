@@ -56,17 +56,6 @@ struct ClusterSimOptions {
   // Placement engine: indexed (tournament tree) or the linear-scan
   // reference. Both yield byte-identical placements for a given seed.
   PlacementEngine placement = PlacementEngine::kIndexed;
-  // 0 (default): the single global scheduler — the reference every
-  // differential test pins. > 0: the ShardedScheduler with this many
-  // shard-local capacity treaps; capacity ingest and placement batches then
-  // run shard-parallel on the pool. Results are byte-identical for a fixed
-  // (seed, placement_shards) at any thread count, but changing the shard
-  // count changes placements (it is part of the run's identity, like the
-  // seed).
-  int placement_shards = 0;
-  // Batches (= scheduling intervals here) between cross-shard free-capacity
-  // summary refreshes when placement_shards > 0.
-  int placement_rebalance_interval = 8;
   // Pool override for tests (e.g. oversubscribed pools on small hosts);
   // nullptr uses ThreadPool::Default().
   ThreadPool* pool = nullptr;

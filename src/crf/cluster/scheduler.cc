@@ -27,10 +27,10 @@ std::string PackingPolicyName(PackingPolicy policy) {
   return "unknown";
 }
 
-PlacementCore::PlacementCore(PackingPolicy policy, PlacementEngine engine, const Rng& rng)
+Scheduler::Scheduler(PackingPolicy policy, const Rng& rng, PlacementEngine engine)
     : policy_(policy), engine_(engine), rng_(rng) {}
 
-void PlacementCore::Reset(int num_machines) {
+void Scheduler::Reset(int num_machines) {
   CRF_CHECK_GE(num_machines, 0);
   free_capacity_.assign(num_machines, 0.0);
   if (engine_ == PlacementEngine::kIndexed) {
@@ -38,14 +38,14 @@ void PlacementCore::Reset(int num_machines) {
   }
 }
 
-void PlacementCore::UpdateFreeCapacity(std::vector<double> free_capacity) {
+void Scheduler::UpdateFreeCapacity(std::vector<double> free_capacity) {
   free_capacity_ = std::move(free_capacity);
   if (engine_ == PlacementEngine::kIndexed) {
     tree_.Assign(free_capacity_);
   }
 }
 
-void PlacementCore::Publish(int machine, double free) {
+void Scheduler::Publish(int machine, double free) {
   CRF_CHECK_GE(machine, 0);
   CRF_CHECK_LT(machine, num_machines());
   if (free_capacity_[machine] == free) {
@@ -57,31 +57,15 @@ void PlacementCore::Publish(int machine, double free) {
   }
 }
 
-double PlacementCore::MaxFree() const {
-  const int num = num_machines();
-  if (num == 0) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  if (engine_ == PlacementEngine::kIndexed) {
-    return free_capacity_[tree_.MachineAtRank(num - 1)];
-  }
-  return *std::max_element(free_capacity_.begin(), free_capacity_.end());
-}
-
-int PlacementCore::Place(double limit, const std::vector<int>* exclude) {
-  if (num_machines() == 0) {
-    return -1;
-  }
+int Scheduler::Place(double limit, const std::vector<int>& exclude) {
+  CRF_CHECK_GT(num_machines(), 0) << "UpdateFreeCapacity/Reset not called";
   // Two passes: first honoring the anti-affinity exclusions, then ignoring
   // them (a constrained-but-placeable task beats a pending one).
   for (const bool honor_exclusions : {true, false}) {
-    if (!honor_exclusions && (exclude == nullptr || exclude->empty())) {
+    if (!honor_exclusions && exclude.empty()) {
       break;
     }
-    const std::vector<int>* excl = honor_exclusions ? exclude : nullptr;
-    if (excl != nullptr && excl->empty()) {
-      excl = nullptr;
-    }
+    const std::vector<int>* excl = honor_exclusions && !exclude.empty() ? &exclude : nullptr;
     const int best = engine_ == PlacementEngine::kIndexed ? PlaceOnceIndexed(limit, excl)
                                                           : PlaceOnceLinear(limit, excl);
     if (best >= 0) {
@@ -95,7 +79,7 @@ int PlacementCore::Place(double limit, const std::vector<int>* exclude) {
   return -1;
 }
 
-int PlacementCore::PlaceOnceLinear(double limit, const std::vector<int>* exclude) {
+int Scheduler::PlaceOnceLinear(double limit, const std::vector<int>* exclude) {
   const int num = num_machines();
 
   if (policy_ == PackingPolicy::kRandomFit) {
@@ -136,7 +120,7 @@ int PlacementCore::PlaceOnceLinear(double limit, const std::vector<int>* exclude
   return best;
 }
 
-int PlacementCore::PlaceOnceIndexed(double limit, const std::vector<int>* exclude) {
+int Scheduler::PlaceOnceIndexed(double limit, const std::vector<int>* exclude) {
   const int num = num_machines();
 
   if (policy_ == PackingPolicy::kRandomFit) {
@@ -227,14 +211,6 @@ int PlacementCore::PlaceOnceIndexed(double limit, const std::vector<int>* exclud
     }
   }
   return found;  // Unreachable: `found` itself is in the tie class.
-}
-
-Scheduler::Scheduler(PackingPolicy policy, const Rng& rng, PlacementEngine engine)
-    : engine_(engine), core_(policy, engine, rng) {}
-
-int Scheduler::Place(double limit, const std::vector<int>& exclude) {
-  CRF_CHECK_GT(num_machines(), 0) << "UpdateFreeCapacity/Reset not called";
-  return core_.Place(limit, &exclude);
 }
 
 }  // namespace crf

@@ -20,11 +20,6 @@
 //                   that randomizes tie-breaking among equal capacities);
 //   random-fit:     one uniform draw per pass with >= 1 feasible machine
 //                   (the index of the chosen machine in (free, index) order).
-//
-// The decision procedure itself lives in PlacementCore, which operates on a
-// core-local machine numbering. The global Scheduler is one core spanning
-// the whole cell; the ShardedScheduler (crf/cluster/sharded_scheduler) runs
-// one core per shard and translates global machine ids at the boundary.
 
 #ifndef CRF_CLUSTER_SCHEDULER_H_
 #define CRF_CLUSTER_SCHEDULER_H_
@@ -51,37 +46,36 @@ enum class PlacementEngine {
   kLinearScan,  // full-scan reference, O(M) per placement
 };
 
-// One placement engine over a contiguous, core-local machine numbering
-// [0, num_machines()). Owns the advertised-free-capacity vector, the
+// The cell's one scheduler. Owns the advertised-free-capacity vector, the
 // capacity index (kIndexed), and the RNG whose draw order both engines
-// share. An empty core (0 machines) is valid: Place() returns -1 without
-// consuming a draw.
-class PlacementCore {
+// share.
+class Scheduler {
  public:
-  PlacementCore(PackingPolicy policy, PlacementEngine engine, const Rng& rng);
+  Scheduler(PackingPolicy policy, const Rng& rng,
+            PlacementEngine engine = PlacementEngine::kIndexed);
 
-  // Sizes the core for `num_machines` machines with zero advertised free
-  // capacity; Publish() then streams in the real values.
+  // Sizes the scheduler for `num_machines` machines with zero advertised
+  // free capacity; Publish() then streams in the real values.
   void Reset(int num_machines);
 
-  // Bulk form of Publish().
+  // Publishes the latest machine states: advertised free capacity per
+  // machine (capacity - predicted peak). Bulk form of Publish().
   void UpdateFreeCapacity(std::vector<double> free_capacity);
 
-  // Publishes one machine's advertised free capacity.
+  // Publishes one machine's advertised free capacity. The hot path: the
+  // simulator streams per-machine deltas each polling interval instead of
+  // copying the whole capacity vector.
   void Publish(int machine, double free);
 
   // Picks a machine for a task with the given limit, preferring machines not
-  // in `exclude` (anti-affinity; nullptr or empty means unconstrained).
-  // Returns -1 if no machine fits. On success the machine's advertised free
-  // capacity is debited by `limit`.
-  int Place(double limit, const std::vector<int>* exclude);
+  // in `exclude` (anti-affinity within a job). Returns -1 if no machine
+  // fits. On success the machine's advertised free capacity is debited by
+  // `limit` (scheduler-side accounting until the next poll).
+  int Place(double limit, const std::vector<int>& exclude);
 
   double free_capacity(int machine) const { return free_capacity_[machine]; }
   int num_machines() const { return static_cast<int>(free_capacity_.size()); }
-
-  // Largest advertised free capacity, or -infinity for an empty core. Used
-  // by the sharded scheduler's cross-shard free-capacity summaries.
-  double MaxFree() const;
+  PlacementEngine engine() const { return engine_; }
 
  private:
   // One placement pass; `exclude == nullptr` means no exclusions (the
@@ -99,44 +93,6 @@ class PlacementCore {
   std::vector<std::pair<double, int>> candidates_scratch_;
   std::vector<int> exclude_scratch_;
   std::vector<int> rank_scratch_;
-};
-
-// The global scheduler: one PlacementCore spanning every machine of the
-// cell. Retained unchanged as the packing-quality and determinism reference
-// for the sharded engine.
-class Scheduler {
- public:
-  Scheduler(PackingPolicy policy, const Rng& rng,
-            PlacementEngine engine = PlacementEngine::kIndexed);
-
-  // Sizes the scheduler for `num_machines` machines with zero advertised
-  // free capacity; Publish() then streams in the real values.
-  void Reset(int num_machines) { core_.Reset(num_machines); }
-
-  // Publishes the latest machine states: advertised free capacity per
-  // machine (capacity - predicted peak). Bulk form of Publish().
-  void UpdateFreeCapacity(std::vector<double> free_capacity) {
-    core_.UpdateFreeCapacity(std::move(free_capacity));
-  }
-
-  // Publishes one machine's advertised free capacity. The hot path: the
-  // simulator streams per-machine deltas each polling interval instead of
-  // copying the whole capacity vector.
-  void Publish(int machine, double free) { core_.Publish(machine, free); }
-
-  // Picks a machine for a task with the given limit, preferring machines not
-  // in `exclude` (anti-affinity within a job). Returns -1 if no machine
-  // fits. On success the machine's advertised free capacity is debited by
-  // `limit` (scheduler-side accounting until the next poll).
-  int Place(double limit, const std::vector<int>& exclude);
-
-  double free_capacity(int machine) const { return core_.free_capacity(machine); }
-  int num_machines() const { return core_.num_machines(); }
-  PlacementEngine engine() const { return engine_; }
-
- private:
-  PlacementEngine engine_;
-  PlacementCore core_;
 };
 
 }  // namespace crf

@@ -35,25 +35,14 @@ struct GeneratorOptions {
   // O(probes) per task, required to place millions of tasks on 100k+ machine
   // cells in reasonable time. Still fully deterministic for a fixed seed;
   // changing this value changes placements (it is part of the cell's
-  // identity, like the seed). In sharded mode (placement_shards > 0) the
-  // probes are drawn from the home shard's *feasible* machines via its
-  // headroom treap, so no probe is wasted on a full machine.
+  // identity, like the seed). Probes are drawn over all machines, full ones
+  // included; a task whose probes all miss is dropped.
   int placement_probes = 0;
-  // 0 (default): the single global placement pass above. > 0: the sharded
-  // placement engine — this many shard-local headroom treaps placing task
-  // batches in parallel with cross-shard stealing (DESIGN.md §"Sharded
-  // placement"). Deterministic for a fixed (seed, placement_shards) at any
-  // thread count; changing the shard count changes placements (part of the
-  // cell identity, like the seed and placement_probes).
-  int placement_shards = 0;
-  // Placement batches between cross-shard headroom-summary refreshes
-  // (sharded mode only).
-  int placement_rebalance_interval = 8;
-  // Opt-in parallelism: sharded placement batches and per-machine usage
-  // generation run on this pool; nullptr runs everything serially. The
-  // generated bytes never depend on the pool — per-task usage RNG streams
-  // are forked from task ids and every write lands in a disjoint row — so
-  // this is purely a throughput knob.
+  // Opt-in parallelism: per-machine usage generation runs on this pool;
+  // nullptr runs it serially. Placement is always serial. The generated
+  // bytes never depend on the pool — per-task usage RNG streams are forked
+  // from task ids and every write lands in a disjoint row — so this is
+  // purely a throughput knob.
   ThreadPool* pool = nullptr;
 };
 
@@ -87,22 +76,6 @@ struct StreamedTraceInfo {
 bool GenerateCellTraceToFile(const CellProfile& profile, const GeneratorOptions& options,
                              const Rng& rng, const std::string& path, std::string* error,
                              StreamedTraceInfo* info = nullptr);
-
-// Packing quality of the placement phase alone (no usage generation), for
-// the shard-count quality studies and the placement-throughput bench.
-struct PlacementPhaseStats {
-  int64_t tasks_placed = 0;
-  int64_t dropped_tasks = 0;
-  int64_t placement_attempts = 0;  // placed + dropped
-  double placement_ms = 0.0;
-  // Allocation headroom left stranded when the run ends: sum over machines
-  // of max(0, target_alloc_ratio*capacity - alloc), as a fraction of the
-  // total target allocation. Lower = tighter packing.
-  double stranded_fraction = 0.0;
-};
-
-PlacementPhaseStats MeasurePlacementPhase(const CellProfile& profile,
-                                          const GeneratorOptions& options, const Rng& rng);
 
 }  // namespace crf
 

@@ -7,10 +7,12 @@ cell-synthesis flags, and requires exit status 2 with a message that names
 the flag. Then runs `crf generate` (text, --binary and --stream) into a
 directory that does not exist and requires exit status 2 with a message that
 names the path; `crf serve` must reject such a --metrics-out or
---checkpoint-out before it replays anything (empty stdout). Last, a directory
+--checkpoint-out before it replays anything (empty stdout). A directory
 given where a checkpoint file is read (`crf checkpoint --file`, `crf serve
---resume`) must be rejected with exit status 2. Usage: cli_flags_test.py
-<path to crf>.
+--resume`) must be rejected with exit status 2. Last, the removed placement
+flags (`--placement-shards`, `--rebalance-interval`) must be unknown to
+`crf generate` and `crf cluster`: exit status 2 naming the flag. Usage:
+cli_flags_test.py <path to crf>.
 """
 
 import os
@@ -89,6 +91,18 @@ def main():
             if result.returncode != 2 or "not a regular file" not in result.stderr:
                 failures.append("%s: exit %d, stderr %r" %
                                 (" ".join(argv[1:]), result.returncode, result.stderr))
+
+        for command in [["generate", "--binary", "--out=" + out], ["cluster"]]:
+            for flag in ["placement-shards=4", "rebalance-interval=8"]:
+                argv = [crf] + command + ["--machines=2", "--days=1", "--" + flag]
+                result = run(argv)
+                name = "--" + flag.split("=")[0]
+                if result.returncode != 2 or ("unknown flag " + name) not in result.stderr:
+                    failures.append("%s: exit %d, stderr %r" %
+                                    (" ".join(argv[1:]), result.returncode, result.stderr))
+                if os.path.exists(out):
+                    failures.append("%s: wrote %s" % (" ".join(argv[1:]), out))
+                    os.remove(out)
     for failure in failures:
         print(failure)
     print("%d failures" % len(failures))

@@ -204,10 +204,9 @@ TEST(GeneratorTest, NoRichStatsByDefault) {
   EXPECT_FALSE(cell.has_rich());
 }
 
-// The thread pool is a pure throughput knob for the default (unsharded)
-// generator: per-machine usage generation shards across it, but the bytes
-// must not move.
-TEST(GeneratorShardedTest, PoolAloneDoesNotChangeUnshardedBytes) {
+// The thread pool is a pure throughput knob: per-machine usage generation
+// spreads across it, but the bytes must not move.
+TEST(GeneratorTest, PoolAloneDoesNotChangeUnshardedBytes) {
   const CellTrace reference = GenerateCellTrace(SmallProfile(), ShortOptions(), Rng(21));
   ThreadPool pool(4);
   GeneratorOptions options = ShortOptions();
@@ -217,68 +216,6 @@ TEST(GeneratorShardedTest, PoolAloneDoesNotChangeUnshardedBytes) {
   EXPECT_EQ(std::memcmp(got.arena_bytes().data(), reference.arena_bytes().data(),
                         reference.arena_bytes().size()),
             0);
-}
-
-// Sharded placement determinism: fixed (seed, placement_shards) means
-// byte-identical cells at any pool size, including no pool at all.
-TEST(GeneratorShardedTest, ShardedPlacementDeterministicAcrossPools) {
-  GeneratorOptions options = ShortOptions();
-  options.placement_shards = 4;
-  options.placement_probes = 4;
-  const CellTrace reference = GenerateCellTrace(SmallProfile(), options, Rng(21));
-  EXPECT_GT(reference.num_tasks(), 200);
-  for (const int threads : {2, 8}) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    ThreadPool pool(threads);
-    options.pool = &pool;
-    const CellTrace got = GenerateCellTrace(SmallProfile(), options, Rng(21));
-    ASSERT_EQ(got.arena_bytes().size(), reference.arena_bytes().size());
-    EXPECT_EQ(std::memcmp(got.arena_bytes().data(), reference.arena_bytes().data(),
-                          reference.arena_bytes().size()),
-              0);
-  }
-}
-
-// The shard count is part of the cell identity, like the seed: different
-// shard counts give different (both valid) cells.
-TEST(GeneratorShardedTest, ShardCountIsPartOfCellIdentity) {
-  GeneratorOptions options = ShortOptions();
-  options.placement_shards = 2;
-  const CellTrace two = GenerateCellTrace(SmallProfile(), options, Rng(21));
-  options.placement_shards = 4;
-  const CellTrace four = GenerateCellTrace(SmallProfile(), options, Rng(21));
-  const bool identical =
-      two.arena_bytes().size() == four.arena_bytes().size() &&
-      std::memcmp(two.arena_bytes().data(), four.arena_bytes().data(),
-                  four.arena_bytes().size()) == 0;
-  EXPECT_FALSE(identical);
-}
-
-// Packing quality of the sharded placer stays close to the global worst-fit
-// reference: similar placed counts and stranded-capacity fractions. Uses a
-// 48-machine cell so each of the 4 shards holds enough machines for the
-// comparison to be meaningful (at ~6 machines per shard the end-of-run
-// headroom is dominated by granularity noise).
-TEST(GeneratorShardedTest, MeasurePlacementPhaseQualityNearGlobal) {
-  CellProfile profile = SmallProfile();
-  profile.num_machines = 48;
-  GeneratorOptions options = ShortOptions();
-  const PlacementPhaseStats global = MeasurePlacementPhase(profile, options, Rng(33));
-  options.placement_shards = 4;
-  const PlacementPhaseStats sharded = MeasurePlacementPhase(profile, options, Rng(33));
-
-  ASSERT_GT(global.tasks_placed, 0);
-  ASSERT_GT(sharded.tasks_placed, 0);
-  EXPECT_EQ(global.placement_attempts, global.tasks_placed + global.dropped_tasks);
-  EXPECT_EQ(sharded.placement_attempts, sharded.tasks_placed + sharded.dropped_tasks);
-  EXPECT_GE(global.stranded_fraction, 0.0);
-  EXPECT_LE(global.stranded_fraction, 1.0);
-  EXPECT_GE(sharded.stranded_fraction, 0.0);
-  EXPECT_LE(sharded.stranded_fraction, 1.0);
-  // Within 10% of the global engine on both placed volume and stranding.
-  EXPECT_GE(sharded.tasks_placed, (global.tasks_placed * 90) / 100);
-  EXPECT_LE(sharded.tasks_placed, (global.tasks_placed * 110) / 100);
-  EXPECT_LE(sharded.stranded_fraction, global.stranded_fraction + 0.10);
 }
 
 // Golden hashes pin the generated bytes across commits; the differential
@@ -309,9 +246,8 @@ TEST(GeneratorGoldenTest, ArenaHashesMatchRecordedValues) {
   options.num_intervals = kIntervalsPerDay;
   GeneratorOptions rich = options;
   rich.rich_stats = true;
-  GeneratorOptions sharded = options;
-  sharded.placement_shards = 4;
-  sharded.placement_probes = 4;
+  GeneratorOptions probes = options;
+  probes.placement_probes = 4;
 
   const auto heap = [](const GeneratorOptions& o) {
     return ArenaHash(GenerateCellTrace(SmallProfile(), o, Rng(7)));
@@ -320,7 +256,7 @@ TEST(GeneratorGoldenTest, ArenaHashesMatchRecordedValues) {
   EXPECT_EQ(heap(rich), 0x8cc56be889cfd6cfull) << "heap rich";
   EXPECT_EQ(StreamedArenaHash(options), 0xbdadd11620d9f52full) << "streamed";
   EXPECT_EQ(StreamedArenaHash(rich), 0xe00dcdcbf686b581ull) << "streamed rich";
-  EXPECT_EQ(heap(sharded), 0x8bce472692cec43bull) << "sharded placement with probes";
+  EXPECT_EQ(heap(probes), 0x60ebfa9cced395ebull) << "bounded-probe placement";
 }
 
 TEST(GeneratorTest, UsageToLimitTailNearCalibration) {

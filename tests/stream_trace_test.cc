@@ -170,45 +170,22 @@ TEST(StreamTraceTest, SimulationAgreesBatchVsStreamed) {
   std::remove(path.c_str());
 }
 
-// Sharded placement composes with streaming: per-machine content matches the
-// sharded batch generator, and the streamed bytes are invariant to the pool.
-TEST(StreamTraceTest, ShardedStreamedGenerationMatchesShardedBatch) {
-  GeneratorOptions options = DayOptions();
-  options.placement_shards = 4;
-  options.placement_probes = 4;
-  const std::string path_serial = TempPath("shard_serial.crftrace");
-  const std::string path_pooled = TempPath("shard_pooled.crftrace");
-  std::string error;
-  StreamedTraceInfo info;
-  ASSERT_TRUE(
-      GenerateCellTraceToFile(SmallProfile(), options, Rng(17), path_serial, &error, &info))
-      << error;
-  EXPECT_GT(info.placement_attempts, 0);
-  EXPECT_GE(info.placement_ms, 0.0);
-
-  ThreadPool pool(4);
-  options.pool = &pool;
-  ASSERT_TRUE(GenerateCellTraceToFile(SmallProfile(), options, Rng(17), path_pooled, &error))
-      << error;
-  EXPECT_EQ(FileBytes(path_serial), FileBytes(path_pooled));
-
-  options.pool = nullptr;
-  const CellTrace batch = GenerateCellTrace(SmallProfile(), options, Rng(17));
-  const auto streamed = LoadCellTrace(path_serial, {TraceLoadMode::kHeap}, &error);
-  ASSERT_TRUE(streamed.has_value()) << error;
-  ExpectSameMachineContent(batch, *streamed);
-  std::remove(path_serial.c_str());
-  std::remove(path_pooled.c_str());
-}
-
 TEST(StreamTraceTest, ProbedPlacementIsDeterministic) {
   GeneratorOptions options = DayOptions();
   options.placement_probes = 4;
   const std::string path_a = TempPath("probe_a.crftrace");
   const std::string path_b = TempPath("probe_b.crftrace");
   std::string error;
-  ASSERT_TRUE(GenerateCellTraceToFile(SmallProfile(), options, Rng(13), path_a, &error));
-  ASSERT_TRUE(GenerateCellTraceToFile(SmallProfile(), options, Rng(13), path_b, &error));
+  StreamedTraceInfo info;
+  ASSERT_TRUE(GenerateCellTraceToFile(SmallProfile(), options, Rng(13), path_a, &error, &info));
+  EXPECT_EQ(info.placement_attempts, info.num_tasks + info.dropped_tasks);
+  EXPECT_GT(info.placement_attempts, 0);
+  EXPECT_GE(info.placement_ms, 0.0);
+  // The usage pool never changes the streamed bytes.
+  ThreadPool pool(4);
+  GeneratorOptions pooled = options;
+  pooled.pool = &pool;
+  ASSERT_TRUE(GenerateCellTraceToFile(SmallProfile(), pooled, Rng(13), path_b, &error));
   const std::vector<char> bytes_a = FileBytes(path_a);
   const std::vector<char> bytes_b = FileBytes(path_b);
   ASSERT_FALSE(bytes_a.empty());

@@ -2,8 +2,7 @@
 //
 // Subcommands:
 //   crf generate --cell=a --days=7 [--machines=N] [--rich] [--seed=S] --out=FILE
-//                [--binary] [--stream] [--probes=K] [--placement-shards=S]
-//                [--rebalance-interval=R] [--threads=T]
+//                [--binary] [--stream] [--probes=K] [--threads=T]
 //       Synthesize a cell trace and save it (text by default, --binary for
 //       the zero-copy arena format; loaders auto-detect either). --stream
 //       generates straight into the binary file machine block by machine
@@ -220,22 +219,6 @@ std::unique_ptr<ThreadPool> PoolFromArgs(Args& args, std::string& error) {
   return nullptr;
 }
 
-// Sharded-placement knobs shared by generate/simulate/serve cell synthesis
-// and `crf cluster`. --placement-shards=S > 0 selects the sharded engine
-// (part of the cell/run identity, like the seed); --rebalance-interval=R
-// sets batches between cross-shard summary refreshes.
-bool PlacementArgsInto(Args& args, int& shards, int& rebalance_interval, std::string& error) {
-  int64_t parsed_shards = 0;
-  int64_t parsed_interval = 0;
-  if (!GetIntFlag(args, "placement-shards", 0, 0, 4096, &parsed_shards, &error) ||
-      !GetIntFlag(args, "rebalance-interval", 8, 1, 1 << 20, &parsed_interval, &error)) {
-    return false;
-  }
-  shards = static_cast<int>(parsed_shards);
-  rebalance_interval = static_cast<int>(parsed_interval);
-  return true;
-}
-
 // The cell generate, info, simulate, serve and loadgen synthesize.
 struct CellSynthesis {
   CellProfile profile;
@@ -244,8 +227,8 @@ struct CellSynthesis {
   std::unique_ptr<ThreadPool> pool;
 };
 
-// Reads --cell, --machines, --days, --rich, --probes, --seed, the placement
-// knobs and --threads, strictly: a bad value fails naming its flag. --days
+// Reads --cell, --machines, --days, --rich, --probes, --seed and --threads,
+// strictly: a bad value fails naming its flag. --days
 // must give at least one interval; its bound keeps the count from overflow.
 std::optional<CellSynthesis> CellFromArgs(Args& args, std::string& error) {
   const std::string cell_name = args.GetOr("cell", "a");
@@ -267,10 +250,6 @@ std::optional<CellSynthesis> CellFromArgs(Args& args, std::string& error) {
   synthesis.profile.num_machines = static_cast<int>(machines);
   synthesis.options.rich_stats = args.GetBool("rich");
   synthesis.options.placement_probes = static_cast<int>(probes);
-  if (!PlacementArgsInto(args, synthesis.options.placement_shards,
-                         synthesis.options.placement_rebalance_interval, error)) {
-    return std::nullopt;
-  }
   synthesis.pool = PoolFromArgs(args, error);
   synthesis.options.pool = synthesis.pool.get();
   if (!error.empty()) {
@@ -810,15 +789,13 @@ int CmdCluster(Args& args) {
   } else {
     return Fail("unknown --packing '" + packing + "'");
   }
-  if (!PlacementArgsInto(args, options.placement_shards,
-                         options.placement_rebalance_interval, arg_error)) {
-    return Fail(arg_error);
-  }
   const auto pool = PoolFromArgs(args, arg_error);
   if (!arg_error.empty()) {
     return Fail(arg_error);
   }
+  // --threads <= 1 gives no pool: run serially rather than on the default pool.
   options.pool = pool.get();
+  options.parallel = pool != nullptr;
   const Rng rng(static_cast<uint64_t>(seed));
   if (const auto unknown = args.UnknownFlag()) {
     return Fail("unknown flag --" + *unknown);
@@ -858,15 +835,14 @@ int Usage() {
       "usage: crf <generate|info|convert|simulate|cluster|serve|loadgen|checkpoint>"
       " [--flags]\n"
       "  crf generate --cell=a --days=7 --out=FILE [--machines=N] [--rich] [--seed=S]\n"
-      "               [--binary] [--stream] [--probes=K] [--placement-shards=S]\n"
-      "               [--rebalance-interval=R] [--threads=T]\n"
+      "               [--binary] [--stream] [--probes=K] [--threads=T]\n"
       "  crf info     (--trace=FILE [--mmap] | --cell=a [--days=7] [--machines=N])\n"
       "  crf convert  --trace=FILE --out=FILE [--binary] [--mmap]\n"
       "  crf simulate (--trace=FILE [--mmap] | --cell=a [--days] [--machines] [--seed])\n"
       "               [--predictor=SPEC] [--horizon-hours=24] [--all-classes]\n"
       "  crf cluster  --cell=production_1 [--machines=N] [--days=14]\n"
       "               [--predictor=SPEC] [--packing=best-fit|worst-fit|random-fit]\n"
-      "               [--placement-shards=S] [--rebalance-interval=R] [--threads=T]\n"
+      "               [--threads=T]\n"
       "  crf serve    (--replay=FILE [--mmap] | --cell=a [--days] [--machines] [--seed])\n"
       "               [--predictor=SPEC] [--horizon-hours=24] [--all-classes]\n"
       "               [--shards=16] [--no-parallel] [--threads=T] [--metrics-out=FILE]\n"
