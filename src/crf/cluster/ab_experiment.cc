@@ -62,26 +62,28 @@ MachineOutcome AnalyzeOneMachine(const ClusterSimResult& result, int m, Interval
 
 }  // namespace
 
-std::vector<MachineOutcome> AnalyzeMachines(const ClusterSimResult& result, Interval horizon) {
+std::vector<MachineOutcome> AnalyzeMachines(const ClusterSimResult& result, Interval horizon,
+                                            ThreadPool* pool) {
   CRF_CHECK_LT(result.warmup, result.trace.num_intervals);
 
   // The per-machine peak oracle dominates analysis time; machines are
   // independent, so shard them (each writes only its own outcome slot).
   const int num_machines = result.trace.num_machines();
   std::vector<MachineOutcome> outcomes(num_machines);
-  ThreadPool::Default().ParallelFor(num_machines, [&](int m) {
+  (pool != nullptr ? *pool : ThreadPool::Default()).ParallelFor(num_machines, [&](int m) {
     outcomes[m] = AnalyzeOneMachine(result, m, horizon);
   });
   return outcomes;
 }
 
 GroupMetrics ComputeGroupMetrics(const std::string& label,
-                                 std::span<const ClusterSimResult> results, Interval horizon) {
+                                 std::span<const ClusterSimResult> results, Interval horizon,
+                                 ThreadPool* pool) {
   GroupMetrics metrics;
   metrics.label = label;
 
   for (const ClusterSimResult& result : results) {
-    for (const MachineOutcome& outcome : AnalyzeMachines(result, horizon)) {
+    for (const MachineOutcome& outcome : AnalyzeMachines(result, horizon, pool)) {
       metrics.violation_rate.Add(outcome.violation_rate);
       metrics.violation_severity.Add(outcome.mean_violation_severity);
       metrics.severity_p999.Add(outcome.tail.severity_p999);

@@ -38,9 +38,11 @@ struct MachineOutcome {
 
 // Computes per-machine outcomes from the as-executed trace (post-warmup):
 // oracle violations of the published predictions, latency tails, and
-// utilization statistics.
+// utilization statistics. Machines run on `pool` (nullptr:
+// ThreadPool::Default()); the outcomes never depend on it.
 std::vector<MachineOutcome> AnalyzeMachines(const ClusterSimResult& result,
-                                            Interval horizon = kIntervalsPerDay);
+                                            Interval horizon = kIntervalsPerDay,
+                                            ThreadPool* pool = nullptr);
 
 // Group-level metric distributions for the Fig 13/14 plots.
 struct GroupMetrics {
@@ -67,10 +69,12 @@ struct GroupMetrics {
   int64_t tasks_timed_out = 0;
 };
 
-// Aggregates one group's cluster results (one entry per cell).
+// Aggregates one group's cluster results (one entry per cell), analysing
+// machines on `pool` as AnalyzeMachines does.
 GroupMetrics ComputeGroupMetrics(const std::string& label,
                                  std::span<const ClusterSimResult> results,
-                                 Interval horizon = kIntervalsPerDay);
+                                 Interval horizon = kIntervalsPerDay,
+                                 ThreadPool* pool = nullptr);
 
 struct AbExperimentResult {
   GroupMetrics control;

@@ -56,7 +56,7 @@ void WalkMachine(const CellTrace& cell, int machine_index, const SimOptions& opt
 // many threads run them.
 constexpr int kReduceBlocks = 64;
 
-// Runs `simulate(m, series)` for every machine — on the default pool when
+// Runs `simulate(m, series)` for every machine — on the options' pool when
 // options.parallel — and returns the `num_series` per-interval series summed
 // over all machines. Machines are cut into contiguous blocks by the stream
 // replayer's shard rule; a block sums its machines, in index order, into its
@@ -97,7 +97,8 @@ std::vector<std::vector<double>> RunMachines(const CellTrace& cell, const SimOpt
     }
   };
   if (options.parallel) {
-    ThreadPool::Default().ParallelForRanges(num_blocks, 1, run_blocks);
+    ThreadPool& pool = options.pool != nullptr ? *options.pool : ThreadPool::Default();
+    pool.ParallelForRanges(num_blocks, 1, run_blocks);
   } else {
     run_blocks(0, 0, num_blocks);
   }

@@ -33,14 +33,18 @@
 
 namespace crf {
 
+class ThreadPool;
+
 struct SimOptions {
   // Oracle forecast horizon; Section 5.2 settles on 24 hours.
   Interval horizon = kIntervalsPerDay;
   // Ablation: use the unfiltered total-usage oracle instead of the exact
   // arrival-filtered oracle.
   bool use_total_usage_oracle = false;
-  // Shard machines across the default thread pool.
+  // Shard machines across the thread pool.
   bool parallel = true;
+  // Pool override; nullptr uses ThreadPool::Default(). Never affects results.
+  ThreadPool* pool = nullptr;
   // Optional shared oracle memo. Sweeps running many predictor specs over
   // the same cell should pass one cache for all SimulateCell calls: the
   // oracle is predictor-independent, so every sweep point after the first

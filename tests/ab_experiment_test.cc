@@ -32,12 +32,20 @@ TEST(AnalyzeMachinesTest, OutcomesAreOrderedStatistics) {
   const ClusterSimResult result = RunClusterSim(SmallProfile(), ShortOptions(), Rng(51));
   const auto outcomes = AnalyzeMachines(result);
   ASSERT_EQ(outcomes.size(), 10u);
-  for (const MachineOutcome& o : outcomes) {
+  // A caller's serial pool gives the same outcomes as the default pool.
+  ThreadPool serial(1);
+  const auto serial_outcomes = AnalyzeMachines(result, kIntervalsPerDay, &serial);
+  ASSERT_EQ(serial_outcomes.size(), outcomes.size());
+  for (size_t m = 0; m < outcomes.size(); ++m) {
+    const MachineOutcome& o = outcomes[m];
     EXPECT_GE(o.violation_rate, 0.0);
     EXPECT_LE(o.violation_rate, 1.0);
     EXPECT_LE(o.p90_latency, o.p99_latency + 1e-9);
     EXPECT_LE(o.p50_utilization, o.p99_utilization + 1e-9);
     EXPECT_GE(o.mean_utilization, 0.0);
+    EXPECT_EQ(serial_outcomes[m].violation_rate, o.violation_rate);
+    EXPECT_EQ(serial_outcomes[m].p99_latency, o.p99_latency);
+    EXPECT_EQ(serial_outcomes[m].mean_utilization, o.mean_utilization);
   }
 }
 

@@ -1,24 +1,37 @@
 #!/usr/bin/env python3
-"""Bad flag values and unwritable outputs are usage errors, not crashes.
+"""Every flag of every subcommand is checked before any work.
 
-Runs `crf generate` (heap and --stream), `crf simulate`, `crf serve`,
-`crf loadgen` and `crf cluster` with each bad value of their numeric and
-cell-synthesis flags, and requires exit status 2 with a message that names
-the flag. Then runs `crf generate` (text, --binary and --stream) into a
-directory that does not exist and requires exit status 2 with a message that
-names the path; `crf serve` must reject such a --metrics-out or
---checkpoint-out before it replays anything (empty stdout). A directory
-given where a checkpoint file is read (`crf checkpoint --file`, `crf serve
---resume`) must be rejected with exit status 2. Last, the removed placement
-flags (`--placement-shards`, `--rebalance-interval`) must be unknown to
-`crf generate` and `crf cluster`: exit status 2 naming the flag. Usage:
-cli_flags_test.py <path to crf>.
+First a matrix read from the usage text `crf` prints with no arguments, so a
+new flag is covered without editing this test. Every numeric flag of every
+subcommand runs against {0, -1, nan, inf, 1e9, 2^63, garbage, empty}: each
+run must exit 0, or exit 2 naming the flag, or fail exactly as the same
+command without the flag does (loadgen has no server to reach); never a
+signal. Every bool flag given a value, every other flag given an empty value
+or none, and every output flag pointed into a directory that does not exist
+must exit 2 naming the flag before any output. A typo must be rejected
+before a 512-machine week is synthesized, `crf serve` must not take --trace
+(it reads --replay), and `crf generate --rich=1` must be rejected even where
+the usage text cannot be read.
+
+Then fixed probes: `crf generate` (heap and --stream), `crf simulate`,
+`crf serve`, `crf loadgen` and `crf cluster` with each bad value of their
+numeric and cell-synthesis flags must exit 2 with a message that names the
+flag; `crf generate` (text, --binary and --stream) into a directory that does
+not exist must exit 2 with a message that names the path; `crf serve` must
+reject such a --metrics-out or --checkpoint-out before it replays anything
+(empty stdout). A directory given where a checkpoint file is read (`crf
+checkpoint --file`, `crf serve --resume`) must be rejected with exit status
+2. Last, the removed placement flags (`--placement-shards`,
+`--rebalance-interval`) must be unknown to `crf generate` and `crf cluster`:
+exit status 2 naming the flag. Usage: cli_flags_test.py <path to crf>.
 """
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 
 CELL_FLAGS = {
     "cell": ["z", "cell_z", "cell_", "production_0", "production_6", "production_1x", ""],
@@ -34,20 +47,110 @@ CHECKPOINT_FLAGS = {
     "checkpoint-at": ["abc", "", "-1", "1.5", "1e9", "99999999999"],
 }
 CLUSTER_FLAGS = {
+    "cell": CELL_FLAGS["cell"],
     "machines": CELL_FLAGS["machines"],
     "days": CELL_FLAGS["days"],
     "seed": CELL_FLAGS["seed"],
 }
+NUMERIC_VALUES = ["0", "-1", "nan", "inf", "1e9", str(2**63), "garbage", ""]
+NUMERIC_METAVARS = ["INT", "NUMBER"]
 
 
 def run(argv):
     return subprocess.run(argv, capture_output=True, text=True, timeout=60)
 
 
+def describe(argv, result):
+    return "%s: exit %d, stdout %r, stderr %r" % (" ".join(argv[1:]), result.returncode,
+                                                  result.stdout, result.stderr)
+
+
+def without(args, flag):
+    return [arg for arg in args if arg.split("=")[0] != "--" + flag]
+
+
+def read_usage(crf):
+    """Returns {command: {flag: metavar}} from the usage text ("" for a bool)."""
+    commands = {}
+    for line in run([crf]).stderr.splitlines():
+        section = re.match(r"crf (\w+):", line)
+        if section:
+            commands[section.group(1)] = {}
+        row = re.match(r"  --([a-z0-9-]+)(?:=(\S+))?", line)
+        if row and commands:
+            commands[list(commands)[-1]][row.group(1)] = row.group(2) or ""
+    return commands
+
+
+def flag_matrix(crf, scratch, failures):
+    """Probes every flag the usage text lists; see the module docstring."""
+    small = os.path.join(scratch, "small.crftrace")
+    checkpoint = os.path.join(scratch, "small.ckpt")
+    run([crf, "generate", "--machines=2", "--days=1", "--binary", "--out=" + small])
+    run([crf, "serve", "--replay=" + small, "--checkpoint-out=" + checkpoint,
+         "--stop-after-checkpoint"])
+    synth = ["--machines=2", "--days=1"]
+    base = {
+        "generate": synth + ["--out=" + os.path.join(scratch, "matrix.crftrace")],
+        "info": synth,
+        "convert": ["--trace=" + small, "--out=" + os.path.join(scratch, "matrix.trace")],
+        "simulate": synth,
+        "cluster": synth,
+        "serve": synth,
+        "loadgen": synth + ["--connect=127.0.0.1:1"],
+        "checkpoint": ["--file=" + checkpoint],
+    }
+    commands = read_usage(crf)
+    if sorted(commands) != sorted(base):
+        failures.append("usage lists commands %s" % sorted(commands))
+    missing = os.path.join(scratch, "missing", "out")
+    for command, flags in commands.items():
+        args = base.get(command, [])
+        plain = run([crf, command] + args)
+        for flag, metavar in flags.items():
+            # A numeric value may be valid (0, -1); every other probe must fail.
+            if metavar in NUMERIC_METAVARS:
+                lenient = ["--%s=%s" % (flag, value) for value in NUMERIC_VALUES]
+                strict = []
+            elif metavar == "":
+                lenient, strict = [], ["--%s=1" % flag]
+            else:
+                lenient, strict = [], ["--%s=" % flag, "--" + flag]
+            if metavar == "OUTPUT":
+                strict.append("--%s=%s" % (flag, missing))
+            for probe in lenient + strict:
+                argv = [crf, command] + without(args, flag) + [probe]
+                result = run(argv)
+                named = result.returncode == 2 and ("--" + flag) in result.stderr
+                as_plain = (result.returncode, result.stderr) == (plain.returncode, plain.stderr)
+                if probe in strict:
+                    ok = named and not result.stdout
+                else:
+                    ok = result.returncode == 0 or named or as_plain
+                if not ok:
+                    failures.append(describe(argv, result))
+
+    typo = [crf, "simulate", "--cell=a", "--machines=512", "--days=7", "--predicter=limit-sum"]
+    start = time.monotonic()
+    result = run(typo)
+    elapsed = time.monotonic() - start
+    if result.returncode != 2 or "--predicter" not in result.stderr or elapsed > 1.0:
+        failures.append("%s (%.2f s)" % (describe(typo, result), elapsed))
+    argv = [crf, "serve", "--trace=" + small]
+    result = run(argv)
+    if result.returncode != 2 or "unknown flag --trace" not in result.stderr:
+        failures.append(describe(argv, result))
+    argv = [crf, "generate", "--rich=1"] + base["generate"]
+    result = run(argv)
+    if result.returncode != 2 or "--rich" not in result.stderr or result.stdout:
+        failures.append(describe(argv, result))
+
+
 def main():
     crf = sys.argv[1]
     failures = []
     with tempfile.TemporaryDirectory() as scratch:
+        flag_matrix(crf, scratch, failures)
         out = os.path.join(scratch, "never_written.crftrace")
         cases = [
             (["generate", "--binary", "--out=" + out], CELL_FLAGS),
@@ -60,7 +163,7 @@ def main():
         for command, flags in cases:
             for flag, values in flags.items():
                 for value in values:
-                    argv = [crf] + command + ["--machines=2", "--days=1"]
+                    argv = [crf] + command + without(["--machines=2", "--days=1"], flag)
                     argv.append("--%s=%s" % (flag, value))
                     result = run(argv)
                     if result.returncode != 2 or ("--" + flag) not in result.stderr:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crf/trace/generator.h"
+#include "crf/util/thread_pool.h"
 
 namespace crf {
 namespace {
@@ -46,18 +47,23 @@ TEST(SimulatorTest, BorgDefaultSavingsIsExactlyOneMinusPhi) {
 TEST(SimulatorTest, ParallelMatchesSerial) {
   SimOptions serial;
   serial.parallel = false;
-  SimOptions parallel;
-  parallel.parallel = true;
   const SimResult a = SimulateCell(TestCell(), SimulationMaxSpec(), serial);
-  const SimResult b = SimulateCell(TestCell(), SimulationMaxSpec(), parallel);
-  ASSERT_EQ(a.machines.size(), b.machines.size());
-  for (size_t m = 0; m < a.machines.size(); ++m) {
-    EXPECT_EQ(a.machines[m].violations, b.machines[m].violations);
-    EXPECT_DOUBLE_EQ(a.machines[m].savings_ratio, b.machines[m].savings_ratio);
-  }
-  ASSERT_EQ(a.cell_savings_series.size(), b.cell_savings_series.size());
-  for (size_t t = 0; t < a.cell_savings_series.size(); ++t) {
-    EXPECT_NEAR(a.cell_savings_series[t], b.cell_savings_series[t], 1e-12);
+  // The default pool, then a caller's 3-thread pool.
+  ThreadPool pool(3);
+  for (ThreadPool* chosen : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SimOptions parallel;
+    parallel.parallel = true;
+    parallel.pool = chosen;
+    const SimResult b = SimulateCell(TestCell(), SimulationMaxSpec(), parallel);
+    ASSERT_EQ(a.machines.size(), b.machines.size());
+    for (size_t m = 0; m < a.machines.size(); ++m) {
+      EXPECT_EQ(a.machines[m].violations, b.machines[m].violations);
+      EXPECT_DOUBLE_EQ(a.machines[m].savings_ratio, b.machines[m].savings_ratio);
+    }
+    ASSERT_EQ(a.cell_savings_series.size(), b.cell_savings_series.size());
+    for (size_t t = 0; t < a.cell_savings_series.size(); ++t) {
+      EXPECT_NEAR(a.cell_savings_series[t], b.cell_savings_series[t], 1e-12);
+    }
   }
 }
 

@@ -1,64 +1,21 @@
 // crf — command-line driver for the overcommit simulator.
 //
-// Subcommands:
-//   crf generate --cell=a --days=7 [--machines=N] [--rich] [--seed=S] --out=FILE
-//                [--binary] [--stream] [--probes=K] [--threads=T]
-//       Synthesize a cell trace and save it (text by default, --binary for
-//       the zero-copy arena format; loaders auto-detect either). --stream
-//       generates straight into the binary file machine block by machine
-//       block, so cells far larger than memory can be emitted; the streamed
-//       file holds the same cell with tasks renumbered machine-major.
-//   crf info --trace=FILE [--mmap]
-//       Print a trace's workload statistics. --mmap (binary traces only, any
-//       subcommand that reads --trace/--replay) maps the arena zero-copy
-//       instead of heap-loading it; `info` then reports page residency.
-//   crf convert --trace=FILE --out=FILE [--binary]
-//       Re-encode a trace between the text and binary formats.
-//   crf simulate (--trace=FILE | --cell=a --days=7 [--machines=N] [--seed=S])
-//                [--predictor=SPEC] [--horizon-hours=24] [--all-classes]
-//       Run the trace-driven simulator; prints violation/savings metrics.
-//   crf cluster --cell=production_3 [--machines=N] [--days=14]
-//               [--predictor=SPEC] [--packing=best-fit] [--seed=S]
-//       Run the closed-loop Borg-like simulation; prints group metrics.
-//   crf serve --replay=FILE [--predictor=SPEC] [--shards=16] [--no-parallel]
-//             [--checkpoint-out=FILE --checkpoint-at=TICK [--stop-after-checkpoint]]
-//             [--resume=FILE] [--metrics-out=FILE]
-//       Stream the trace through the online serve layer. Results on stdout
-//       are deterministic (bit-identical at any thread count); throughput
-//       goes to stderr. SIGINT/SIGTERM stop the replay at the next day
-//       boundary and seal a resumable checkpoint to --checkpoint-out.
-//   crf serve --listen=HOST:PORT ... [--port-file=FILE] [--max-conns=N]
-//       Instead of replaying locally, expose the serve tier over TCP
-//       (CRFNET1 wire protocol, DESIGN.md §10). --checkpoint-out becomes the
-//       shutdown op's seal target; once clients have streamed the whole
-//       trace, the same deterministic results are printed on exit.
-//   crf loadgen --connect=HOST:PORT (--trace=FILE | --cell=a ...)
-//               [--clients=K] [--batch-ticks=N] [--until=T] [--predictor=SPEC]
-//               [--shards=16] [--no-verify] [--no-shutdown]
-//       Replay a trace over the wire against `crf serve --listen` from K
-//       client connections; reports events/s and per-op p50/p99/p999, then
-//       verifies the server's end state bit-for-bit against an in-process
-//       replay and (by default) sends the shutdown op.
-//   crf checkpoint --file=FILE
-//       Inspect a serve checkpoint's header.
-//
-// Predictor SPEC grammar (crf/core/spec_parser.h):
-//   limit-sum | borg-default[:phi] | rc-like[:pct] | n-sigma[:n]
-//   | autopilot[:pct[:margin]] | max(SPEC,SPEC,...)
-//
-// Cells: a..h (trace cells) and production_1..production_5.
+// Every flag is declared once, as a row of the flag table below, and every
+// subcommand lists the rows it takes. One parse checks each flag against its
+// row before the command does any work. `crf` with no arguments prints the
+// usage text generated from the table.
 
 #include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <memory>
-#include <set>
 #include <optional>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "crf/cluster/ab_experiment.h"
 #include "crf/core/spec_parser.h"
@@ -72,61 +29,17 @@
 #include "crf/trace/trace_stats.h"
 #include "crf/util/arg_parse.h"
 #include "crf/util/atomic_file.h"
+#include "crf/util/check.h"
 #include "crf/util/table.h"
+#include "crf/util/thread_pool.h"
 
 namespace crf {
 namespace {
 
-// --key=value / --flag argument map with typed accessors.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        ok_ = false;
-        error_ = "unexpected argument: " + arg;
-        return;
-      }
-      arg = arg.substr(2);
-      const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg] = "true";
-      } else {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      }
-    }
-  }
-
-  bool ok() const { return ok_; }
-  const std::string& error() const { return error_; }
-
-  std::optional<std::string> Get(const std::string& key) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    return it == values_.end() ? std::nullopt : std::optional<std::string>(it->second);
-  }
-  std::string GetOr(const std::string& key, const std::string& fallback) {
-    return Get(key).value_or(fallback);
-  }
-  bool GetBool(const std::string& key) { return Get(key).value_or("") == "true"; }
-
-  // Any flag that was passed but never consumed is a typo.
-  std::optional<std::string> UnknownFlag() const {
-    for (const auto& [key, value] : values_) {
-      if (consumed_.find(key) == consumed_.end()) {
-        return key;
-      }
-    }
-    return std::nullopt;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::set<std::string> consumed_;
-  bool ok_ = true;
-  std::string error_;
-};
+int Fail(const std::string& message) {
+  std::fprintf(stderr, "crf: %s\n", message.c_str());
+  return 2;
+}
 
 // Accepts exactly a..h, cell_a..cell_h and production_1..production_5.
 std::optional<CellProfile> ResolveProfile(const std::string& name) {
@@ -141,9 +54,252 @@ std::optional<CellProfile> ResolveProfile(const std::string& name) {
   return std::nullopt;
 }
 
-int Fail(const std::string& message) {
-  std::fprintf(stderr, "crf: %s\n", message.c_str());
-  return 2;
+// What a flag's value must be. A bool flag takes no value; every other kind
+// needs a non-empty one.
+enum class Kind {
+  kBool,
+  kInt,       // a base-10 integer in [min, max]
+  kDuration,  // a number in [0, max] of units of `unit` intervals, at least one interval
+  kInput,     // a file to read
+  kOutput,    // a file to write: its directory exists and is writable
+  kCell,      // a..h, cell_a..cell_h or production_1..production_5
+  kChoice,    // one of the '|'-separated `choices`
+  kSpec,      // a predictor spec (crf/core/spec_parser.h)
+  kHostPort,  // HOST:PORT, :PORT or PORT (crf/util/arg_parse.h)
+};
+
+struct Flag {
+  const char* name;
+  Kind kind;
+  const char* help;
+  int64_t min = 0;
+  int64_t max = 0;
+  Interval unit = 0;
+  const char* choices = nullptr;
+};
+
+std::string Dashed(const Flag& flag) { return std::string("--") + flag.name; }
+
+// The flag table.
+const Flag kTrace{"trace", Kind::kInput, "trace file to read (text or binary)"};
+const Flag kReplay{"replay", Kind::kInput, "trace file to replay (text or binary)"};
+const Flag kMmap{"mmap", Kind::kBool, "map the binary trace zero-copy instead of loading it"};
+const Flag kCell{"cell", Kind::kCell, "cell to synthesize: a..h, cell_a..cell_h, production_1..5"};
+const Flag kMachines{"machines", Kind::kInt, "machines (default: the cell's)", 1, 1000000};
+const Flag kDays{"days", Kind::kDuration, "length in days", 0, 3650, kIntervalsPerDay};
+const Flag kRich{"rich", Kind::kBool, "store the within-interval percentile ladder"};
+const Flag kProbes{"probes", Kind::kInt, "placement probes; 0 scans every machine", 0, 1 << 20};
+const Flag kSeed{"seed", Kind::kInt, "RNG seed, any 64-bit integer", INT64_MIN, INT64_MAX};
+const Flag kThreads{"threads", Kind::kInt, "worker pool for every stage; 0 or 1 is serial; "
+                                          "never changes results", 0, 1024};
+const Flag kPredictor{"predictor", Kind::kSpec, "peak predictor"};
+const Flag kHorizon{"horizon-hours", Kind::kDuration, "oracle horizon in hours", 0, 24 * 3650,
+                    kIntervalsPerHour};
+const Flag kAllClasses{"all-classes", Kind::kBool, "keep every task class, not just serving"};
+const Flag kOut{"out", Kind::kOutput, "trace file to write"};
+const Flag kBinary{"binary", Kind::kBool, "write the binary arena format, not text"};
+const Flag kStream{"stream", Kind::kBool, "generate straight into a binary file, machine block "
+                                          "by machine block, tasks renumbered machine-major"};
+const Flag kPacking{"packing", Kind::kChoice, "packing policy", 0, 0, 0,
+                    "best-fit|worst-fit|random-fit"};
+const Flag kShards{"shards", Kind::kInt, "ingestion shards; fixes the cell-series rounding", 1,
+                   65536};
+const Flag kCheckpointOut{"checkpoint-out", Kind::kOutput, "checkpoint to seal (also on SIGINT)"};
+const Flag kCheckpointAt{"checkpoint-at", Kind::kInt, "tick to seal at (default: halfway)", 0,
+                         INT32_MAX};
+const Flag kStopAfterCheckpoint{"stop-after-checkpoint", Kind::kBool, "exit after sealing"};
+const Flag kResume{"resume", Kind::kInput, "checkpoint to resume; it carries the predictor"};
+const Flag kMetricsOut{"metrics-out", Kind::kOutput, "serve metrics JSON to write"};
+const Flag kListen{"listen", Kind::kHostPort, "serve over TCP (CRFNET1) instead of replaying"};
+const Flag kPortFile{"port-file", Kind::kOutput, "file to write the bound port to"};
+const Flag kMaxConns{"max-conns", Kind::kInt, "most concurrent connections", 1, 65536};
+const Flag kConnect{"connect", Kind::kHostPort, "`crf serve --listen` endpoint"};
+const Flag kClients{"clients", Kind::kInt, "client connections", 1, 256};
+const Flag kBatchTicks{"batch-ticks", Kind::kInt, "ticks per ingest frame", 1, 1 << 20};
+const Flag kUntil{"until", Kind::kInt, "last tick to stream, -1 for all", -1, 1 << 30};
+const Flag kNoVerify{"no-verify", Kind::kBool, "skip the in-process verification replay"};
+const Flag kNoShutdown{"no-shutdown", Kind::kBool, "leave the server running"};
+const Flag kFile{"file", Kind::kInput, "checkpoint file"};
+
+// A flag as one command takes it: with a default (parsed like a given
+// value), required, or else absent unless given.
+struct Row {
+  const Flag* flag;
+  const char* fallback = nullptr;
+  bool required = false;
+};
+using Rows = std::vector<Row>;
+
+Rows Join(std::initializer_list<Rows> groups) {
+  Rows rows;
+  for (const Rows& group : groups) {
+    rows.insert(rows.end(), group.begin(), group.end());
+  }
+  return rows;
+}
+
+const Rows kCellRows = {{&kCell, "a"},  {&kMachines},      {&kDays, "7"},
+                        {&kRich},       {&kProbes, "0"},   {&kSeed, "42"}};
+const Rows kTraceRows = Join({{{&kTrace}, {&kMmap}}, kCellRows});
+const Rows kThreadRows = {{&kThreads, "0"}};
+const Rows kPredictorRows = {
+    {&kPredictor, "max(n-sigma:5,rc-like:99)"}, {&kHorizon, "24"}, {&kAllClasses}};
+
+// One flag's value, from the command line or the row's default.
+struct Value {
+  bool given = false;
+  std::string text;
+  int64_t number = 0;  // kInt; kDuration in intervals
+  std::optional<PredictorSpec> spec;
+  std::optional<CellProfile> profile;
+  HostPort endpoint;
+};
+
+// A command's parsed flags, read through the table's Flag constants.
+class Flags {
+ public:
+  // Whether `flag` was on the command line.
+  bool Has(const Flag& flag) const { return Find(flag).given; }
+  int64_t Int(const Flag& flag) const { return Find(flag).number; }
+  const std::string& Text(const Flag& flag) const { return Find(flag).text; }
+  const PredictorSpec& Spec(const Flag& flag) const { return *Find(flag).spec; }
+  const CellProfile& Profile(const Flag& flag) const { return *Find(flag).profile; }
+  const HostPort& Endpoint(const Flag& flag) const { return Find(flag).endpoint; }
+
+  Value& operator[](const Flag& flag) { return values_[&flag]; }
+
+ private:
+  const Value& Find(const Flag& flag) const {
+    const auto it = values_.find(&flag);
+    CRF_CHECK(it != values_.end()) << "--" << flag.name << " is not in the command's table";
+    return it->second;
+  }
+
+  std::map<const Flag*, Value> values_;
+};
+
+std::string Metavar(const Flag& flag) {
+  static const char* const kMetavars[] = {"",      "=INT", "=NUMBER", "=FILE",     "=OUTPUT",
+                                          "=CELL", "=",    "=SPEC",   "=HOST:PORT"};
+  return kMetavars[static_cast<int>(flag.kind)] +
+         std::string(flag.kind == Kind::kChoice ? flag.choices : "");
+}
+
+// Parses `value->text` by the flag's kind; false with `*error` naming the
+// flag when the text is not a valid value.
+bool ParseValue(const Flag& flag, Value* value, std::string* error) {
+  const std::string& text = value->text;
+  const std::string quoted = Dashed(flag) + " value \"" + text + "\"";
+  if (flag.kind != Kind::kBool && text.empty()) {
+    *error = Dashed(flag) + " value must not be empty";
+    return false;
+  }
+  std::string detail;
+  switch (flag.kind) {
+    case Kind::kBool:
+    case Kind::kInput:
+      return true;
+    case Kind::kInt:
+      return ParseIntFlag(flag.name, text, flag.min, flag.max, &value->number, error);
+    case Kind::kDuration: {
+      double units = 0.0;
+      if (!ParseDoubleFlag(flag.name, text, 0.0, static_cast<double>(flag.max), &units, error)) {
+        return false;
+      }
+      value->number = static_cast<int64_t>(units * flag.unit);
+      if (value->number < 1) {
+        *error = quoted + " is shorter than one 5-minute interval";
+        return false;
+      }
+      return true;
+    }
+    case Kind::kOutput:
+      if (!CheckAtomicTarget(text, &detail)) {
+        *error = Dashed(flag) + ": " + detail;
+        return false;
+      }
+      return true;
+    case Kind::kCell:
+      value->profile = ResolveProfile(text);
+      if (!value->profile.has_value()) {
+        *error = quoted + " is not a cell (use a..h or production_1..5)";
+        return false;
+      }
+      return true;
+    case Kind::kChoice:
+      if (text.find('|') != std::string::npos ||
+          ("|" + std::string(flag.choices) + "|").find("|" + text + "|") == std::string::npos) {
+        *error = quoted + " is not one of " + flag.choices;
+        return false;
+      }
+      return true;
+    case Kind::kSpec:
+      value->spec = ParsePredictorSpec(text, &detail);
+      if (!value->spec.has_value()) {
+        *error = "bad " + Dashed(flag) + " spec: " + detail;
+        return false;
+      }
+      return true;
+    case Kind::kHostPort:
+      return ParseHostPortFlag(flag.name, text, &value->endpoint, error);
+  }
+  return false;
+}
+
+// Reads `args` (each "--name" or "--name=value") against `rows`: every flag
+// must be in the table and given at most once, with a value exactly when it
+// is not a bool, and every required row must be given. Then every given
+// value and every default is parsed by its kind. On the first fault returns
+// nullopt with `*error` naming the flag.
+std::optional<Flags> ParseFlags(const std::string& command, const Rows& rows,
+                                const std::vector<std::string>& args, std::string* error) {
+  Flags flags;
+  for (const Row& row : rows) {
+    flags[*row.flag];  // Declares the row, so Flags can tell it from a flag the command lacks.
+  }
+  for (const std::string& arg : args) {
+    if (arg.rfind("--", 0) != 0) {
+      *error = "unexpected argument: " + arg;
+      return std::nullopt;
+    }
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const auto row = std::find_if(rows.begin(), rows.end(),
+                                  [&](const Row& r) { return Dashed(*r.flag) == name; });
+    if (row == rows.end()) {
+      *error = "unknown flag " + name;
+      return std::nullopt;
+    }
+    Value& value = flags[*row->flag];
+    if (value.given) {
+      *error = name + " is given twice";
+      return std::nullopt;
+    }
+    if ((row->flag->kind == Kind::kBool) != (eq == std::string::npos)) {
+      *error = eq == std::string::npos ? name + " needs a value: " + name + Metavar(*row->flag)
+                                       : name + " takes no value";
+      return std::nullopt;
+    }
+    value.given = true;
+    value.text = eq == std::string::npos ? "" : arg.substr(eq + 1);
+  }
+  for (const Row& row : rows) {
+    Value& value = flags[*row.flag];
+    if (!value.given && row.required) {
+      *error = command + " requires " + Dashed(*row.flag) + Metavar(*row.flag);
+      return std::nullopt;
+    }
+    if (!value.given && row.fallback == nullptr) {
+      continue;
+    }
+    if (!value.given) {
+      value.text = row.fallback;
+    }
+    if (!ParseValue(*row.flag, &value, error)) {
+      return std::nullopt;
+    }
+  }
+  return flags;
 }
 
 // SIGINT/SIGTERM request a graceful stop: the replay loop breaks at its next
@@ -157,216 +313,139 @@ void InstallStopHandlers() {
   std::signal(SIGTERM, [](int) { g_stop.store(true); });
 }
 
-// Strict flag accessor: an absent flag yields `fallback`; a present one must
-// parse in full as an integer in [min_value, max_value] (arg_parse.h
-// diagnostics name the flag and the offending text).
-bool GetIntFlag(Args& args, const std::string& key, int64_t fallback, int64_t min_value,
-                int64_t max_value, int64_t* value, std::string* error) {
-  const auto text = args.Get(key);
-  if (!text.has_value()) {
-    *value = fallback;
-    return true;
+// The profile of the cell --cell names, resized by --machines.
+CellProfile ProfileFrom(const Flags& flags) {
+  CellProfile profile = flags.Profile(kCell);
+  if (flags.Has(kMachines)) {
+    profile.num_machines = static_cast<int>(flags.Int(kMachines));
   }
-  return ParseIntFlag(key, *text, min_value, max_value, value, error);
+  return profile;
 }
 
-// Strict duration flag: a number of `unit` intervals (hours or days) in
-// [0, max_units], truncated to whole 5-minute intervals in int64. An absent
-// flag yields `fallback` units; a present one must parse in full and give
-// at least one interval.
-bool GetIntervalsFlag(Args& args, const std::string& key, double fallback, Interval unit,
-                      double max_units, Interval* value, std::string* error) {
-  const auto text = args.Get(key);
-  double units = fallback;
-  if (text.has_value() && !ParseDoubleFlag(key, *text, 0.0, max_units, &units, error)) {
+GeneratorOptions GeneratorFrom(const Flags& flags, ThreadPool& pool) {
+  GeneratorOptions options;
+  options.num_intervals = static_cast<Interval>(flags.Int(kDays));
+  options.rich_stats = flags.Has(kRich);
+  options.placement_probes = static_cast<int>(flags.Int(kProbes));
+  options.pool = &pool;
+  return options;
+}
+
+Rng SeedFrom(const Flags& flags) { return Rng(static_cast<uint64_t>(flags.Int(kSeed))); }
+
+// A cell comes from the trace file `source` names or is synthesized; the
+// flags of the other way are rejected, not ignored.
+bool CheckSource(const Flags& flags, const Flag& source, std::string* error) {
+  for (const Row& row : kCellRows) {
+    if (flags.Has(source) && flags.Has(*row.flag)) {
+      *error = Dashed(*row.flag) + " synthesizes a cell; it cannot be combined with " +
+               Dashed(source);
+      return false;
+    }
+  }
+  if (!flags.Has(source) && flags.Has(kMmap)) {
+    *error = Dashed(kMmap) + " maps a binary trace; it requires " + Dashed(source);
     return false;
   }
-  const int64_t intervals = static_cast<int64_t>(units * unit);
-  if (intervals < 1) {
-    *error = "--" + key + " value \"" + text.value_or("") +
-             "\" is shorter than one 5-minute interval";
-    return false;
-  }
-  *value = static_cast<Interval>(intervals);
   return true;
 }
 
-// --horizon-hours: the oracle horizon, at most ten years.
-bool GetHorizonFlag(Args& args, Interval* horizon, std::string* error) {
-  return GetIntervalsFlag(args, "horizon-hours", 24.0, kIntervalsPerHour, 24.0 * 3650.0,
-                          horizon, error);
-}
-
-TraceLoadOptions LoadOptionsFromArgs(Args& args) {
+std::optional<CellTrace> LoadTrace(const Flags& flags, const Flag& source, std::string* error) {
   TraceLoadOptions load;
-  if (args.GetBool("mmap")) {
+  if (flags.Has(kMmap)) {
     load.mode = TraceLoadMode::kMapped;
   }
-  return load;
+  const std::string& path = flags.Text(source);
+  std::string load_error;
+  auto cell = LoadCellTrace(path, load, &load_error);
+  if (!cell.has_value()) {
+    *error = "cannot load trace " + path + (load_error.empty() ? "" : ": " + load_error);
+  }
+  return cell;
 }
 
-// --threads=N: total worker threads for generation / simulation / replay.
-// 0 (default) or 1 runs serially; results never depend on the value. On a
-// malformed value, returns nullptr with `error` set.
-std::unique_ptr<ThreadPool> PoolFromArgs(Args& args, std::string& error) {
-  int64_t threads = 0;
-  if (!GetIntFlag(args, "threads", 0, 0, 1024, &threads, &error)) {
-    return nullptr;
+std::optional<CellTrace> LoadOrSynthesize(const Flags& flags, const Flag& source,
+                                          ThreadPool& pool, std::string* error) {
+  if (!CheckSource(flags, source, error)) {
+    return std::nullopt;
   }
-  if (threads > 1) {
-    return std::make_unique<ThreadPool>(static_cast<int>(threads));
+  if (flags.Has(source)) {
+    return LoadTrace(flags, source, error);
   }
-  return nullptr;
+  return GenerateCellTrace(ProfileFrom(flags), GeneratorFrom(flags, pool), SeedFrom(flags));
 }
 
-// The cell generate, info, simulate, serve and loadgen synthesize.
-struct CellSynthesis {
-  CellProfile profile;
-  GeneratorOptions options;  // options.pool points at `pool`
-  int64_t seed = 42;  // any 64-bit value; Rng takes its bits
-  std::unique_ptr<ThreadPool> pool;
-};
+// --threads: the one pool every stage of a command runs on. 0 or 1 gives a
+// pool with no workers, so the whole run stays on the calling thread.
+int ThreadsFrom(const Flags& flags) { return static_cast<int>(flags.Int(kThreads)); }
 
-// Reads --cell, --machines, --days, --rich, --probes, --seed and --threads,
-// strictly: a bad value fails naming its flag. --days
-// must give at least one interval; its bound keeps the count from overflow.
-std::optional<CellSynthesis> CellFromArgs(Args& args, std::string& error) {
-  const std::string cell_name = args.GetOr("cell", "a");
-  const auto profile = ResolveProfile(cell_name);
-  if (!profile.has_value()) {
-    error = "--cell value \"" + cell_name + "\" is not a cell (use a..h or production_1..5)";
-    return std::nullopt;
-  }
-  CellSynthesis synthesis{*profile, GeneratorOptions{}, 42, nullptr};
-  int64_t machines = 0;
-  int64_t probes = 0;
-  if (!GetIntFlag(args, "machines", profile->num_machines, 1, 1000000, &machines, &error) ||
-      !GetIntervalsFlag(args, "days", 7.0, kIntervalsPerDay, 3650.0,
-                        &synthesis.options.num_intervals, &error) ||
-      !GetIntFlag(args, "probes", 0, 0, 1 << 20, &probes, &error) ||
-      !GetIntFlag(args, "seed", 42, INT64_MIN, INT64_MAX, &synthesis.seed, &error)) {
-    return std::nullopt;
-  }
-  synthesis.profile.num_machines = static_cast<int>(machines);
-  synthesis.options.rich_stats = args.GetBool("rich");
-  synthesis.options.placement_probes = static_cast<int>(probes);
-  synthesis.pool = PoolFromArgs(args, error);
-  synthesis.options.pool = synthesis.pool.get();
-  if (!error.empty()) {
-    return std::nullopt;
-  }
-  return synthesis;
-}
-
-std::optional<CellTrace> BuildOrLoadCell(Args& args, std::string& error) {
-  const TraceLoadOptions load = LoadOptionsFromArgs(args);
-  const auto trace_path = args.Get("trace");
-  if (trace_path.has_value()) {
-    std::string load_error;
-    auto cell = LoadCellTrace(*trace_path, load, &load_error);
-    if (!cell.has_value()) {
-      error = "cannot load trace " + *trace_path +
-              (load_error.empty() ? "" : ": " + load_error);
-    }
-    return cell;
-  }
-  auto synthesis = CellFromArgs(args, error);
-  if (!synthesis.has_value()) {
-    return std::nullopt;
-  }
-  return GenerateCellTrace(synthesis->profile, synthesis->options, Rng(synthesis->seed));
-}
-
-int CmdGenerate(Args& args) {
-  const auto out = args.Get("out");
-  if (!out.has_value()) {
-    return Fail("generate requires --out=FILE");
-  }
-  const bool binary = args.GetBool("binary");
-  const bool stream = args.GetBool("stream");
-  // Streaming generation writes the binary file directly; it never holds
-  // the sealed cell, so it cannot start from --trace or emit text.
-  if (stream && args.Get("trace").has_value()) {
-    return Fail("--stream generates a fresh cell; it cannot re-save --trace=FILE");
-  }
+int CmdGenerate(const Flags& flags) {
+  const std::string& out = flags.Text(kOut);
+  const bool binary = flags.Has(kBinary);
+  ThreadPool pool(ThreadsFrom(flags));
   std::string error;
-  std::optional<CellSynthesis> synthesis;
-  std::optional<CellTrace> cell;
-  if (stream) {
-    synthesis = CellFromArgs(args, error);
-  } else {
-    cell = BuildOrLoadCell(args, error);
-  }
-  if (!error.empty()) {
-    return Fail(error);
-  }
-  if (const auto unknown = args.UnknownFlag()) {
-    return Fail("unknown flag --" + *unknown);
-  }
-  if (stream) {
+  if (flags.Has(kStream)) {
+    // Streaming generation writes the binary file directly; it never holds
+    // the sealed cell, so it cannot start from a trace or emit text.
+    if (flags.Has(kTrace)) {
+      return Fail(Dashed(kStream) + " generates a fresh cell; it cannot re-save " +
+                  Dashed(kTrace));
+    }
+    if (!CheckSource(flags, kTrace, &error)) {
+      return Fail(error);
+    }
+    const CellProfile profile = ProfileFrom(flags);
+    const GeneratorOptions options = GeneratorFrom(flags, pool);
     StreamedTraceInfo info;
-    if (!GenerateCellTraceToFile(synthesis->profile, synthesis->options, Rng(synthesis->seed),
-                                 *out, &error, &info)) {
+    if (!GenerateCellTraceToFile(profile, options, SeedFrom(flags), out, &error, &info)) {
       return Fail(error);
     }
     std::printf("wrote %s (binary, streamed): %d machines, %lld tasks, %d intervals,"
                 " %llu bytes\n",
-                out->c_str(), synthesis->profile.num_machines,
-                static_cast<long long>(info.num_tasks), synthesis->options.num_intervals,
-                static_cast<unsigned long long>(info.file_bytes));
+                out.c_str(), profile.num_machines, static_cast<long long>(info.num_tasks),
+                options.num_intervals, static_cast<unsigned long long>(info.file_bytes));
     std::fprintf(stderr, "crf: placement %.0f ms (%lld attempts, %.0f placements/s)\n",
                  info.placement_ms, static_cast<long long>(info.placement_attempts),
                  info.placement_ms > 0.0 ? info.placement_attempts * 1000.0 / info.placement_ms
                                          : 0.0);
     return 0;
   }
-  if (!(binary ? SaveCellTraceBinary(*cell, *out, &error) : SaveCellTrace(*cell, *out, &error))) {
+  const auto cell = LoadOrSynthesize(flags, kTrace, pool, &error);
+  if (!cell.has_value()) {
     return Fail(error);
   }
-  std::printf("wrote %s (%s): %d machines, %d tasks, %d intervals\n", out->c_str(),
+  if (!(binary ? SaveCellTraceBinary(*cell, out, &error) : SaveCellTrace(*cell, out, &error))) {
+    return Fail(error);
+  }
+  std::printf("wrote %s (%s): %d machines, %d tasks, %d intervals\n", out.c_str(),
               binary ? "binary" : "text", cell->num_machines(), cell->num_tasks(),
               cell->num_intervals);
   return 0;
 }
 
-int CmdConvert(Args& args) {
-  const auto out = args.Get("out");
-  if (!out.has_value()) {
-    return Fail("convert requires --out=FILE");
-  }
-  const auto trace_path = args.Get("trace");
-  if (!trace_path.has_value()) {
-    return Fail("convert requires --trace=FILE");
-  }
-  const bool binary = args.GetBool("binary");
-  const TraceLoadOptions load = LoadOptionsFromArgs(args);
-  if (const auto unknown = args.UnknownFlag()) {
-    return Fail("unknown flag --" + *unknown);
-  }
-  std::string load_error;
-  const auto cell = LoadCellTrace(*trace_path, load, &load_error);
-  if (!cell.has_value()) {
-    return Fail("cannot load trace " + *trace_path +
-                (load_error.empty() ? "" : ": " + load_error));
-  }
+int CmdConvert(const Flags& flags) {
+  const std::string& out = flags.Text(kOut);
+  const bool binary = flags.Has(kBinary);
   std::string error;
-  if (!(binary ? SaveCellTraceBinary(*cell, *out, &error) : SaveCellTrace(*cell, *out, &error))) {
+  const auto cell = LoadTrace(flags, kTrace, &error);
+  if (!cell.has_value()) {
+    return Fail(error);
+  }
+  if (!(binary ? SaveCellTraceBinary(*cell, out, &error) : SaveCellTrace(*cell, out, &error))) {
     return Fail(error);
   }
   std::printf("converted %s -> %s (%s): %d machines, %d tasks, %d intervals\n",
-              trace_path->c_str(), out->c_str(), binary ? "binary" : "text",
+              flags.Text(kTrace).c_str(), out.c_str(), binary ? "binary" : "text",
               cell->num_machines(), cell->num_tasks(), cell->num_intervals);
   return 0;
 }
 
-int CmdInfo(Args& args) {
+int CmdInfo(const Flags& flags) {
+  ThreadPool pool(ThreadsFrom(flags));
   std::string error;
-  const auto cell = BuildOrLoadCell(args, error);
+  const auto cell = LoadOrSynthesize(flags, kTrace, pool, &error);
   if (!cell.has_value()) {
     return Fail(error);
-  }
-  if (const auto unknown = args.UnknownFlag()) {
-    return Fail("unknown flag --" + *unknown);
   }
   const Ecdf runtimes = TaskRuntimeHoursCdf(*cell);
   const Ecdf ratios = UsageToLimitCdf(*cell, 4);
@@ -397,32 +476,21 @@ void PrintSimResultTable(const SimResult& result) {
   std::printf("cell-level savings (time-mean): %.4f\n", result.MeanCellSavings());
 }
 
-int CmdSimulate(Args& args) {
-  const std::string spec_text = args.GetOr("predictor", "max(n-sigma:5,rc-like:99)");
-  std::string spec_error;
-  const auto spec = ParsePredictorSpec(spec_text, &spec_error);
-  if (!spec.has_value()) {
-    return Fail("bad --predictor spec: " + spec_error);
-  }
+int CmdSimulate(const Flags& flags) {
+  ThreadPool pool(ThreadsFrom(flags));
   SimOptions options;
+  options.horizon = static_cast<Interval>(flags.Int(kHorizon));
+  options.pool = &pool;
   std::string error;
-  if (!GetHorizonFlag(args, &options.horizon, &error)) {
-    return Fail(error);
-  }
-  const bool all_classes = args.GetBool("all-classes");
-
-  auto cell = BuildOrLoadCell(args, error);
+  auto cell = LoadOrSynthesize(flags, kTrace, pool, &error);
   if (!cell.has_value()) {
     return Fail(error);
   }
-  if (const auto unknown = args.UnknownFlag()) {
-    return Fail("unknown flag --" + *unknown);
-  }
-  if (!all_classes) {
+  if (!flags.Has(kAllClasses)) {
     cell->FilterToServingTasks();
   }
 
-  const SimResult result = SimulateCell(*cell, *spec, options);
+  const SimResult result = SimulateCell(*cell, flags.Spec(kPredictor), options);
   std::printf("cell %s, predictor %s, horizon %gh\n", result.cell_name.c_str(),
               result.predictor_name.c_str(), IntervalsToHours(options.horizon));
   PrintSimResultTable(result);
@@ -431,9 +499,10 @@ int CmdSimulate(Args& args) {
 
 // The deterministic end-of-replay block shared by the local replay path and
 // the network server (after clients stream the whole trace): CI diffs these
-// lines across resumed, interrupted, and network-fed runs.
+// lines across resumed, interrupted, and network-fed runs. An empty
+// `metrics_out` writes no metrics file.
 int PrintServeResults(StreamReplayer& replayer, const ReplayOptions& options,
-                      const std::optional<std::string>& metrics_out) {
+                      const std::string& metrics_out) {
   const SimResult result = replayer.Finish();
   const ServeMetrics& metrics = replayer.Metrics();
   std::printf("cell %s, predictor %s, horizon %gh, %d shards\n", result.cell_name.c_str(),
@@ -445,8 +514,8 @@ int PrintServeResults(StreamReplayer& replayer, const ReplayOptions& options,
               static_cast<unsigned long long>(metrics.TotalTicks()));
   std::fprintf(stderr, "crf: ingest rate %.0f events/s (%.3fs wall)\n",
                metrics.EventsPerSecond(), metrics.elapsed_seconds());
-  if (metrics_out.has_value() && !metrics.WriteJson(*metrics_out)) {
-    return Fail("cannot write metrics to " + *metrics_out);
+  if (!metrics_out.empty() && !metrics.WriteJson(metrics_out)) {
+    return Fail("cannot write metrics to " + metrics_out);
   }
   return 0;
 }
@@ -455,116 +524,68 @@ int PrintServeResults(StreamReplayer& replayer, const ReplayOptions& options,
 // results go to stdout — CI diffs a resumed run against an uninterrupted
 // one — timing-derived throughput goes to stderr. With --listen the replayer
 // is instead exposed over TCP (crf/net) and driven by remote clients.
-int CmdServe(Args& args) {
-  const std::string spec_text = args.GetOr("predictor", "max(n-sigma:5,rc-like:99)");
-  std::string spec_error;
-  const auto spec = ParsePredictorSpec(spec_text, &spec_error);
-  if (!spec.has_value()) {
-    return Fail("bad --predictor spec: " + spec_error);
+int CmdServe(const Flags& flags) {
+  const bool listen = flags.Has(kListen);
+  const bool checkpoint_at = flags.Has(kCheckpointAt) || flags.Has(kStopAfterCheckpoint);
+  const std::string at_flags = Dashed(kCheckpointAt) + "/" + Dashed(kStopAfterCheckpoint);
+  if (!listen && (flags.Has(kPortFile) || flags.Has(kMaxConns))) {
+    return Fail(Dashed(kPortFile) + "/" + Dashed(kMaxConns) + " require " + Dashed(kListen));
   }
+  if (listen && checkpoint_at) {
+    return Fail(at_flags + " are not valid with " + Dashed(kListen));
+  }
+  if (checkpoint_at && !flags.Has(kCheckpointOut)) {
+    return Fail(at_flags + " require " + Dashed(kCheckpointOut));
+  }
+  const std::string& checkpoint_out = flags.Text(kCheckpointOut);
+  const std::string& metrics_out = flags.Text(kMetricsOut);
 
+  ThreadPool pool(ThreadsFrom(flags));
   ReplayOptions options;
-  std::string arg_error;
-  int64_t num_shards = 16;
-  int64_t checkpoint_at = -1;  // -1: none given
-  if (!GetHorizonFlag(args, &options.horizon, &arg_error) ||
-      !GetIntFlag(args, "shards", 16, 1, 65536, &num_shards, &arg_error) ||
-      !GetIntFlag(args, "checkpoint-at", -1, 0, INT32_MAX, &checkpoint_at, &arg_error)) {
-    return Fail(arg_error);
-  }
-  options.num_shards = static_cast<int>(num_shards);
-  options.parallel = !args.GetBool("no-parallel");
-  // --threads also sizes the generation pool when the cell is synthesized
-  // below (BuildOrLoadCell reads the same flag).
-  const auto pool = PoolFromArgs(args, arg_error);
-  if (!arg_error.empty()) {
-    return Fail(arg_error);
-  }
-  options.pool = pool.get();
-  const bool all_classes = args.GetBool("all-classes");
-  const auto resume_path = args.Get("resume");
-  const auto checkpoint_out = args.Get("checkpoint-out");
-  const bool stop_after_checkpoint = args.GetBool("stop-after-checkpoint");
-  const auto metrics_out = args.Get("metrics-out");
-  const auto listen_text = args.Get("listen");
-  HostPort listen;
-  if (listen_text.has_value() &&
-      !ParseHostPortFlag("listen", *listen_text, &listen, &arg_error)) {
-    return Fail(arg_error);
-  }
-  const auto port_file = args.Get("port-file");
-  int64_t max_conns = 64;
-  if (!GetIntFlag(args, "max-conns", 64, 1, 65536, &max_conns, &arg_error)) {
-    return Fail(arg_error);
-  }
-  if (!listen_text.has_value() && (port_file.has_value() || args.Get("max-conns"))) {
-    return Fail("--port-file/--max-conns require --listen=HOST:PORT");
-  }
-  // Both outputs are written only after the replay: reject an unwritable
-  // destination before loading the trace, not after the work is done.
-  for (const auto& [flag, path] : {std::pair{"metrics-out", metrics_out},
-                                   std::pair{"checkpoint-out", checkpoint_out}}) {
-    if (path.has_value() && !CheckAtomicTarget(*path, &arg_error)) {
-      return Fail(std::string("--") + flag + ": " + arg_error);
-    }
-  }
-
+  options.horizon = static_cast<Interval>(flags.Int(kHorizon));
+  options.num_shards = static_cast<int>(flags.Int(kShards));
+  options.pool = &pool;
   std::string error;
-  std::optional<CellTrace> cell;
-  if (const auto replay_path = args.Get("replay")) {
-    std::string load_error;
-    cell = LoadCellTrace(*replay_path, LoadOptionsFromArgs(args), &load_error);
-    if (!cell.has_value()) {
-      return Fail("cannot load trace " + *replay_path +
-                  (load_error.empty() ? "" : ": " + load_error));
-    }
-  } else {
-    cell = BuildOrLoadCell(args, error);
-    if (!cell.has_value()) {
-      return Fail(error);
-    }
+  auto cell = LoadOrSynthesize(flags, kReplay, pool, &error);
+  if (!cell.has_value()) {
+    return Fail(error);
   }
-  if (const auto unknown = args.UnknownFlag()) {
-    return Fail("unknown flag --" + *unknown);
-  }
-  if (!all_classes) {
+  if (!flags.Has(kAllClasses)) {
     if (cell->is_mapped()) {
       std::fprintf(stderr,
                    "crf: note: class filtering reseals the trace on the heap; use"
-                   " --all-classes to keep the mmap zero-copy path\n");
+                   " %s to keep the mmap zero-copy path\n",
+                   Dashed(kAllClasses).c_str());
     }
     cell->FilterToServingTasks();
   }
 
   std::unique_ptr<StreamReplayer> replayer;
-  if (resume_path.has_value()) {
+  if (flags.Has(kResume)) {
     // The checkpoint carries the predictor spec; --predictor is ignored.
-    replayer = LoadCheckpoint(*resume_path, *cell, options, &error);
+    replayer = LoadCheckpoint(flags.Text(kResume), *cell, options, &error);
     if (replayer == nullptr) {
       return Fail("cannot resume: " + error);
     }
   } else {
-    replayer = std::make_unique<StreamReplayer>(*cell, *spec, options);
+    replayer = std::make_unique<StreamReplayer>(*cell, flags.Spec(kPredictor), options);
   }
 
-  if (listen_text.has_value()) {
-    if (checkpoint_at >= 0 || stop_after_checkpoint) {
-      return Fail("--checkpoint-at/--stop-after-checkpoint are not valid with --listen");
-    }
+  if (listen) {
     NetServerOptions net_options;
-    net_options.host = listen.host;
-    net_options.port = listen.port;
-    net_options.max_connections = static_cast<int>(max_conns);
-    net_options.checkpoint_out = checkpoint_out.value_or("");
+    net_options.host = flags.Endpoint(kListen).host;
+    net_options.port = flags.Endpoint(kListen).port;
+    net_options.max_connections = static_cast<int>(flags.Int(kMaxConns));
+    net_options.checkpoint_out = checkpoint_out;
     OvercommitServer server(*replayer, net_options);
     if (!server.Start(&error)) {
       return Fail(error);
     }
     // Atomic, so a script polling for a non-empty file never reads a partial
     // port number.
-    if (port_file.has_value() &&
-        !WriteFileAtomic(*port_file, std::to_string(server.port()) + "\n", &error)) {
-      return Fail("cannot write --port-file: " + error);
+    if (flags.Has(kPortFile) &&
+        !WriteFileAtomic(flags.Text(kPortFile), std::to_string(server.port()) + "\n", &error)) {
+      return Fail("cannot write " + Dashed(kPortFile) + ": " + error);
     }
     std::fprintf(stderr,
                  "crf: serving %s (%s) on %s:%d, %d shards, next tick %d/%d\n",
@@ -582,31 +603,29 @@ int CmdServe(Args& args) {
     }
     std::fprintf(stderr, "crf: stopped at tick %d/%d\n", replayer->next_tick(),
                  cell->num_intervals);
-    if (metrics_out.has_value() && !replayer->Metrics().WriteJson(*metrics_out)) {
-      return Fail("cannot write metrics to " + *metrics_out);
+    if (!metrics_out.empty() && !replayer->Metrics().WriteJson(metrics_out)) {
+      return Fail("cannot write metrics to " + metrics_out);
     }
     return 0;
   }
 
-  if (checkpoint_out.has_value()) {
-    const Interval cut = checkpoint_at >= 0 ? static_cast<Interval>(checkpoint_at)
-                                            : cell->num_intervals / 2;
+  if (flags.Has(kCheckpointOut)) {
+    const Interval cut = flags.Has(kCheckpointAt) ? static_cast<Interval>(flags.Int(kCheckpointAt))
+                                                  : cell->num_intervals / 2;
     if (cut < replayer->next_tick() || cut > cell->num_intervals) {
-      return Fail("--checkpoint-at=" + std::to_string(cut) + " is outside [" +
+      return Fail(Dashed(kCheckpointAt) + "=" + std::to_string(cut) + " is outside [" +
                   std::to_string(replayer->next_tick()) + ", " +
                   std::to_string(cell->num_intervals) + "]");
     }
     replayer->Advance(cut);
-    if (!SaveCheckpoint(*replayer, *checkpoint_out, &error)) {
+    if (!SaveCheckpoint(*replayer, checkpoint_out, &error)) {
       return Fail(error);
     }
-    std::printf("checkpoint written to %s at tick %d/%d\n", checkpoint_out->c_str(),
+    std::printf("checkpoint written to %s at tick %d/%d\n", checkpoint_out.c_str(),
                 replayer->next_tick(), cell->num_intervals);
-    if (stop_after_checkpoint) {
+    if (flags.Has(kStopAfterCheckpoint)) {
       return 0;
     }
-  } else if (checkpoint_at >= 0 || stop_after_checkpoint) {
-    return Fail("--checkpoint-at/--stop-after-checkpoint require --checkpoint-out=FILE");
   }
 
   // Chunked replay (day granularity) so SIGINT/SIGTERM can stop between
@@ -619,16 +638,18 @@ int CmdServe(Args& args) {
                                          cell->num_intervals));
   }
   if (!replayer->Done()) {
-    if (checkpoint_out.has_value()) {
-      if (!SaveCheckpoint(*replayer, *checkpoint_out, &error)) {
+    if (flags.Has(kCheckpointOut)) {
+      if (!SaveCheckpoint(*replayer, checkpoint_out, &error)) {
         return Fail(error);
       }
-      std::printf("checkpoint written to %s at tick %d/%d\n", checkpoint_out->c_str(),
+      std::printf("checkpoint written to %s at tick %d/%d\n", checkpoint_out.c_str(),
                   replayer->next_tick(), cell->num_intervals);
     }
     std::fprintf(stderr, "crf: stopped at tick %d/%d%s\n", replayer->next_tick(),
                  cell->num_intervals,
-                 checkpoint_out.has_value() ? "" : " (no --checkpoint-out; state discarded)");
+                 flags.Has(kCheckpointOut)
+                     ? ""
+                     : (" (no " + Dashed(kCheckpointOut) + "; state discarded)").c_str());
     return 0;
   }
   return PrintServeResults(*replayer, options, metrics_out);
@@ -639,65 +660,37 @@ int CmdServe(Args& args) {
 // state is verified bit-for-bit against an in-process replay. The verify
 // verdict and event totals on stdout are deterministic; rates and latency
 // percentiles are timing-derived.
-int CmdLoadgen(Args& args) {
-  const auto connect = args.Get("connect");
-  if (!connect.has_value()) {
-    return Fail("loadgen requires --connect=HOST:PORT");
-  }
-  std::string arg_error;
-  HostPort endpoint;
-  if (!ParseHostPortFlag("connect", *connect, &endpoint, &arg_error)) {
-    return Fail(arg_error);
-  }
+int CmdLoadgen(const Flags& flags) {
+  const HostPort& endpoint = flags.Endpoint(kConnect);
   if (endpoint.port == 0) {
-    return Fail("--connect requires an explicit port");
+    return Fail(Dashed(kConnect) + " requires an explicit port");
   }
-  const std::string spec_text = args.GetOr("predictor", "max(n-sigma:5,rc-like:99)");
-  std::string spec_error;
-  const auto spec = ParsePredictorSpec(spec_text, &spec_error);
-  if (!spec.has_value()) {
-    return Fail("bad --predictor spec: " + spec_error);
-  }
-
+  ThreadPool pool(ThreadsFrom(flags));
   LoadGenOptions options;
   options.host = endpoint.host;
   options.port = endpoint.port;
-  int64_t clients = 4;
-  int64_t batch_ticks = 256;
-  int64_t until = -1;
-  int64_t shards = 16;
+  options.client_threads = static_cast<int>(flags.Int(kClients));
+  options.batch_ticks = static_cast<int>(flags.Int(kBatchTicks));
+  options.until = static_cast<Interval>(flags.Int(kUntil));
+  options.verify = !flags.Has(kNoVerify);
+  options.send_shutdown = !flags.Has(kNoShutdown);
   // The verification replay must mirror the server's replay options:
   // --shards fixes the cell-series rounding, --horizon-hours the oracle.
-  if (!GetIntFlag(args, "clients", 4, 1, 256, &clients, &arg_error) ||
-      !GetIntFlag(args, "batch-ticks", 256, 1, 1 << 20, &batch_ticks, &arg_error) ||
-      !GetIntFlag(args, "until", -1, -1, 1 << 30, &until, &arg_error) ||
-      !GetIntFlag(args, "shards", 16, 1, 65536, &shards, &arg_error) ||
-      !GetHorizonFlag(args, &options.verify_options.horizon, &arg_error)) {
-    return Fail(arg_error);
-  }
-  options.client_threads = static_cast<int>(clients);
-  options.batch_ticks = static_cast<int>(batch_ticks);
-  options.until = static_cast<Interval>(until);
-  options.verify = !args.GetBool("no-verify");
-  options.send_shutdown = !args.GetBool("no-shutdown");
-  options.verify_options.num_shards = static_cast<int>(shards);
-  options.verify_options.parallel = false;
-  const bool all_classes = args.GetBool("all-classes");
+  options.verify_options.horizon = static_cast<Interval>(flags.Int(kHorizon));
+  options.verify_options.num_shards = static_cast<int>(flags.Int(kShards));
+  options.verify_options.pool = &pool;
 
   std::string error;
-  auto cell = BuildOrLoadCell(args, error);
+  auto cell = LoadOrSynthesize(flags, kTrace, pool, &error);
   if (!cell.has_value()) {
     return Fail(error);
   }
-  if (const auto unknown = args.UnknownFlag()) {
-    return Fail("unknown flag --" + *unknown);
-  }
-  if (!all_classes) {
+  if (!flags.Has(kAllClasses)) {
     cell->FilterToServingTasks();
   }
 
   LoadGenReport report;
-  if (!RunLoadGen(*cell, *spec, options, &report)) {
+  if (!RunLoadGen(*cell, flags.Spec(kPredictor), options, &report)) {
     return Fail("loadgen: " + report.error);
   }
   std::fprintf(stderr,
@@ -731,20 +724,14 @@ int CmdLoadgen(Args& args) {
   return report.verify_ran && !report.verified ? 1 : 0;
 }
 
-int CmdCheckpoint(Args& args) {
-  const auto file = args.Get("file");
-  if (!file.has_value()) {
-    return Fail("checkpoint requires --file=FILE");
-  }
-  if (const auto unknown = args.UnknownFlag()) {
-    return Fail("unknown flag --" + *unknown);
-  }
+int CmdCheckpoint(const Flags& flags) {
+  const std::string& file = flags.Text(kFile);
   CheckpointInfo info;
   std::string error;
-  if (!ReadCheckpointInfo(*file, &info, &error)) {
+  if (!ReadCheckpointInfo(file, &info, &error)) {
     return Fail(error);
   }
-  std::printf("checkpoint %s (version %u)\n", file->c_str(), info.version);
+  std::printf("checkpoint %s (version %u)\n", file.c_str(), info.version);
   std::printf("  trace:    %s (%d machines, %d intervals)\n", info.trace_name.c_str(),
               info.num_machines, info.num_intervals);
   std::printf("  predictor: %s\n", info.spec_name.c_str());
@@ -754,59 +741,29 @@ int CmdCheckpoint(Args& args) {
   return 0;
 }
 
-int CmdCluster(Args& args) {
-  const std::string spec_text = args.GetOr("predictor", "borg-default:0.9");
-  std::string spec_error;
-  const auto spec = ParsePredictorSpec(spec_text, &spec_error);
-  if (!spec.has_value()) {
-    return Fail("bad --predictor spec: " + spec_error);
-  }
-  const std::string cell_name = args.GetOr("cell", "production_1");
-  auto profile = ResolveProfile(cell_name);
-  if (!profile.has_value()) {
-    return Fail("unknown cell '" + cell_name + "'");
-  }
+int CmdCluster(const Flags& flags) {
+  const CellProfile profile = ProfileFrom(flags);
+  ThreadPool pool(ThreadsFrom(flags));
   ClusterSimOptions options;
-  std::string arg_error;
-  int64_t machines = 0;
-  int64_t seed = 42;
-  if (!GetIntFlag(args, "machines", profile->num_machines, 1, 1000000, &machines, &arg_error) ||
-      !GetIntervalsFlag(args, "days", 14.0, kIntervalsPerDay, 3650.0, &options.num_intervals,
-                        &arg_error) ||
-      !GetIntFlag(args, "seed", 42, INT64_MIN, INT64_MAX, &seed, &arg_error)) {
-    return Fail(arg_error);
-  }
-  profile->num_machines = static_cast<int>(machines);
+  options.num_intervals = static_cast<Interval>(flags.Int(kDays));
   options.warmup = std::min<Interval>(2 * kIntervalsPerDay, options.num_intervals / 4);
-  options.predictor = *spec;
-  const std::string packing = args.GetOr("packing", "best-fit");
-  if (packing == "best-fit") {
-    options.packing = PackingPolicy::kBestFit;
-  } else if (packing == "worst-fit") {
-    options.packing = PackingPolicy::kWorstFit;
-  } else if (packing == "random-fit") {
-    options.packing = PackingPolicy::kRandomFit;
-  } else {
-    return Fail("unknown --packing '" + packing + "'");
+  options.predictor = flags.Spec(kPredictor);
+  const std::string& packing = flags.Text(kPacking);
+  for (const PackingPolicy policy :
+       {PackingPolicy::kBestFit, PackingPolicy::kWorstFit, PackingPolicy::kRandomFit}) {
+    if (PackingPolicyName(policy) == packing) {
+      options.packing = policy;
+    }
   }
-  const auto pool = PoolFromArgs(args, arg_error);
-  if (!arg_error.empty()) {
-    return Fail(arg_error);
-  }
-  // --threads <= 1 gives no pool: run serially rather than on the default pool.
-  options.pool = pool.get();
-  options.parallel = pool != nullptr;
-  const Rng rng(static_cast<uint64_t>(seed));
-  if (const auto unknown = args.UnknownFlag()) {
-    return Fail("unknown flag --" + *unknown);
-  }
+  options.pool = &pool;
 
-  const ClusterSimResult result = RunClusterSim(*profile, options, rng);
+  const ClusterSimResult result = RunClusterSim(profile, options, SeedFrom(flags));
   const std::vector<ClusterSimResult> results{result};
-  const GroupMetrics metrics = ComputeGroupMetrics(result.predictor_name, results);
+  const GroupMetrics metrics =
+      ComputeGroupMetrics(result.predictor_name, results, kIntervalsPerDay, &pool);
   std::printf("cell %s, predictor %s, packing %s, %g days (%d machines)\n",
               result.cell_name.c_str(), result.predictor_name.c_str(), packing.c_str(),
-              IntervalsToHours(options.num_intervals) / 24.0, profile->num_machines);
+              IntervalsToHours(options.num_intervals) / 24.0, profile.num_machines);
   Table table({"metric", "p50", "p90"});
   table.AddRow("alloc/capacity", {metrics.normalized_allocation.Quantile(0.5),
                                   metrics.normalized_allocation.Quantile(0.9)});
@@ -830,34 +787,71 @@ int CmdCluster(Args& args) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  const char* summary;
+  Rows rows;
+  int (*run)(const Flags&);
+};
+
+const Command kCommands[] = {
+    {"generate", "synthesize a cell trace and save it (text by default)",
+     Join({{{&kOut, nullptr, true}, {&kBinary}, {&kStream}}, kTraceRows, kThreadRows}),
+     CmdGenerate},
+    {"info", "print a trace's workload statistics (with --mmap, its page residency)",
+     Join({kTraceRows, kThreadRows}), CmdInfo},
+    {"convert", "re-encode a trace between the text and binary formats",
+     {{&kTrace, nullptr, true}, {&kOut, nullptr, true}, {&kBinary}, {&kMmap}}, CmdConvert},
+    {"simulate", "run the trace-driven simulator; prints violation and savings metrics",
+     Join({kTraceRows, kThreadRows, kPredictorRows}), CmdSimulate},
+    {"cluster", "run the closed-loop Borg-like cell simulation; prints group metrics",
+     {{&kCell, "production_1"}, {&kMachines}, {&kDays, "14"}, {&kSeed, "42"},
+      {&kPredictor, "borg-default:0.9"}, {&kPacking, "best-fit"}, {&kThreads, "0"}},
+     CmdCluster},
+    {"serve",
+     "replay a trace through the online serve layer (stdout is the same at any thread count),"
+     " or serve it over TCP with --listen",
+     Join({{{&kReplay}, {&kMmap}}, kCellRows, kThreadRows, kPredictorRows,
+           {{&kShards, "16"}, {&kCheckpointOut}, {&kCheckpointAt}, {&kStopAfterCheckpoint},
+            {&kResume}, {&kMetricsOut}, {&kListen}, {&kPortFile}, {&kMaxConns, "64"}}}),
+     CmdServe},
+    {"loadgen", "replay a trace over the wire against `crf serve --listen` and verify it",
+     Join({{{&kConnect, nullptr, true}}, kTraceRows, kThreadRows, kPredictorRows,
+           {{&kClients, "4"}, {&kBatchTicks, "256"}, {&kUntil, "-1"}, {&kShards, "16"},
+            {&kNoVerify}, {&kNoShutdown}}}),
+     CmdLoadgen},
+    {"checkpoint", "inspect a serve checkpoint's header", {{&kFile, nullptr, true}},
+     CmdCheckpoint},
+};
+
 int Usage() {
-  std::fputs(
-      "usage: crf <generate|info|convert|simulate|cluster|serve|loadgen|checkpoint>"
-      " [--flags]\n"
-      "  crf generate --cell=a --days=7 --out=FILE [--machines=N] [--rich] [--seed=S]\n"
-      "               [--binary] [--stream] [--probes=K] [--threads=T]\n"
-      "  crf info     (--trace=FILE [--mmap] | --cell=a [--days=7] [--machines=N])\n"
-      "  crf convert  --trace=FILE --out=FILE [--binary] [--mmap]\n"
-      "  crf simulate (--trace=FILE [--mmap] | --cell=a [--days] [--machines] [--seed])\n"
-      "               [--predictor=SPEC] [--horizon-hours=24] [--all-classes]\n"
-      "  crf cluster  --cell=production_1 [--machines=N] [--days=14]\n"
-      "               [--predictor=SPEC] [--packing=best-fit|worst-fit|random-fit]\n"
-      "               [--threads=T]\n"
-      "  crf serve    (--replay=FILE [--mmap] | --cell=a [--days] [--machines] [--seed])\n"
-      "               [--predictor=SPEC] [--horizon-hours=24] [--all-classes]\n"
-      "               [--shards=16] [--no-parallel] [--threads=T] [--metrics-out=FILE]\n"
-      "               [--checkpoint-out=FILE --checkpoint-at=TICK\n"
-      "                [--stop-after-checkpoint]] [--resume=FILE]\n"
-      "               [--listen=HOST:PORT [--port-file=FILE] [--max-conns=N]]\n"
-      "  crf loadgen  --connect=HOST:PORT (--trace=FILE [--mmap] | --cell=a ...)\n"
-      "               [--clients=4] [--batch-ticks=256] [--until=T] [--shards=16]\n"
-      "               [--predictor=SPEC] [--horizon-hours=24] [--all-classes]\n"
-      "               [--no-verify] [--no-shutdown]\n"
-      "  crf checkpoint --file=FILE\n"
+  std::string text =
+      "usage: crf <command> [--flag[=VALUE] ...]\n"
+      "A bool flag takes no value; every other flag needs one.\n"
       "SPEC: limit-sum | borg-default[:phi] | rc-like[:pct] | n-sigma[:n]\n"
       "      | autopilot[:pct[:margin]] | chance[:target] | flex[:pct[:margin]]\n"
-      "      | max(SPEC,...)\n",
-      stderr);
+      "      | max(SPEC,...)\n";
+  for (const Command& command : kCommands) {
+    text += std::string("\ncrf ") + command.name + ": " + command.summary + "\n";
+    for (const Row& row : command.rows) {
+      const Flag& flag = *row.flag;
+      std::string line = "  " + Dashed(flag) + Metavar(flag);
+      line.resize(std::max<size_t>(line.size() + 2, 32), ' ');
+      line += flag.help;
+      if (flag.kind == Kind::kInt && flag.min != INT64_MIN) {
+        line += ", in [" + std::to_string(flag.min) + ", " + std::to_string(flag.max) + "]";
+      } else if (flag.kind == Kind::kDuration) {
+        line += ", at least 5 minutes, at most " + std::to_string(flag.max);
+      }
+      if (row.required) {
+        line += " (required)";
+      } else if (row.fallback != nullptr) {
+        line += std::string(" (default ") + row.fallback + ")";
+      }
+      text += line + "\n";
+    }
+  }
+  std::fputs(text.c_str(), stderr);
   return 2;
 }
 
@@ -865,34 +859,14 @@ int Run(int argc, char** argv) {
   if (argc < 2) {
     return Usage();
   }
-  const std::string command = argv[1];
-  Args args(argc, argv, 2);
-  if (!args.ok()) {
-    return Fail(args.error());
-  }
-  if (command == "generate") {
-    return CmdGenerate(args);
-  }
-  if (command == "info") {
-    return CmdInfo(args);
-  }
-  if (command == "convert") {
-    return CmdConvert(args);
-  }
-  if (command == "simulate") {
-    return CmdSimulate(args);
-  }
-  if (command == "cluster") {
-    return CmdCluster(args);
-  }
-  if (command == "serve") {
-    return CmdServe(args);
-  }
-  if (command == "loadgen") {
-    return CmdLoadgen(args);
-  }
-  if (command == "checkpoint") {
-    return CmdCheckpoint(args);
+  const std::string name = argv[1];
+  for (const Command& command : kCommands) {
+    if (name == command.name) {
+      std::string error;
+      const auto flags =
+          ParseFlags(name, command.rows, std::vector<std::string>(argv + 2, argv + argc), &error);
+      return flags.has_value() ? command.run(*flags) : Fail(error);
+    }
   }
   return Usage();
 }
