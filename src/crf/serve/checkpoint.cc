@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -103,22 +104,31 @@ bool SetError(std::string* error, const std::string& message) {
 }
 
 // Only a regular file has a size to read: a directory opens under glibc
-// but reports a nonsense length, and a pipe or device has none.
-bool ReadFile(const std::string& path, std::vector<uint8_t>& out, std::string* error) {
+// but reports a nonsense length, and a pipe or device has none. Returns the
+// open file and its size in `*size`, or nullptr with `*error` set.
+FILE* OpenRegularFile(const std::string& path, uint64_t* size, std::string* error) {
   FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
-    return SetError(error, "cannot open checkpoint " + path);
+    SetError(error, "cannot open checkpoint " + path + ": " + std::strerror(errno));
+    return nullptr;
   }
   struct stat status{};
-  if (::fstat(::fileno(file), &status) != 0) {
+  if (::fstat(::fileno(file), &status) != 0 || !S_ISREG(status.st_mode)) {
     std::fclose(file);
-    return SetError(error, "cannot stat checkpoint " + path);
+    SetError(error, "checkpoint " + path + " is not a regular file");
+    return nullptr;
   }
-  if (!S_ISREG(status.st_mode)) {
-    std::fclose(file);
-    return SetError(error, "checkpoint " + path + " is not a regular file");
+  *size = static_cast<uint64_t>(status.st_size);
+  return file;
+}
+
+bool ReadFile(const std::string& path, std::vector<uint8_t>& out, std::string* error) {
+  uint64_t size = 0;
+  FILE* file = OpenRegularFile(path, &size, error);
+  if (file == nullptr) {
+    return false;
   }
-  out.resize(static_cast<size_t>(status.st_size));
+  out.resize(static_cast<size_t>(size));
   const bool ok = out.empty() || std::fread(out.data(), 1, out.size(), file) == out.size();
   std::fclose(file);
   if (!ok) {
@@ -127,16 +137,8 @@ bool ReadFile(const std::string& path, std::vector<uint8_t>& out, std::string* e
   return true;
 }
 
-// Parses and validates the fixed header + identity strings. On success fills
-// `header`, `trace_name`, `spec` and sets `payload` to the checksummed
-// payload bytes.
-bool ParseCheckpoint(const std::vector<uint8_t>& bytes, CheckpointHeader& header,
-                     std::string& trace_name, PredictorSpec& spec,
-                     std::span<const uint8_t>& payload, std::string* error) {
-  if (bytes.size() < sizeof(CheckpointHeader)) {
-    return SetError(error, "checkpoint truncated: shorter than the header");
-  }
-  std::memcpy(&header, bytes.data(), sizeof(header));
+// Validates the fixed header against the size of the whole file.
+bool CheckHeader(const CheckpointHeader& header, uint64_t file_size, std::string* error) {
   if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
     return SetError(error, "not a checkpoint file (bad magic)");
   }
@@ -152,10 +154,26 @@ bool ParseCheckpoint(const std::vector<uint8_t>& bytes, CheckpointHeader& header
   }
   const uint64_t expected_size = sizeof(CheckpointHeader) + header.name_length +
                                  header.spec_length + header.payload_bytes;
-  if (bytes.size() != expected_size) {
+  if (file_size != expected_size) {
     return SetError(error, "checkpoint truncated: expected " +
                                std::to_string(expected_size) + " bytes, found " +
-                               std::to_string(bytes.size()));
+                               std::to_string(file_size));
+  }
+  return true;
+}
+
+// Parses and validates the fixed header + identity strings. On success fills
+// `header`, `trace_name`, `spec` and sets `payload` to the checksummed
+// payload bytes.
+bool ParseCheckpoint(const std::vector<uint8_t>& bytes, CheckpointHeader& header,
+                     std::string& trace_name, PredictorSpec& spec,
+                     std::span<const uint8_t>& payload, std::string* error) {
+  if (bytes.size() < sizeof(CheckpointHeader)) {
+    return SetError(error, "checkpoint truncated: shorter than the header");
+  }
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  if (!CheckHeader(header, bytes.size(), error)) {
+    return false;
   }
   const uint8_t* cursor = bytes.data() + sizeof(CheckpointHeader);
   trace_name.assign(reinterpret_cast<const char*>(cursor), header.name_length);
@@ -245,6 +263,21 @@ std::unique_ptr<StreamReplayer> LoadCheckpoint(const std::string& path, const Ce
     return nullptr;
   }
   return replayer;
+}
+
+bool CheckCheckpointHeader(const std::string& path, std::string* error) {
+  uint64_t size = 0;
+  FILE* file = OpenRegularFile(path, &size, error);
+  if (file == nullptr) {
+    return false;
+  }
+  CheckpointHeader header{};
+  const bool read = size >= sizeof(header) && std::fread(&header, sizeof(header), 1, file) == 1;
+  std::fclose(file);
+  if (!read) {
+    return SetError(error, "checkpoint truncated: shorter than the header");
+  }
+  return CheckHeader(header, size, error);
 }
 
 bool ReadCheckpointInfo(const std::string& path, CheckpointInfo* info, std::string* error) {

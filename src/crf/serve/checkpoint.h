@@ -58,6 +58,13 @@ std::unique_ptr<StreamReplayer> LoadCheckpoint(const std::string& path, const Ce
                                                const ReplayOptions& options,
                                                std::string* error);
 
+// Checks by the fixed header alone that `path` is a regular file holding a
+// checkpoint of this version whose header fields are sane and imply the
+// file's size. Reads 64 bytes, so it costs the same on any file; the
+// command-line parser runs it before any work. Returns false and sets
+// `error` otherwise.
+bool CheckCheckpointHeader(const std::string& path, std::string* error);
+
 // Header-only inspection (does not decode the payload beyond the checksum).
 // Returns false and sets `error` if the file is missing or malformed.
 bool ReadCheckpointInfo(const std::string& path, CheckpointInfo* info, std::string* error);

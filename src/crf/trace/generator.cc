@@ -31,10 +31,15 @@ class Generator {
         placement_rng_(rng.Fork(0x706c63)),     // "plc"
         usage_rng_(rng.Fork(0x757367)) {}       // "usg"
 
+  // Heap output: once placement ends every task's columns and runtime are
+  // known, so the final arena is sized and its columns written once, and
+  // usage is generated straight into its rows (placement-order numbering).
   CellTrace Run() {
     RunPlacementPhase();
-    GenerateUsage(nullptr);
-    return builder_.Seal();
+    ArenaWriter rows(Columns());
+    rows.WriteColumnsToHeap();
+    GenerateUsage(rows, nullptr);
+    return rows.Seal();
   }
 
   // Streaming variant: identical placement phase (same RNG draws, same
@@ -44,61 +49,21 @@ class Generator {
   // machine-major: the concatenation of the per-machine placement lists.
   bool RunStreaming(const std::string& path, std::string* error, StreamedTraceInfo* info) {
     RunPlacementPhase();
-    const int32_t n = builder_.num_tasks();
-    const int num_machines = profile_.num_machines;
-    std::vector<TaskId> task_id(n);
-    std::vector<JobId> job_id(n);
-    std::vector<int32_t> machine_of(n);
-    std::vector<Interval> start(n);
-    std::vector<uint8_t> sched_class(n);
-    std::vector<double> limit(n);
-    std::vector<Interval> runtime(n);
-    std::vector<double> capacity(num_machines);
-    int32_t i = 0;
-    for (int m = 0; m < num_machines; ++m) {
-      capacity[m] = builder_.machine_capacity(m);
-      for (const int32_t old : builder_.machine_tasks(m)) {
-        CRF_CHECK_LT(i, n) << "CSR rows must cover every task exactly once";
-        task_id[i] = builder_.task_id(old);
-        job_id[i] = builder_.job_id(old);
-        machine_of[i] = builder_.task_machine(old);
-        start[i] = builder_.task_start(old);
-        sched_class[i] = static_cast<uint8_t>(builder_.task_class(old));
-        limit[i] = builder_.task_limit(old);
-        runtime[i] = runtimes_[old];
-        ++i;
-      }
-    }
-    CRF_CHECK_EQ(i, n) << "CSR rows must cover every task exactly once";
-
-    StreamTraceSpec spec;
-    spec.name = profile_.name;
-    spec.num_intervals = options_.num_intervals;
-    spec.dropped_tasks = builder_.dropped_tasks();
-    spec.rich = options_.rich_stats;
-    spec.task_id = task_id;
-    spec.job_id = job_id;
-    spec.machine_of = machine_of;
-    spec.start = start;
-    spec.sched_class = sched_class;
-    spec.limit = limit;
-    spec.runtime = runtime;
-    spec.capacity = capacity;
-
-    StreamingTraceWriter writer(spec, path, error);
+    std::ranges::stable_sort(row_task_, {}, [this](int32_t task) { return machine_of_[task]; });
+    StreamingTraceWriter writer(Columns(), path, error);
     if (!writer.ok()) {
       return false;
     }
-    GenerateUsage(&writer);
+    GenerateUsage(writer.rows(), &writer);
     if (!writer.Finish(error)) {
       return false;
     }
     if (info != nullptr) {
-      info->num_tasks = n;
-      info->dropped_tasks = builder_.dropped_tasks();
+      info->num_tasks = static_cast<int64_t>(task_id_.size());
+      info->dropped_tasks = dropped_tasks_;
       info->file_bytes = writer.file_bytes();
       info->placement_ms = placement_ms_;
-      info->placement_attempts = n + builder_.dropped_tasks();
+      info->placement_attempts = info->num_tasks + dropped_tasks_;
     }
     return true;
   }
@@ -110,13 +75,19 @@ class Generator {
     InitialFill();
     ArrivalSweep();
     placement_ms_ = ElapsedMs(started);
+    row_task_.resize(task_id_.size());
+    std::iota(row_task_.begin(), row_task_.end(), 0);
+  }
+
+  // The placed tasks' columns, rows numbered by row_task_.
+  TraceColumns Columns() const {
+    return {profile_.name, options_.num_intervals, dropped_tasks_, options_.rich_stats,
+            task_id_, job_id_, machine_of_, start_, sched_class_, limit_, runtimes_,
+            capacity_, /*peak_length=*/{}, row_task_};
   }
 
   void InitMachines() {
-    builder_.Reset(profile_.name, options_.num_intervals, profile_.num_machines);
-    for (int m = 0; m < profile_.num_machines; ++m) {
-      builder_.set_machine_capacity(m, profile_.machine_capacity);
-    }
+    capacity_.assign(profile_.num_machines, profile_.machine_capacity);
     alloc_.assign(profile_.num_machines, 0.0);
     machine_weight_.resize(profile_.num_machines);
     for (auto& weight : machine_weight_) {
@@ -148,7 +119,7 @@ class Generator {
     double best_used_ratio = std::numeric_limits<double>::infinity();
     const int num_machines = profile_.num_machines;
     const auto consider = [&](int m) {
-      const double capacity = builder_.machine_capacity(m);
+      const double capacity = capacity_[m];
       if (limit > capacity || alloc_[m] + limit > profile_.target_alloc_ratio * capacity) {
         return;
       }
@@ -184,21 +155,23 @@ class Generator {
     return best >= 0 ? best : best_used;
   }
 
-  // Creates, places, and registers one task: trace row, usage reservation,
-  // per-task params, departure bucket. Returns true if placed.
+  // Creates, places, and registers one task: its columns, usage params and
+  // departure bucket. Returns true if placed.
   bool SpawnTask(const JobTemplate& job, Interval start, Interval runtime,
                  std::vector<int>& machines_used_by_job) {
     const int machine = PlaceTask(job.limit, machines_used_by_job);
     if (machine < 0) {
-      builder_.AddDroppedTask();
+      ++dropped_tasks_;
       return false;
     }
     machines_used_by_job.push_back(machine);
     alloc_[machine] += job.limit;
-    const int32_t task_index = builder_.AddTask(next_task_id_++, job.job_id,
-                                                static_cast<int32_t>(machine), start, job.limit,
-                                                job.sched_class);
-    builder_.ReserveUsage(task_index, runtime);
+    task_id_.push_back(next_task_id_++);
+    job_id_.push_back(job.job_id);
+    machine_of_.push_back(machine);
+    start_.push_back(start);
+    sched_class_.push_back(static_cast<uint8_t>(job.sched_class));
+    limit_.push_back(job.limit);
     task_params_.push_back(sampler_.JitterTaskParams(job.params));
 
     const Interval end = start + runtime;
@@ -267,31 +240,25 @@ class Generator {
   }
 
   // Generates machine m's usage through one MachineUsageKernel: its tasks
-  // are admitted in start order and stepped to the horizon. Without a
-  // writer, rows are appended to the builder (placement-order task
-  // numbering). With one, they go straight into the mapped file's
-  // machine-major rows: machine m's tasks are the rows from
-  // machine_begin(m) on, in placement-list order. The active set, the
-  // sub-samples and the sum order are the same either way (task usage RNG
-  // streams are forked from the task ids), so each machine's rows and true
-  // peaks are bit-identical across the two outputs.
-  void GenerateMachineUsage(int m, std::span<const double> shared_load,
-                            StreamingTraceWriter* writer) {
-    const std::span<const int32_t> placed = builder_.machine_tasks(m);
+  // are admitted in start order and stepped to the horizon, each sample
+  // written straight into the task's arena row (row r holds placement task
+  // row_task_[r]). The active set, the sub-samples and the sum order do not
+  // depend on the row numbering (task usage RNG streams are forked from the
+  // task ids), so each machine's rows and true peaks are bit-identical
+  // across the heap and streamed outputs.
+  void GenerateMachineUsage(int m, std::span<const double> shared_load, const ArenaWriter& rows) {
+    const std::span<const int32_t> machine_rows = rows.machine_rows(m);
+    std::vector<int32_t> placed(machine_rows.size());
+    std::ranges::transform(machine_rows, placed.begin(),
+                           [this](int32_t row) { return row_task_[row]; });
     // Placement already appends in start order; sorting keeps the invariant
     // explicit.
     std::vector<int32_t> order(placed.size());
     std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [this, placed](int32_t a, int32_t b) {
-      return builder_.task_start(placed[a]) < builder_.task_start(placed[b]);
+    std::sort(order.begin(), order.end(), [this, &placed](int32_t a, int32_t b) {
+      return start_[placed[a]] < start_[placed[b]];
     });
-    if (writer == nullptr) {
-      builder_.mutable_true_peak(m).assign(options_.num_intervals, 0.0f);
-    }
-    const std::span<float> peak_row = writer == nullptr
-                                          ? std::span<float>(builder_.mutable_true_peak(m))
-                                          : writer->true_peak_row(m);
-    const int32_t first_row = writer == nullptr ? 0 : writer->machine_begin(m);
+    const std::span<float> peak_row = rows.true_peak_row(m);
 
     MachineUsageKernel kernel;
     size_t next = 0;
@@ -300,30 +267,20 @@ class Generator {
       kernel.Retire(t);
       // A task's lifetime is its sampled runtime; its usage row is what
       // this loop is filling.
-      while (next < order.size() && builder_.task_start(placed[order[next]]) == t) {
+      while (next < order.size() && start_[placed[order[next]]] == t) {
         const int32_t k = order[next++];
         const int32_t task = placed[k];
         kernel.Admit(k, t + runtimes_[task],
                      TaskUsageModel(task_params_[task], t,
-                                    usage_rng_.Fork(static_cast<uint64_t>(builder_.task_id(task)))));
+                                    usage_rng_.Fork(static_cast<uint64_t>(task_id_[task]))));
       }
       const auto write = [&](int32_t k, float p90, const RichUsage* ladder) {
         ++samples;
-        const int32_t task = placed[k];
-        if (writer == nullptr) {
-          builder_.AppendUsage(task, p90);
-          if (ladder != nullptr) {
-            builder_.AppendRich(task, *ladder);
-          }
-          return;
-        }
-        const int32_t row = first_row + k;
-        const Interval i = t - builder_.task_start(task);
-        writer->usage_row(row)[i] = p90;
-        if (ladder != nullptr) {
-          for (int c = 0; c < kNumRichColumns; ++c) {
-            writer->rich_row(row, static_cast<RichColumn>(c))[i] = ladder->*kRichColumnFields[c];
-          }
+        const int32_t row = machine_rows[k];
+        const Interval i = t - start_[placed[k]];
+        rows.usage_row(row)[i] = p90;
+        for (int c = 0; ladder != nullptr && c < kNumRichColumns; ++c) {
+          rows.rich_row(row, static_cast<RichColumn>(c))[i] = ladder->*kRichColumnFields[c];
         }
       };
       peak_row[t] = static_cast<float>(kernel.Step(shared_load[t], options_.rich_stats, write));
@@ -343,7 +300,7 @@ class Generator {
   // evicted before the next chunk starts; at one thread that is a
   // 256-machine retire cadence, and with a pool the chunk scales with the
   // thread count so every worker has machines to claim.
-  void GenerateUsage(StreamingTraceWriter* writer) {
+  void GenerateUsage(const ArenaWriter& rows, StreamingTraceWriter* writer) {
     const std::vector<double> shared_load =
         BuildSharedLoadSeries(profile_, options_.num_intervals, usage_rng_);
     const int num_machines = profile_.num_machines;
@@ -357,12 +314,12 @@ class Generator {
       if (parallel) {
         pool->ParallelForRanges(end - base, 1, [&](int, int begin, int stop) {
           for (int k = begin; k < stop; ++k) {
-            GenerateMachineUsage(base + k, shared_load, writer);
+            GenerateMachineUsage(base + k, shared_load, rows);
           }
         });
       } else {
         for (int m = base; m < end; ++m) {
-          GenerateMachineUsage(m, shared_load, writer);
+          GenerateMachineUsage(m, shared_load, rows);
         }
       }
       if (writer != nullptr) {
@@ -378,7 +335,22 @@ class Generator {
   Rng placement_rng_;
   Rng usage_rng_;
 
-  CellTraceBuilder builder_;
+  // Placement output, one entry per placed task in placement order: the
+  // trace's metadata columns, then each task's runtime and usage params.
+  std::vector<TaskId> task_id_;
+  std::vector<JobId> job_id_;
+  std::vector<int32_t> machine_of_;
+  std::vector<Interval> start_;
+  std::vector<uint8_t> sched_class_;
+  std::vector<double> limit_;
+  std::vector<Interval> runtimes_;
+  std::vector<TaskUsageParams> task_params_;
+  std::vector<double> capacity_;
+  int64_t dropped_tasks_ = 0;
+  // Arena row r holds placement task row_task_[r]: the identity for the
+  // heap output, machine-major for the streamed one.
+  std::vector<int32_t> row_task_;
+
   std::vector<double> alloc_;
   std::vector<double> machine_weight_;
   struct Departure {
@@ -391,8 +363,6 @@ class Generator {
   std::vector<Interval> departure_epoch_; // interval the scratch entry is valid for
   std::vector<uint64_t> job_stamp_;       // PlaceTask epoch that last stamped each machine
   uint64_t job_epoch_ = 0;
-  std::vector<Interval> runtimes_;
-  std::vector<TaskUsageParams> task_params_;
 
   int64_t resident_count_ = 0;
   TaskId next_task_id_ = 1;

@@ -26,45 +26,15 @@ void SetError(std::string* error, std::string message) {
   }
 }
 
-template <typename T>
-T* Slab(std::byte* arena, uint64_t offset) {
-  return reinterpret_cast<T*>(arena + offset);
-}
-
 }  // namespace
 
-StreamingTraceWriter::StreamingTraceWriter(const StreamTraceSpec& spec, const std::string& path,
+StreamingTraceWriter::StreamingTraceWriter(const TraceColumns& spec, const std::string& path,
                                            std::string* error)
-    : path_(path), temp_path_(AtomicTempPath(path)) {
-  const int64_t n = static_cast<int64_t>(spec.task_id.size());
-  const int64_t m = static_cast<int64_t>(spec.capacity.size());
-  CRF_CHECK_EQ(spec.job_id.size(), spec.task_id.size());
-  CRF_CHECK_EQ(spec.machine_of.size(), spec.task_id.size());
-  CRF_CHECK_EQ(spec.start.size(), spec.task_id.size());
-  CRF_CHECK_EQ(spec.sched_class.size(), spec.task_id.size());
-  CRF_CHECK_EQ(spec.limit.size(), spec.task_id.size());
-  CRF_CHECK_EQ(spec.runtime.size(), spec.task_id.size());
-  CRF_CHECK_GE(spec.num_intervals, 0);
-  CRF_CHECK_GE(spec.dropped_tasks, 0);
-
-  int64_t usage_samples = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    CRF_CHECK_GE(spec.runtime[i], 0);
-    usage_samples += spec.runtime[i];
-    CRF_CHECK_GE(spec.machine_of[i], 0) << "task " << i << " has no machine";
-    CRF_CHECK_LT(spec.machine_of[i], m) << "task " << i << " machine index out of range";
-    CRF_CHECK(i == 0 || spec.machine_of[i] >= spec.machine_of[i - 1])
-        << "streaming seal requires machine-major task order (task " << i << ")";
-  }
-  const int64_t peak_samples = m * spec.num_intervals;
-
-  const trace_internal::ArenaLayout layout =
-      trace_internal::ComputeArenaLayout(n, m, usage_samples, peak_samples, n, spec.rich);
-  arena_offset_ = sizeof(trace_internal::BinaryHeader) +
-                  trace_internal::PaddedNameLength(spec.name.size());
-  file_bytes_ = arena_offset_ + layout.total_bytes;
-  rich_ = spec.rich;
-  usage_samples_ = static_cast<uint64_t>(usage_samples);
+    : path_(path), temp_path_(AtomicTempPath(path)), rows_(spec) {
+  CRF_CHECK(rows_.machine_major()) << "streaming seal requires machine-major task order";
+  const uint64_t arena_offset = sizeof(trace_internal::BinaryHeader) +
+                                trace_internal::PaddedNameLength(spec.name.size());
+  file_bytes_ = arena_offset + rows_.layout().total_bytes;
 
   // The trace is built in a temporary sibling and renamed over `path` only
   // by Finish, so `path` never holds a partial trace.
@@ -84,7 +54,7 @@ StreamingTraceWriter::StreamingTraceWriter(const StreamTraceSpec& spec, const st
     return;
   }
   map_ = static_cast<std::byte*>(base);
-  arena_ = map_ + arena_offset_;
+  arena_ = map_ + arena_offset;
 
   // Header + name. ftruncate zero-fills, so the name padding is already 0.
   trace_internal::BinaryHeader header;
@@ -92,67 +62,20 @@ StreamingTraceWriter::StreamingTraceWriter(const StreamTraceSpec& spec, const st
   std::memcpy(header.magic, trace_internal::kBinaryMagic, sizeof(trace_internal::kBinaryMagic));
   header.version = trace_internal::kBinaryVersion;
   header.flags = spec.rich ? trace_internal::kFlagRich : 0;
-  header.num_tasks = n;
-  header.num_machines = m;
-  header.usage_samples = usage_samples;
-  header.peak_samples = peak_samples;
-  header.csr_entries = n;
+  header.num_tasks = rows_.num_rows();
+  header.num_machines = static_cast<int64_t>(spec.capacity.size());
+  header.usage_samples = rows_.usage_samples();
+  header.peak_samples = rows_.peak_samples();
+  header.csr_entries = rows_.num_rows();
   header.num_intervals = spec.num_intervals;
   header.dropped_tasks = spec.dropped_tasks;
   header.name_length = spec.name.size();
-  header.arena_bytes = layout.total_bytes;
+  header.arena_bytes = rows_.layout().total_bytes;
   std::memcpy(map_, &header, sizeof(header));
   if (!spec.name.empty()) {
     std::memcpy(map_ + sizeof(header), spec.name.data(), spec.name.size());
   }
-
-  // Metadata columns, written once up front.
-  std::memcpy(Slab<TaskId>(arena_, layout.task_id), spec.task_id.data(), n * sizeof(TaskId));
-  std::memcpy(Slab<JobId>(arena_, layout.job_id), spec.job_id.data(), n * sizeof(JobId));
-  std::memcpy(Slab<int32_t>(arena_, layout.machine_of), spec.machine_of.data(),
-              n * sizeof(int32_t));
-  std::memcpy(Slab<Interval>(arena_, layout.start), spec.start.data(), n * sizeof(Interval));
-  std::memcpy(Slab<uint8_t>(arena_, layout.sched_class), spec.sched_class.data(),
-              n * sizeof(uint8_t));
-  std::memcpy(Slab<double>(arena_, layout.limit), spec.limit.data(), n * sizeof(double));
-  std::memcpy(Slab<double>(arena_, layout.capacity), spec.capacity.data(), m * sizeof(double));
-
-  uint64_t* usage_off = Slab<uint64_t>(arena_, layout.usage_off);
-  uint64_t offset = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    usage_off[i] = offset;
-    offset += static_cast<uint64_t>(spec.runtime[i]);
-  }
-  usage_off[n] = offset;
-
-  uint64_t* peak_off = Slab<uint64_t>(arena_, layout.peak_off);
-  uint64_t* csr_off = Slab<uint64_t>(arena_, layout.csr_off);
-  int32_t* csr_tasks = Slab<int32_t>(arena_, layout.csr_tasks);
-  int64_t next_task = 0;
-  for (int64_t machine = 0; machine < m; ++machine) {
-    peak_off[machine] = static_cast<uint64_t>(machine * spec.num_intervals);
-    csr_off[machine] = static_cast<uint64_t>(next_task);
-    while (next_task < n && spec.machine_of[next_task] == machine) {
-      ++next_task;
-    }
-  }
-  peak_off[m] = static_cast<uint64_t>(peak_samples);
-  csr_off[m] = static_cast<uint64_t>(next_task);
-  CRF_CHECK_EQ(next_task, n);
-  // Machine-major numbering makes the CSR index the identity permutation.
-  for (int64_t i = 0; i < n; ++i) {
-    csr_tasks[i] = static_cast<int32_t>(i);
-  }
-
-  usage_off_ = usage_off;
-  peak_off_ = peak_off;
-  csr_off_ = csr_off;
-  usage_slab_ = Slab<float>(arena_, layout.usage);
-  rich_slab_ = Slab<float>(arena_, layout.rich);
-  peak_slab_ = Slab<float>(arena_, layout.true_peak);
-  usage_slab_offset_ = layout.usage;
-  rich_slab_offset_ = layout.rich;
-  peak_slab_offset_ = layout.true_peak;
+  rows_.WriteColumns(arena_);
 }
 
 StreamingTraceWriter::~StreamingTraceWriter() {
@@ -172,26 +95,6 @@ void StreamingTraceWriter::Unmap() {
     map_ = nullptr;
     arena_ = nullptr;
   }
-}
-
-std::span<float> StreamingTraceWriter::usage_row(int32_t task_index) {
-  const uint64_t begin = usage_off_[task_index];
-  const uint64_t end = usage_off_[task_index + 1];
-  return std::span<float>(usage_slab_ + begin, end - begin);
-}
-
-std::span<float> StreamingTraceWriter::rich_row(int32_t task_index, RichColumn column) {
-  CRF_CHECK(rich_) << "writer was not configured for rich stats";
-  const uint64_t begin = usage_off_[task_index];
-  const uint64_t end = usage_off_[task_index + 1];
-  return std::span<float>(
-      rich_slab_ + static_cast<uint64_t>(column) * usage_samples_ + begin, end - begin);
-}
-
-std::span<float> StreamingTraceWriter::true_peak_row(int machine_index) {
-  const uint64_t begin = peak_off_[machine_index];
-  const uint64_t end = peak_off_[machine_index + 1];
-  return std::span<float>(peak_slab_ + begin, end - begin);
 }
 
 void StreamingTraceWriter::FlushAndDropArenaRange(uint64_t arena_begin, uint64_t arena_end) {
@@ -218,21 +121,18 @@ void StreamingTraceWriter::RetireMachines(int begin_machine, int end_machine) {
   if (begin_machine >= end_machine || map_ == nullptr) {
     return;
   }
-  const uint64_t task_begin = csr_off_[begin_machine];
-  const uint64_t task_end = csr_off_[end_machine];
-  const uint64_t sample_begin = usage_off_[task_begin];
-  const uint64_t sample_end = usage_off_[task_end];
-  FlushAndDropArenaRange(usage_slab_offset_ + sample_begin * sizeof(float),
-                         usage_slab_offset_ + sample_end * sizeof(float));
-  if (rich_) {
-    for (int c = 0; c < kNumRichColumns; ++c) {
-      const uint64_t column = static_cast<uint64_t>(c) * usage_samples_;
-      FlushAndDropArenaRange(rich_slab_offset_ + (column + sample_begin) * sizeof(float),
-                             rich_slab_offset_ + (column + sample_end) * sizeof(float));
-    }
+  const trace_internal::ArenaLayout& layout = rows_.layout();
+  const uint64_t sample_begin = rows_.usage_offset(rows_.machine_row_offset(begin_machine));
+  const uint64_t sample_end = rows_.usage_offset(rows_.machine_row_offset(end_machine));
+  FlushAndDropArenaRange(layout.usage + sample_begin * sizeof(float),
+                         layout.usage + sample_end * sizeof(float));
+  for (int c = 0; rows_.rich() && c < kNumRichColumns; ++c) {
+    const uint64_t column = static_cast<uint64_t>(c) * rows_.usage_samples();
+    FlushAndDropArenaRange(layout.rich + (column + sample_begin) * sizeof(float),
+                           layout.rich + (column + sample_end) * sizeof(float));
   }
-  FlushAndDropArenaRange(peak_slab_offset_ + peak_off_[begin_machine] * sizeof(float),
-                         peak_slab_offset_ + peak_off_[end_machine] * sizeof(float));
+  FlushAndDropArenaRange(layout.true_peak + rows_.peak_offset(begin_machine) * sizeof(float),
+                         layout.true_peak + rows_.peak_offset(end_machine) * sizeof(float));
 }
 
 bool StreamingTraceWriter::Finish(std::string* error) {

@@ -18,8 +18,8 @@
 //   CSR task index  csr_off[M+1] csr_tasks[K]          (machine m's tasks are
 //                                                       csr_tasks[off[m]..off[m+1]))
 //
-// A CellTrace is immutable once sealed by CellTraceBuilder::Seal (or the
-// trace_io loaders). Copies are cheap: they share the arena through a
+// A CellTrace is immutable once sealed by ArenaWriter (trace_builder.h) or
+// the trace_io loaders. Copies are cheap: they share the arena through a
 // shared_ptr. All accessors hand out std::span views into the arena; a span
 // remains valid as long as ANY CellTrace copy sharing the arena is alive.
 // Never retain a span past the last such copy.
@@ -104,14 +104,13 @@ inline constexpr float RichUsage::*kRichColumnFields[kNumRichColumns] = {
 RichColumn RichColumnForPercentile(int p);
 
 class CellTrace;
-class CellTraceBuilder;
 
 namespace trace_internal {
 
 // One 64-byte-aligned region holding every column of a sealed trace. Shared
 // (immutably) by every CellTrace copy via shared_ptr. Two backings exist
 // behind this one interface:
-//   heap   — an aligned allocation, zero-filled, populated by the builder or
+//   heap   — an aligned allocation, zero-filled, populated by ArenaWriter or
 //            the byte-stream binary loader;
 //   mapped — a read-only mmap of a .crftrace file (MapFromFile). The OS pages
 //            columns in on demand, so loading touches only the metadata slabs
@@ -160,7 +159,7 @@ struct TraceArena {
   TraceArena() = default;  // mapped arenas are built by MapFromFile
 };
 
-// Shared slab geometry used by the builder, the sealed trace, and the binary
+// Shared slab geometry used by ArenaWriter, the sealed trace, and the binary
 // trace format: the byte offsets of every column for given element counts.
 struct ArenaLayout {
   uint64_t task_id = 0;
@@ -235,7 +234,7 @@ class TaskView {
   int32_t index_;
 };
 
-// A sealed, columnar cell trace. Construct with CellTraceBuilder or the
+// A sealed, columnar cell trace. Construct with ArenaWriter or the
 // trace_io loaders; default-constructed traces are empty (0 machines/tasks).
 class CellTrace {
  public:
@@ -329,7 +328,6 @@ class CellTrace {
 
  private:
   friend class TaskView;
-  friend class CellTraceBuilder;
   friend class MachineSeriesCursor;
   friend CellTrace trace_internal::AttachTrace(std::string, Interval, int64_t,
                                                std::shared_ptr<const trace_internal::TraceArena>,

@@ -1,20 +1,90 @@
 #include "crf/trace/trace_builder.h"
 
-#include <cstring>
+#include <algorithm>
 #include <memory>
+#include <numeric>
 
 #include "crf/util/check.h"
 
 namespace crf {
-namespace {
 
-// Typed write access to one slab of an arena under construction.
-template <typename T>
-std::span<T> MutableSlab(trace_internal::TraceArena& arena, uint64_t offset, uint64_t elements) {
-  return std::span<T>(reinterpret_cast<T*>(arena.bytes + offset), elements);
+ArenaWriter::ArenaWriter(const TraceColumns& columns) : columns_(columns) {
+  const size_t n = columns.task_id.size();
+  const int64_t m = static_cast<int64_t>(columns.capacity.size());
+  CRF_CHECK_EQ(columns.job_id.size(), n);
+  CRF_CHECK_EQ(columns.machine_of.size(), n);
+  CRF_CHECK_EQ(columns.start.size(), n);
+  CRF_CHECK_EQ(columns.sched_class.size(), n);
+  CRF_CHECK_EQ(columns.limit.size(), n);
+  CRF_CHECK_EQ(columns.runtime.size(), n);
+  CRF_CHECK(columns.peak_length.empty() || columns.peak_length.size() == columns.capacity.size());
+  CRF_CHECK_GE(columns.num_intervals, 0);
+  CRF_CHECK_GE(columns.dropped_tasks, 0);
+  num_rows_ = static_cast<int32_t>(columns.order.size());
+  num_machines_ = static_cast<int>(m);
+  int32_t previous_machine = 0;
+  for (int32_t row = 0; row < num_rows_; ++row) {
+    const size_t i = static_cast<uint32_t>(columns.order[row]);
+    CRF_CHECK_LT(i, n) << "row " << row << " names no task";
+    const int32_t machine = columns.machine_of[i];
+    CRF_CHECK_GE(machine, 0) << "task " << i << " has no machine";
+    CRF_CHECK_LT(machine, m) << "task " << i << " machine index out of range";
+    CRF_CHECK_GE(columns.runtime[i], 0);
+    machine_major_ = machine_major_ && machine >= previous_machine;
+    previous_machine = machine;
+    usage_samples_ += columns.runtime[i];
+  }
+  peak_samples_ = columns.peak_length.empty() ? m * columns.num_intervals : 0;
+  for (const Interval length : columns.peak_length) {
+    CRF_CHECK_GE(length, 0);
+    peak_samples_ += length;
+  }
+  layout_ = trace_internal::ComputeArenaLayout(num_rows_, m, usage_samples_, peak_samples_,
+                                               num_rows_, columns.rich);
 }
 
-}  // namespace
+void ArenaWriter::WriteColumns(std::byte* arena) {
+  arena_ = arena;
+  const TraceColumns& c = columns_;
+  uint64_t* usage_off = Slab<uint64_t>(layout_.usage_off);
+  uint64_t* csr_off = Slab<uint64_t>(layout_.csr_off);
+  for (int32_t row = 0; row < num_rows_; ++row) {
+    const int32_t i = c.order[row];
+    Slab<TaskId>(layout_.task_id)[row] = c.task_id[i];
+    Slab<JobId>(layout_.job_id)[row] = c.job_id[i];
+    Slab<int32_t>(layout_.machine_of)[row] = c.machine_of[i];
+    Slab<Interval>(layout_.start)[row] = c.start[i];
+    Slab<uint8_t>(layout_.sched_class)[row] = c.sched_class[i];
+    Slab<double>(layout_.limit)[row] = c.limit[i];
+    usage_off[row + 1] = usage_off[row] + static_cast<uint64_t>(c.runtime[i]);
+    ++csr_off[c.machine_of[i] + 1];
+  }
+  std::copy(c.capacity.begin(), c.capacity.end(), Slab<double>(layout_.capacity));
+  uint64_t* peak_off = Slab<uint64_t>(layout_.peak_off);
+  for (int machine = 0; machine < num_machines_; ++machine) {
+    peak_off[machine + 1] = peak_off[machine] + static_cast<uint64_t>(
+        c.peak_length.empty() ? c.num_intervals : c.peak_length[machine]);
+    csr_off[machine + 1] += csr_off[machine];
+  }
+  // Each machine's rows in row order: a stable counting sort on machine_of.
+  std::vector<uint64_t> next(csr_off, csr_off + num_machines_);
+  for (int32_t row = 0; row < num_rows_; ++row) {
+    const int32_t i = c.order[row];
+    Slab<int32_t>(layout_.csr_tasks)[next[c.machine_of[i]]++] = row;
+  }
+}
+
+void ArenaWriter::WriteColumnsToHeap() {
+  heap_ = std::make_shared<trace_internal::TraceArena>(layout_.total_bytes);
+  WriteColumns(heap_->bytes);
+}
+
+CellTrace ArenaWriter::Seal() {
+  CRF_CHECK(heap_ != nullptr) << "only a heap arena seals into a trace";
+  return trace_internal::AttachTrace(columns_.name, columns_.num_intervals, columns_.dropped_tasks,
+                                     std::move(heap_), num_rows_, num_machines_, usage_samples_,
+                                     peak_samples_, num_rows_, columns_.rich);
+}
 
 void CellTraceBuilder::Reset(std::string name, Interval num_intervals, int num_machines) {
   CRF_CHECK_GE(num_intervals, 0);
@@ -50,7 +120,7 @@ int32_t CellTraceBuilder::AddTask(TaskId task_id, JobId job_id, int32_t machine_
   machine_of_.push_back(machine_index);
   start_.push_back(start);
   limit_.push_back(limit);
-  sched_class_.push_back(sched_class);
+  sched_class_.push_back(static_cast<uint8_t>(sched_class));
   usage_.emplace_back();
   rich_.emplace_back();
   if (machine_index >= 0 && machine_index < num_machines()) {
@@ -66,128 +136,72 @@ void CellTraceBuilder::AppendRich(int32_t task_index, const RichUsage& row) {
 
 CellTrace CellTraceBuilder::Seal() {
   const int32_t n = num_tasks();
-  const int m = num_machines();
-
-  int64_t samples = 0;
+  std::vector<Interval> runtime(n);
+  std::vector<int32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
   for (int32_t i = 0; i < n; ++i) {
-    CRF_CHECK_GE(machine_of_[i], 0) << "task " << i << " has no machine";
-    CRF_CHECK_LT(machine_of_[i], m) << "task " << i << " machine index out of range";
     if (rich_enabled_) {
       CRF_CHECK_EQ(rich_[i].size(), usage_[i].size())
           << "task " << i << " rich ladder does not match its usage series";
     }
-    samples += static_cast<int64_t>(usage_[i].size());
+    runtime[i] = static_cast<Interval>(usage_[i].size());
   }
-  int64_t peak_samples = 0;
-  int64_t csr_entries = 0;
-  for (int machine = 0; machine < m; ++machine) {
-    peak_samples += static_cast<int64_t>(true_peak_[machine].size());
-    csr_entries += static_cast<int64_t>(machine_tasks_[machine].size());
+  std::vector<Interval> peak_length(num_machines());
+  for (int machine = 0; machine < num_machines(); ++machine) {
+    peak_length[machine] = static_cast<Interval>(true_peak_[machine].size());
   }
-  CRF_CHECK_EQ(csr_entries, n) << "CSR rows must cover every task exactly once";
-
-  const trace_internal::ArenaLayout layout =
-      trace_internal::ComputeArenaLayout(n, m, samples, peak_samples, csr_entries, rich_enabled_);
-  auto arena = std::make_shared<trace_internal::TraceArena>(layout.total_bytes);
-
-  const auto ids = MutableSlab<TaskId>(*arena, layout.task_id, n);
-  const auto jobs = MutableSlab<JobId>(*arena, layout.job_id, n);
-  const auto machines_of = MutableSlab<int32_t>(*arena, layout.machine_of, n);
-  const auto starts = MutableSlab<Interval>(*arena, layout.start, n);
-  const auto classes = MutableSlab<uint8_t>(*arena, layout.sched_class, n);
-  const auto limits = MutableSlab<double>(*arena, layout.limit, n);
-  const auto usage_off = MutableSlab<uint64_t>(*arena, layout.usage_off, n + 1);
-  const auto usage = MutableSlab<float>(*arena, layout.usage, samples);
-  const auto rich = MutableSlab<float>(
-      *arena, layout.rich, rich_enabled_ ? kNumRichColumns * static_cast<uint64_t>(samples) : 0);
-  const auto capacities = MutableSlab<double>(*arena, layout.capacity, m);
-  const auto peak_off = MutableSlab<uint64_t>(*arena, layout.peak_off, m + 1);
-  const auto peaks = MutableSlab<float>(*arena, layout.true_peak, peak_samples);
-  const auto csr_off = MutableSlab<uint64_t>(*arena, layout.csr_off, m + 1);
-  const auto csr_tasks = MutableSlab<int32_t>(*arena, layout.csr_tasks, csr_entries);
-
-  uint64_t offset = 0;
+  ArenaWriter rows({name_, num_intervals_, dropped_tasks_, rich_enabled_, task_id_, job_id_,
+                    machine_of_, start_, sched_class_, limit_, runtime, capacity_, peak_length,
+                    order});
+  rows.WriteColumnsToHeap();
   for (int32_t i = 0; i < n; ++i) {
-    ids[i] = task_id_[i];
-    jobs[i] = job_id_[i];
-    machines_of[i] = machine_of_[i];
-    starts[i] = start_[i];
-    classes[i] = static_cast<uint8_t>(sched_class_[i]);
-    limits[i] = limit_[i];
-    usage_off[i] = offset;
-    if (!usage_[i].empty()) {
-      std::memcpy(usage.data() + offset, usage_[i].data(), usage_[i].size() * sizeof(float));
-    }
-    if (rich_enabled_) {
-      const uint64_t s = static_cast<uint64_t>(samples);
+    std::ranges::copy(usage_[i], rows.usage_row(i).begin());
+    for (int c = 0; rich_enabled_ && c < kNumRichColumns; ++c) {
+      const std::span<float> column = rows.rich_row(i, static_cast<RichColumn>(c));
       for (size_t k = 0; k < rich_[i].size(); ++k) {
-        for (int c = 0; c < kNumRichColumns; ++c) {
-          rich[c * s + offset + k] = rich_[i][k].*kRichColumnFields[c];
-        }
+        column[k] = rich_[i][k].*kRichColumnFields[c];
       }
     }
-    offset += usage_[i].size();
   }
-  usage_off[n] = offset;
-
-  uint64_t peak_offset = 0;
-  uint64_t csr_offset = 0;
-  for (int machine = 0; machine < m; ++machine) {
-    capacities[machine] = capacity_[machine];
-    peak_off[machine] = peak_offset;
-    if (!true_peak_[machine].empty()) {
-      std::memcpy(peaks.data() + peak_offset, true_peak_[machine].data(),
-                  true_peak_[machine].size() * sizeof(float));
-    }
-    peak_offset += true_peak_[machine].size();
-    csr_off[machine] = csr_offset;
-    if (!machine_tasks_[machine].empty()) {
-      std::memcpy(csr_tasks.data() + csr_offset, machine_tasks_[machine].data(),
-                  machine_tasks_[machine].size() * sizeof(int32_t));
-    }
-    csr_offset += machine_tasks_[machine].size();
+  for (int machine = 0; machine < num_machines(); ++machine) {
+    std::ranges::copy(true_peak_[machine], rows.true_peak_row(machine).begin());
   }
-  peak_off[m] = peak_offset;
-  csr_off[m] = csr_offset;
-
-  CellTrace cell = trace_internal::AttachTrace(std::move(name_), num_intervals_, dropped_tasks_,
-                                               std::move(arena), n, m, samples, peak_samples,
-                                               csr_entries, rich_enabled_);
+  CellTrace cell = rows.Seal();
   Reset("", 0, 0);
   return cell;
 }
 
 // Defined here rather than in trace.cc so the sealed-trace translation unit
-// stays free of build-state code: filtering reseals through the builder.
+// stays free of build-state code. Kept tasks are renumbered in task order
+// and copied arena to arena; each machine's CSR row lists them in that order.
 void CellTrace::FilterToServingTasks() {
-  CellTraceBuilder builder(name, num_intervals, num_machines());
-  builder.set_dropped_tasks(dropped_tasks);
+  std::vector<int32_t> kept;
+  std::vector<Interval> runtime(num_tasks());
+  for (int32_t i = 0; i < num_tasks(); ++i) {
+    runtime[i] = task(i).runtime();
+    if (IsServing(task(i).sched_class())) {
+      kept.push_back(i);
+    }
+  }
+  std::vector<Interval> peak_length(num_machines());
   for (int machine = 0; machine < num_machines(); ++machine) {
-    builder.set_machine_capacity(machine, machine_capacity(machine));
-    const std::span<const float> peak = true_peak(machine);
-    builder.mutable_true_peak(machine).assign(peak.begin(), peak.end());
+    peak_length[machine] = static_cast<Interval>(true_peak(machine).size());
   }
-  // Kept tasks are renumbered in task order and re-appended to their
-  // machines' lists in that order, exactly like the seed's rebuild.
-  for (int32_t index = 0; index < num_tasks(); ++index) {
-    const TaskView task = this->task(index);
-    if (!IsServing(task.sched_class())) {
-      continue;
-    }
-    const int32_t copy = builder.AddTask(task.task_id(), task.job_id(), task.machine_index(),
-                                         task.start(), task.limit(), task.sched_class());
-    const std::span<const float> usage = task.usage();
-    builder.ReserveUsage(copy, usage.size());
-    for (const float u : usage) {
-      builder.AppendUsage(copy, u);
-    }
-    if (has_rich()) {
-      for (Interval k = 0; k < static_cast<Interval>(usage.size()); ++k) {
-        builder.AppendRich(copy, task.RichAt(k));
-      }
+  ArenaWriter rows({name, num_intervals, dropped_tasks, has_rich(), task_id_, job_id_, machine_of_,
+                    start_, sched_class_, limit_, runtime, capacity_, peak_length, kept});
+  rows.WriteColumnsToHeap();
+  for (int32_t row = 0; row < rows.num_rows(); ++row) {
+    const TaskView source = task(kept[row]);
+    std::ranges::copy(source.usage(), rows.usage_row(row).begin());
+    for (int c = 0; has_rich() && c < kNumRichColumns; ++c) {
+      const auto column = static_cast<RichColumn>(c);
+      std::ranges::copy(source.rich_column(column), rows.rich_row(row, column).begin());
     }
   }
-  *this = builder.Seal();
+  for (int machine = 0; machine < num_machines(); ++machine) {
+    std::ranges::copy(true_peak(machine), rows.true_peak_row(machine).begin());
+  }
+  *this = rows.Seal();
 }
 
 }  // namespace crf

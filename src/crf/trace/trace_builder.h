@@ -1,34 +1,138 @@
-// Mutable build state for a CellTrace.
+// Trace build state: the one arena column writer and the per-task row builder.
 //
-// The generator, the CSV loader, and the closed-loop cluster simulator all
-// accumulate a trace incrementally: tasks appear one at a time, usage samples
-// are appended interval by interval, and machine ground truth is written as
-// the simulation advances. CellTraceBuilder holds that in-progress state in
-// ordinary per-task vectors, exposes read-back accessors for engines that
-// need to observe the partial trace (the cluster machine step loop), and
-// Seal() packs everything into the single immutable arena described in
-// trace.h — validating offsets, CSR consistency, and machine indices on the
-// way (a task with an out-of-range machine index aborts the seal).
+// ArenaWriter writes every column of a sealed trace (trace.h) into one
+// arena, given every task's metadata and runtime as borrowed spans
+// (TraceColumns), and then hands out mutable usage, rich and true-peak rows
+// that producers fill in place. It is the only code that lays out arena
+// columns: the heap generator and the serving filter fill a heap arena
+// through it, StreamingTraceWriter (stream_writer.h) fills a mapped file
+// through it, and CellTraceBuilder::Seal copies its rows into it.
 //
-// Distinct tasks may be built concurrently (the sharded cluster step loop
-// appends usage to different tasks from different threads); AddTask and
-// Seal are not thread-safe. Cells too large to hold here are not built at
-// all: the streaming generator writes its rows straight into a mapped file
-// through StreamingTraceWriter (stream_writer.h).
+// CellTraceBuilder is for producers that do not know a task's runtime when
+// it starts: the closed-loop cluster simulator (which also reads the partial
+// trace back in its machine step loop) and the text trace loader. It holds
+// per-task row vectors, and Seal() packs them into one arena, validating
+// machine indices on the way (a task with an out-of-range machine index
+// aborts the seal). Distinct tasks may be built concurrently; AddTask and
+// Seal are not thread-safe.
 
 #ifndef CRF_TRACE_TRACE_BUILDER_H_
 #define CRF_TRACE_TRACE_BUILDER_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "crf/trace/trace.h"
+#include "crf/util/check.h"
 #include "crf/util/time_grid.h"
 
 namespace crf {
+
+// Everything a sealed trace holds except its bulk samples, as borrowed
+// views. Per-task spans are indexed by source task, per-machine spans by
+// machine.
+struct TraceColumns {
+  std::string name;
+  Interval num_intervals = 0;
+  int64_t dropped_tasks = 0;
+  bool rich = false;
+
+  std::span<const TaskId> task_id;
+  std::span<const JobId> job_id;
+  std::span<const int32_t> machine_of;  // each in [0, capacity.size())
+  std::span<const Interval> start;
+  std::span<const uint8_t> sched_class;
+  std::span<const double> limit;
+  std::span<const Interval> runtime;  // usage samples per task
+
+  std::span<const double> capacity;
+  // True-peak samples per machine; empty gives every machine num_intervals.
+  std::span<const Interval> peak_length;
+  // Arena row r holds source task order[r]; tasks not listed are left out.
+  std::span<const int32_t> order;
+};
+
+// The column writer (see the file comment). Usage:
+//   ArenaWriter rows(columns);
+//   rows.WriteColumnsToHeap();  // or WriteColumns(mapped_file_arena)
+//   rows.usage_row(r)[k] = ...;  // fill every bulk row
+//   CellTrace cell = rows.Seal();  // heap backing only
+class ArenaWriter {
+ public:
+  // Validates the columns (every machine index in range) and sizes the
+  // arena. The spans must stay valid until WriteColumns returns.
+  explicit ArenaWriter(const TraceColumns& columns);
+
+  const trace_internal::ArenaLayout& layout() const { return layout_; }
+  bool rich() const { return columns_.rich; }
+  int32_t num_rows() const { return num_rows_; }
+  int64_t usage_samples() const { return usage_samples_; }
+  int64_t peak_samples() const { return peak_samples_; }
+  // True when rows are machine-major (machine_of non-decreasing by row), so
+  // the CSR is the identity and each machine's samples are one run.
+  bool machine_major() const { return machine_major_; }
+
+  // Writes every column but the bulk samples into `arena`, a zero-filled
+  // region of layout().total_bytes bytes that the rows below then point
+  // into. The CSR lists each machine's rows in row order.
+  void WriteColumns(std::byte* arena);
+  // Allocates a heap arena and writes the columns into it.
+  void WriteColumnsToHeap();
+  // Seals the heap arena into a trace.
+  CellTrace Seal();
+
+  // Machine m's rows, in CSR order. The offset accessors also take one past
+  // the last machine or row.
+  std::span<const int32_t> machine_rows(int machine_index) const {
+    const uint64_t* off = Slab<uint64_t>(layout_.csr_off);
+    return {Slab<int32_t>(layout_.csr_tasks) + off[machine_index],
+            off[machine_index + 1] - off[machine_index]};
+  }
+  uint64_t machine_row_offset(int machine_index) const {
+    return Slab<uint64_t>(layout_.csr_off)[machine_index];
+  }
+  uint64_t usage_offset(int64_t row) const { return Slab<uint64_t>(layout_.usage_off)[row]; }
+  uint64_t peak_offset(int machine_index) const {
+    return Slab<uint64_t>(layout_.peak_off)[machine_index];
+  }
+
+  // Mutable bulk rows. Distinct rows may be filled concurrently.
+  std::span<float> usage_row(int32_t row) const {
+    return {Slab<float>(layout_.usage) + usage_offset(row),
+            usage_offset(row + 1) - usage_offset(row)};
+  }
+  std::span<float> rich_row(int32_t row, RichColumn column) const {
+    CRF_CHECK(columns_.rich) << "the arena has no rich ladder";
+    return {Slab<float>(layout_.rich) +
+                static_cast<uint64_t>(column) * static_cast<uint64_t>(usage_samples_) +
+                usage_offset(row),
+            usage_offset(row + 1) - usage_offset(row)};
+  }
+  std::span<float> true_peak_row(int machine_index) const {
+    return {Slab<float>(layout_.true_peak) + peak_offset(machine_index),
+            peak_offset(machine_index + 1) - peak_offset(machine_index)};
+  }
+
+ private:
+  template <typename T>
+  T* Slab(uint64_t offset) const {
+    return reinterpret_cast<T*>(arena_ + offset);
+  }
+
+  TraceColumns columns_;  // its spans are read only until WriteColumns returns
+  trace_internal::ArenaLayout layout_;
+  int32_t num_rows_ = 0;
+  int num_machines_ = 0;
+  int64_t usage_samples_ = 0;
+  int64_t peak_samples_ = 0;
+  bool machine_major_ = true;
+  std::byte* arena_ = nullptr;
+  std::shared_ptr<trace_internal::TraceArena> heap_;
+};
 
 class CellTraceBuilder {
  public:
@@ -79,7 +183,9 @@ class CellTraceBuilder {
   int32_t task_machine(int32_t task_index) const { return machine_of_[task_index]; }
   Interval task_start(int32_t task_index) const { return start_[task_index]; }
   double task_limit(int32_t task_index) const { return limit_[task_index]; }
-  SchedulingClass task_class(int32_t task_index) const { return sched_class_[task_index]; }
+  SchedulingClass task_class(int32_t task_index) const {
+    return static_cast<SchedulingClass>(sched_class_[task_index]);
+  }
   std::span<const float> task_usage(int32_t task_index) const { return usage_[task_index]; }
   Interval task_runtime(int32_t task_index) const {
     return static_cast<Interval>(usage_[task_index].size());
@@ -89,8 +195,8 @@ class CellTraceBuilder {
   }
 
   // Validates invariants (machine indices in range, rich/usage length
-  // agreement) and packs all columns into one sealed arena. The builder is
-  // left in the reset (empty) state.
+  // agreement) and packs all columns into one sealed arena through
+  // ArenaWriter. The builder is left in the reset (empty) state.
   CellTrace Seal();
 
  private:
@@ -103,7 +209,7 @@ class CellTraceBuilder {
   std::vector<int32_t> machine_of_;
   std::vector<Interval> start_;
   std::vector<double> limit_;
-  std::vector<SchedulingClass> sched_class_;
+  std::vector<uint8_t> sched_class_;
   std::vector<std::vector<float>> usage_;
   std::vector<std::vector<RichUsage>> rich_;
 

@@ -354,41 +354,48 @@ std::optional<CellTrace> LoadCellTraceBinary(std::FILE* file, std::string* error
                                      header.peak_samples, header.csr_entries, has_rich);
 }
 
+// Validates the binary header and name of the file at `path` and that the
+// file holds exactly the arena they imply: the header-only check shared by
+// the mapped load and CheckCellTraceHeader.
+bool ReadBinaryHeader(const std::string& path, BinaryHeader& header,
+                      trace_internal::ArenaLayout& layout, std::string& name, std::string* error) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    SetError(error, "cannot open " + path + ": " + std::strerror(errno));
+    return false;
+  }
+  const bool header_ok = ReadHeaderAndName(file, header, layout, name, error);
+  const uint64_t file_size =
+      header_ok && std::fseek(file, 0, SEEK_END) == 0 ? static_cast<uint64_t>(std::ftell(file)) : 0;
+  std::fclose(file);
+  if (!header_ok) {
+    return false;
+  }
+  const uint64_t expected =
+      sizeof(BinaryHeader) + PaddedNameLength(header.name_length) + layout.total_bytes;
+  if (file_size < expected) {
+    SetError(error, "truncated arena: file is " + std::to_string(file_size) +
+                        " bytes, header + arena need " + std::to_string(expected));
+    return false;
+  }
+  if (file_size > expected) {
+    SetError(error, "trailing garbage after the arena blob (" +
+                        std::to_string(file_size - expected) + " extra bytes)");
+    return false;
+  }
+  return true;
+}
+
 // Zero-copy load: parse + validate the header from a short read, then map
 // the whole file and run the arena validator directly on the mapping.
 std::optional<CellTrace> LoadCellTraceBinaryMapped(const std::string& path, std::string* error) {
   BinaryHeader header;
   trace_internal::ArenaLayout layout;
   std::string name;
-  uint64_t file_size = 0;
-  {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-      SetError(error, "cannot open " + path);
-      return std::nullopt;
-    }
-    const bool header_ok = ReadHeaderAndName(file, header, layout, name, error);
-    if (header_ok) {
-      std::fseek(file, 0, SEEK_END);
-      file_size = static_cast<uint64_t>(std::ftell(file));
-    }
-    std::fclose(file);
-    if (!header_ok) {
-      return std::nullopt;
-    }
+  if (!ReadBinaryHeader(path, header, layout, name, error)) {
+    return std::nullopt;
   }
   const uint64_t arena_offset = sizeof(BinaryHeader) + PaddedNameLength(header.name_length);
-  const uint64_t expected = arena_offset + layout.total_bytes;
-  if (file_size < expected) {
-    SetError(error, "truncated arena: file is " + std::to_string(file_size) +
-                        " bytes, header + arena need " + std::to_string(expected));
-    return std::nullopt;
-  }
-  if (file_size > expected) {
-    SetError(error, "trailing garbage after the arena blob (" +
-                        std::to_string(file_size - expected) + " extra bytes)");
-    return std::nullopt;
-  }
   std::shared_ptr<const trace_internal::TraceArena> arena =
       trace_internal::TraceArena::MapFromFile(path, arena_offset, layout.total_bytes, error);
   if (arena == nullptr) {
@@ -491,6 +498,29 @@ bool SaveCellTraceBinary(const CellTrace& cell, const std::string& path, std::st
 
 std::optional<CellTrace> LoadCellTrace(const std::string& path) {
   return LoadCellTrace(path, TraceLoadOptions{}, nullptr);
+}
+
+bool CheckCellTraceHeader(const std::string& path, std::string* error) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    SetError(error, "cannot open " + path + ": " + std::strerror(errno));
+    return false;
+  }
+  char head[kTextMagic.size() + 1] = {};
+  const size_t got = std::fread(head, 1, sizeof(head), file);
+  std::fclose(file);
+  if (got >= sizeof(kBinaryMagic) && std::memcmp(head, kBinaryMagic, sizeof(kBinaryMagic)) == 0) {
+    BinaryHeader header;
+    trace_internal::ArenaLayout layout;
+    std::string name;
+    return ReadBinaryHeader(path, header, layout, name, error);
+  }
+  const std::string_view line(head, got);
+  if (line == kTextMagic || line == std::string(kTextMagic) + "\n") {
+    return true;
+  }
+  SetError(error, path + " is not a crf trace (bad magic)");
+  return false;
 }
 
 std::optional<CellTrace> LoadCellTrace(const std::string& path, const TraceLoadOptions& options,

@@ -66,6 +66,12 @@ struct TraceLoadOptions {
 // malformed.
 std::optional<CellTrace> LoadCellTrace(const std::string& path);
 
+// Checks by the header alone that `path` holds a trace: a valid binary
+// header (magic, version, counts) whose arena size matches the file, or the
+// text format's first line. Costs the same on any file size; the
+// command-line parser runs it before any work. False with `*error` if not.
+bool CheckCellTraceHeader(const std::string& path, std::string* error);
+
 // Load with an explicit mode and precise diagnostics: on failure returns
 // nullopt and, when `error` is non-null, a message naming what was wrong
 // (truncation byte counts, corrupt offset-table entries, bad header fields).

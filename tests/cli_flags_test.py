@@ -21,13 +21,22 @@ not exist must exit 2 with a message that names the path; `crf serve` must
 reject such a --metrics-out or --checkpoint-out before it replays anything
 (empty stdout). A directory given where a checkpoint file is read (`crf
 checkpoint --file`, `crf serve --resume`) must be rejected with exit status
-2. Last, the removed placement flags (`--placement-shards`,
+2. The removed placement flags (`--placement-shards`,
 `--rebalance-interval`) must be unknown to `crf generate` and `crf cluster`:
-exit status 2 naming the flag. Usage: cli_flags_test.py <path to crf>.
+exit status 2 naming the flag.
+
+Every input-file flag the usage text lists (traces: --trace, --replay;
+checkpoints: --resume, --file) given a missing file, a garbage file, or a
+file of the other kind (wrong magic) must exit 2 naming the flag within
+0.1 s, before a 256-machine cell is synthesized. Last, `crf serve
+--metrics-out` must write the file on every exit: a finished replay, a
+`--stop-after-checkpoint` cut, and a local replay stopped by SIGINT.
+Usage: cli_flags_test.py <path to crf>.
 """
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -53,6 +62,9 @@ CLUSTER_FLAGS = {
     "seed": CELL_FLAGS["seed"],
 }
 NUMERIC_VALUES = ["0", "-1", "nan", "inf", "1e9", str(2**63), "garbage", ""]
+TRACE_INPUTS = ["trace", "replay"]
+CHECKPOINT_INPUTS = ["resume", "file"]
+INPUT_DEADLINE_S = 0.1
 NUMERIC_METAVARS = ["INT", "NUMBER"]
 
 
@@ -146,11 +158,96 @@ def flag_matrix(crf, scratch, failures):
         failures.append(describe(argv, result))
 
 
+def input_probes(crf, scratch, failures):
+    """Bad files on every input flag fail at the parse; see the module docstring."""
+    trace = os.path.join(scratch, "inputs.crftrace")
+    checkpoint = os.path.join(scratch, "inputs.ckpt")
+    garbage = os.path.join(scratch, "garbage.bin")
+    run([crf, "generate", "--machines=2", "--days=1", "--binary", "--out=" + trace])
+    run([crf, "serve", "--replay=" + trace, "--checkpoint-out=" + checkpoint,
+         "--stop-after-checkpoint"])
+    with open(garbage, "wb") as out:
+        out.write(bytes((i * 151 + 7) % 256 for i in range(4096)))
+    # A trace flag replaces cell synthesis; --resume must fail before it.
+    base = {"generate": ["--out=" + os.path.join(scratch, "inputs_out.crftrace")],
+            "convert": ["--out=" + os.path.join(scratch, "inputs_out.trace")],
+            "loadgen": ["--connect=127.0.0.1:1"]}
+    synth = ["--machines=256", "--days=3"]
+    for command, flags in read_usage(crf).items():
+        for flag, metavar in flags.items():
+            if metavar != "FILE":
+                continue
+            if flag not in TRACE_INPUTS + CHECKPOINT_INPUTS:
+                failures.append("%s --%s: input flag of unknown kind" % (command, flag))
+                continue
+            wrong = checkpoint if flag in TRACE_INPUTS else trace
+            for path in [os.path.join(scratch, "missing.file"), garbage, wrong]:
+                args = synth if flag == "resume" else base.get(command, [])
+                argv = [crf, command] + args + ["--%s=%s" % (flag, path)]
+                # The best of three runs, so a loaded host does not fail a fast check.
+                elapsed = []
+                for _ in range(3):
+                    start = time.monotonic()
+                    result = run(argv)
+                    elapsed.append(time.monotonic() - start)
+                    if elapsed[-1] <= INPUT_DEADLINE_S:
+                        break
+                if (result.returncode != 2 or ("--" + flag) not in result.stderr or
+                        result.stdout or min(elapsed) > INPUT_DEADLINE_S):
+                    failures.append("%s (%.3f s)" % (describe(argv, result), min(elapsed)))
+    return trace
+
+
+def sigint_when_handled(argv):
+    """Runs argv, sends SIGINT once its handler is installed; returns (result, sent)."""
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    sent = False
+    while proc.poll() is None and not sent:
+        try:
+            with open("/proc/%d/status" % proc.pid) as status:
+                caught = [line for line in status if line.startswith("SigCgt:")]
+            if caught and int(caught[0].split()[1], 16) & (1 << (signal.SIGINT - 1)):
+                proc.send_signal(signal.SIGINT)
+                sent = True
+        except OSError:
+            pass  # The process exited between poll() and open().
+        time.sleep(0.001)
+    stdout, stderr = proc.communicate(timeout=60)
+    return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr), sent
+
+
+def metrics_probes(crf, scratch, failures):
+    """`crf serve --metrics-out` writes on every exit; see the module docstring."""
+    trace = os.path.join(scratch, "metrics.crftrace")
+    run([crf, "generate", "--machines=64", "--days=7", "--binary", "--out=" + trace])
+    metrics = os.path.join(scratch, "metrics.json")
+    serve = [crf, "serve", "--replay=" + trace, "--metrics-out=" + metrics, "--threads=1"]
+    cut = ["--checkpoint-out=" + os.path.join(scratch, "metrics.ckpt"), "--checkpoint-at=50",
+           "--stop-after-checkpoint"]
+    for argv in [serve, serve + cut]:
+        result = run(argv)
+        if result.returncode != 0 or not os.path.exists(metrics):
+            failures.append("%s: no metrics file; %s" % (" ".join(argv[1:]),
+                                                         describe(argv, result)))
+        if os.path.exists(metrics):
+            os.remove(metrics)
+    if not os.path.exists("/proc/%d/status" % os.getpid()):
+        print("no /proc/<pid>/status; SIGINT metrics probe skipped")
+        return
+    result, sent = sigint_when_handled(serve)
+    if not sent or result.returncode != 0 or "stopped at tick" not in result.stderr or \
+            not os.path.exists(metrics):
+        failures.append("SIGINT %s (metrics file %s)" %
+                        (describe(serve, result), os.path.exists(metrics)))
+
+
 def main():
     crf = sys.argv[1]
     failures = []
     with tempfile.TemporaryDirectory() as scratch:
         flag_matrix(crf, scratch, failures)
+        input_probes(crf, scratch, failures)
+        metrics_probes(crf, scratch, failures)
         out = os.path.join(scratch, "never_written.crftrace")
         cases = [
             (["generate", "--binary", "--out=" + out], CELL_FLAGS),

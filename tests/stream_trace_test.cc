@@ -247,12 +247,13 @@ struct SealedSpec {
       sched_class.push_back(static_cast<uint8_t>(task.sched_class()));
       limit.push_back(task.limit());
       runtime.push_back(task.runtime());
+      order.push_back(i);
     }
     for (int m = 0; m < cell.num_machines(); ++m) {
       capacity.push_back(cell.machine_capacity(m));
     }
     spec = {cell.name, cell.num_intervals, cell.dropped_tasks, cell.has_rich(), task_id, job_id,
-            machine_of, start, sched_class, limit, runtime, capacity};
+            machine_of, start, sched_class, limit, runtime, capacity, {}, order};
   }
   SealedSpec(const SealedSpec&) = delete;
   SealedSpec& operator=(const SealedSpec&) = delete;
@@ -265,7 +266,8 @@ struct SealedSpec {
   std::vector<double> limit;
   std::vector<Interval> runtime;
   std::vector<double> capacity;
-  StreamTraceSpec spec;
+  std::vector<int32_t> order;
+  TraceColumns spec;
 };
 
 // The streaming writer and the heap seal are two writers of one format: for
@@ -284,16 +286,16 @@ TEST(StreamTraceTest, WriterMatchesSealedBinaryForMachineMajorInput) {
   ASSERT_TRUE(writer.ok()) << error;
   for (int32_t i = 0; i < sealed.num_tasks(); ++i) {
     const TaskView task = sealed.task(i);
-    std::copy(task.usage().begin(), task.usage().end(), writer.usage_row(i).begin());
+    std::copy(task.usage().begin(), task.usage().end(), writer.rows().usage_row(i).begin());
     for (int c = 0; c < kNumRichColumns; ++c) {
       const auto column = task.rich_column(static_cast<RichColumn>(c));
       std::copy(column.begin(), column.end(),
-                writer.rich_row(i, static_cast<RichColumn>(c)).begin());
+                writer.rows().rich_row(i, static_cast<RichColumn>(c)).begin());
     }
   }
   for (int m = 0; m < sealed.num_machines(); ++m) {
     std::copy(sealed.true_peak(m).begin(), sealed.true_peak(m).end(),
-              writer.true_peak_row(m).begin());
+              writer.rows().true_peak_row(m).begin());
   }
   writer.RetireMachines(0, sealed.num_machines());
   ASSERT_TRUE(writer.Finish(&error)) << error;
@@ -330,7 +332,7 @@ TEST(StreamTraceTest, AbandonedWriterLeavesExistingFileIntact) {
     std::string error;
     StreamingTraceWriter writer(columns.spec, path, &error);
     ASSERT_TRUE(writer.ok()) << error;
-    writer.usage_row(0)[0] = 0.25f;
+    writer.rows().usage_row(0)[0] = 0.25f;
     writer.RetireMachines(0, 1);
     EXPECT_EQ(FileBytes(path), before);
     EXPECT_EQ(TempSiblings(path), 1);
@@ -352,8 +354,9 @@ TEST(StreamTraceTest, WriterRejectsNonMachineMajorSpec) {
   const std::vector<double> limit = {0.5, 0.5};
   const std::vector<Interval> runtime = {1, 1};
   const std::vector<double> capacity = {1.0, 1.0};
+  const std::vector<int32_t> order = {0, 1};
 
-  StreamTraceSpec spec;
+  TraceColumns spec;
   spec.name = "bad";
   spec.num_intervals = 2;
   spec.task_id = task_id;
@@ -364,6 +367,7 @@ TEST(StreamTraceTest, WriterRejectsNonMachineMajorSpec) {
   spec.limit = limit;
   spec.runtime = runtime;
   spec.capacity = capacity;
+  spec.order = order;
 
   const std::string path = TempPath("bad_spec.crftrace");
   std::string error;

@@ -58,14 +58,15 @@ std::optional<CellProfile> ResolveProfile(const std::string& name) {
 // needs a non-empty one.
 enum class Kind {
   kBool,
-  kInt,       // a base-10 integer in [min, max]
-  kDuration,  // a number in [0, max] of units of `unit` intervals, at least one interval
-  kInput,     // a file to read
-  kOutput,    // a file to write: its directory exists and is writable
-  kCell,      // a..h, cell_a..cell_h or production_1..production_5
-  kChoice,    // one of the '|'-separated `choices`
-  kSpec,      // a predictor spec (crf/core/spec_parser.h)
-  kHostPort,  // HOST:PORT, :PORT or PORT (crf/util/arg_parse.h)
+  kInt,           // a base-10 integer in [min, max]
+  kDuration,      // a number in [0, max] of units of `unit` intervals, at least one interval
+  kTraceIn,       // a trace file to read; its header is checked
+  kCheckpointIn,  // a checkpoint file to read; its header is checked
+  kOutput,        // a file to write: its directory exists and is writable
+  kCell,          // a..h, cell_a..cell_h or production_1..production_5
+  kChoice,        // one of the '|'-separated `choices`
+  kSpec,          // a predictor spec (crf/core/spec_parser.h)
+  kHostPort,      // HOST:PORT, :PORT or PORT (crf/util/arg_parse.h)
 };
 
 struct Flag {
@@ -81,8 +82,8 @@ struct Flag {
 std::string Dashed(const Flag& flag) { return std::string("--") + flag.name; }
 
 // The flag table.
-const Flag kTrace{"trace", Kind::kInput, "trace file to read (text or binary)"};
-const Flag kReplay{"replay", Kind::kInput, "trace file to replay (text or binary)"};
+const Flag kTrace{"trace", Kind::kTraceIn, "trace file to read (text or binary)"};
+const Flag kReplay{"replay", Kind::kTraceIn, "trace file to replay (text or binary)"};
 const Flag kMmap{"mmap", Kind::kBool, "map the binary trace zero-copy instead of loading it"};
 const Flag kCell{"cell", Kind::kCell, "cell to synthesize: a..h, cell_a..cell_h, production_1..5"};
 const Flag kMachines{"machines", Kind::kInt, "machines (default: the cell's)", 1, 1000000};
@@ -108,7 +109,7 @@ const Flag kCheckpointOut{"checkpoint-out", Kind::kOutput, "checkpoint to seal (
 const Flag kCheckpointAt{"checkpoint-at", Kind::kInt, "tick to seal at (default: halfway)", 0,
                          INT32_MAX};
 const Flag kStopAfterCheckpoint{"stop-after-checkpoint", Kind::kBool, "exit after sealing"};
-const Flag kResume{"resume", Kind::kInput, "checkpoint to resume; it carries the predictor"};
+const Flag kResume{"resume", Kind::kCheckpointIn, "checkpoint to resume; it carries the predictor"};
 const Flag kMetricsOut{"metrics-out", Kind::kOutput, "serve metrics JSON to write"};
 const Flag kListen{"listen", Kind::kHostPort, "serve over TCP (CRFNET1) instead of replaying"};
 const Flag kPortFile{"port-file", Kind::kOutput, "file to write the bound port to"};
@@ -119,7 +120,7 @@ const Flag kBatchTicks{"batch-ticks", Kind::kInt, "ticks per ingest frame", 1, 1
 const Flag kUntil{"until", Kind::kInt, "last tick to stream, -1 for all", -1, 1 << 30};
 const Flag kNoVerify{"no-verify", Kind::kBool, "skip the in-process verification replay"};
 const Flag kNoShutdown{"no-shutdown", Kind::kBool, "leave the server running"};
-const Flag kFile{"file", Kind::kInput, "checkpoint file"};
+const Flag kFile{"file", Kind::kCheckpointIn, "checkpoint file"};
 
 // A flag as one command takes it: with a default (parsed like a given
 // value), required, or else absent unless given.
@@ -179,8 +180,8 @@ class Flags {
 };
 
 std::string Metavar(const Flag& flag) {
-  static const char* const kMetavars[] = {"",      "=INT", "=NUMBER", "=FILE",     "=OUTPUT",
-                                          "=CELL", "=",    "=SPEC",   "=HOST:PORT"};
+  static const char* const kMetavars[] = {"",        "=INT",  "=NUMBER", "=FILE", "=FILE",
+                                          "=OUTPUT", "=CELL", "=",       "=SPEC", "=HOST:PORT"};
   return kMetavars[static_cast<int>(flag.kind)] +
          std::string(flag.kind == Kind::kChoice ? flag.choices : "");
 }
@@ -197,7 +198,16 @@ bool ParseValue(const Flag& flag, Value* value, std::string* error) {
   std::string detail;
   switch (flag.kind) {
     case Kind::kBool:
-    case Kind::kInput:
+      return true;
+    case Kind::kTraceIn:
+    case Kind::kCheckpointIn:
+      // Header only, so a bad file fails before any work at the cost of one
+      // short read whatever the file's size.
+      if (!(flag.kind == Kind::kTraceIn ? CheckCellTraceHeader(text, &detail)
+                                        : CheckCheckpointHeader(text, &detail))) {
+        *error = Dashed(flag) + ": " + detail;
+        return false;
+      }
       return true;
     case Kind::kInt:
       return ParseIntFlag(flag.name, text, flag.min, flag.max, &value->number, error);
@@ -499,10 +509,8 @@ int CmdSimulate(const Flags& flags) {
 
 // The deterministic end-of-replay block shared by the local replay path and
 // the network server (after clients stream the whole trace): CI diffs these
-// lines across resumed, interrupted, and network-fed runs. An empty
-// `metrics_out` writes no metrics file.
-int PrintServeResults(StreamReplayer& replayer, const ReplayOptions& options,
-                      const std::string& metrics_out) {
+// lines across resumed, interrupted, and network-fed runs.
+void PrintServeResults(StreamReplayer& replayer, const ReplayOptions& options) {
   const SimResult result = replayer.Finish();
   const ServeMetrics& metrics = replayer.Metrics();
   std::printf("cell %s, predictor %s, horizon %gh, %d shards\n", result.cell_name.c_str(),
@@ -514,9 +522,96 @@ int PrintServeResults(StreamReplayer& replayer, const ReplayOptions& options,
               static_cast<unsigned long long>(metrics.TotalTicks()));
   std::fprintf(stderr, "crf: ingest rate %.0f events/s (%.3fs wall)\n",
                metrics.EventsPerSecond(), metrics.elapsed_seconds());
-  if (!metrics_out.empty() && !metrics.WriteJson(metrics_out)) {
-    return Fail("cannot write metrics to " + metrics_out);
+}
+
+// `crf serve --listen`: exposes the replayer over TCP until the trace is
+// done or a stop is requested.
+int ServeListen(const Flags& flags, StreamReplayer& replayer, const CellTrace& cell,
+                const ReplayOptions& options) {
+  NetServerOptions net_options;
+  net_options.host = flags.Endpoint(kListen).host;
+  net_options.port = flags.Endpoint(kListen).port;
+  net_options.max_connections = static_cast<int>(flags.Int(kMaxConns));
+  net_options.checkpoint_out = flags.Text(kCheckpointOut);
+  OvercommitServer server(replayer, net_options);
+  std::string error;
+  if (!server.Start(&error)) {
+    return Fail(error);
   }
+  // Atomic, so a script polling for a non-empty file never reads a partial
+  // port number.
+  if (flags.Has(kPortFile) &&
+      !WriteFileAtomic(flags.Text(kPortFile), std::to_string(server.port()) + "\n", &error)) {
+    return Fail("cannot write " + Dashed(kPortFile) + ": " + error);
+  }
+  std::fprintf(stderr, "crf: serving %s (%s) on %s:%d, %d shards, next tick %d/%d\n",
+               cell.name.c_str(), replayer.spec().Name().c_str(), net_options.host.c_str(),
+               server.port(), options.num_shards, replayer.next_tick(), cell.num_intervals);
+  InstallStopHandlers();
+  server.Wait(&g_stop);
+  if (server.sealed()) {
+    std::printf("checkpoint written to %s at tick %d/%d\n", server.sealed_path().c_str(),
+                server.sealed_tick(), cell.num_intervals);
+  }
+  if (replayer.Done()) {
+    PrintServeResults(replayer, options);
+  } else {
+    std::fprintf(stderr, "crf: stopped at tick %d/%d\n", replayer.next_tick(),
+                 cell.num_intervals);
+  }
+  return 0;
+}
+
+// Local `crf serve`: replays the trace in-process, sealing a checkpoint at
+// --checkpoint-at and on SIGINT/SIGTERM when --checkpoint-out is set.
+int ServeLocal(const Flags& flags, StreamReplayer& replayer, const CellTrace& cell,
+               const ReplayOptions& options) {
+  const std::string& checkpoint_out = flags.Text(kCheckpointOut);
+  std::string error;
+  if (flags.Has(kCheckpointOut)) {
+    const Interval cut = flags.Has(kCheckpointAt) ? static_cast<Interval>(flags.Int(kCheckpointAt))
+                                                  : cell.num_intervals / 2;
+    if (cut < replayer.next_tick() || cut > cell.num_intervals) {
+      return Fail(Dashed(kCheckpointAt) + "=" + std::to_string(cut) + " is outside [" +
+                  std::to_string(replayer.next_tick()) + ", " +
+                  std::to_string(cell.num_intervals) + "]");
+    }
+    replayer.Advance(cut);
+    if (!SaveCheckpoint(replayer, checkpoint_out, &error)) {
+      return Fail(error);
+    }
+    std::printf("checkpoint written to %s at tick %d/%d\n", checkpoint_out.c_str(),
+                replayer.next_tick(), cell.num_intervals);
+    if (flags.Has(kStopAfterCheckpoint)) {
+      return 0;
+    }
+  }
+
+  // Chunked replay (day granularity) so SIGINT/SIGTERM can stop between
+  // Advance calls and seal a resumable checkpoint — the same interval-
+  // boundary cut the network shutdown op makes. Chunking never affects
+  // results (Advance is bit-identical under any call slicing).
+  InstallStopHandlers();
+  while (!replayer.Done() && !g_stop.load()) {
+    replayer.Advance(
+        std::min<Interval>(replayer.next_tick() + kIntervalsPerDay, cell.num_intervals));
+  }
+  if (replayer.Done()) {
+    PrintServeResults(replayer, options);
+    return 0;
+  }
+  if (flags.Has(kCheckpointOut)) {
+    if (!SaveCheckpoint(replayer, checkpoint_out, &error)) {
+      return Fail(error);
+    }
+    std::printf("checkpoint written to %s at tick %d/%d\n", checkpoint_out.c_str(),
+                replayer.next_tick(), cell.num_intervals);
+  }
+  std::fprintf(stderr, "crf: stopped at tick %d/%d%s\n", replayer.next_tick(),
+               cell.num_intervals,
+               flags.Has(kCheckpointOut)
+                   ? ""
+                   : (" (no " + Dashed(kCheckpointOut) + "; state discarded)").c_str());
   return 0;
 }
 
@@ -537,9 +632,6 @@ int CmdServe(const Flags& flags) {
   if (checkpoint_at && !flags.Has(kCheckpointOut)) {
     return Fail(at_flags + " require " + Dashed(kCheckpointOut));
   }
-  const std::string& checkpoint_out = flags.Text(kCheckpointOut);
-  const std::string& metrics_out = flags.Text(kMetricsOut);
-
   ThreadPool pool(ThreadsFrom(flags));
   ReplayOptions options;
   options.horizon = static_cast<Interval>(flags.Int(kHorizon));
@@ -571,88 +663,14 @@ int CmdServe(const Flags& flags) {
     replayer = std::make_unique<StreamReplayer>(*cell, flags.Spec(kPredictor), options);
   }
 
-  if (listen) {
-    NetServerOptions net_options;
-    net_options.host = flags.Endpoint(kListen).host;
-    net_options.port = flags.Endpoint(kListen).port;
-    net_options.max_connections = static_cast<int>(flags.Int(kMaxConns));
-    net_options.checkpoint_out = checkpoint_out;
-    OvercommitServer server(*replayer, net_options);
-    if (!server.Start(&error)) {
-      return Fail(error);
-    }
-    // Atomic, so a script polling for a non-empty file never reads a partial
-    // port number.
-    if (flags.Has(kPortFile) &&
-        !WriteFileAtomic(flags.Text(kPortFile), std::to_string(server.port()) + "\n", &error)) {
-      return Fail("cannot write " + Dashed(kPortFile) + ": " + error);
-    }
-    std::fprintf(stderr,
-                 "crf: serving %s (%s) on %s:%d, %d shards, next tick %d/%d\n",
-                 cell->name.c_str(), replayer->spec().Name().c_str(),
-                 net_options.host.c_str(), server.port(), options.num_shards,
-                 replayer->next_tick(), cell->num_intervals);
-    InstallStopHandlers();
-    server.Wait(&g_stop);
-    if (server.sealed()) {
-      std::printf("checkpoint written to %s at tick %d/%d\n", server.sealed_path().c_str(),
-                  server.sealed_tick(), cell->num_intervals);
-    }
-    if (replayer->Done()) {
-      return PrintServeResults(*replayer, options, metrics_out);
-    }
-    std::fprintf(stderr, "crf: stopped at tick %d/%d\n", replayer->next_tick(),
-                 cell->num_intervals);
-    if (!metrics_out.empty() && !replayer->Metrics().WriteJson(metrics_out)) {
-      return Fail("cannot write metrics to " + metrics_out);
-    }
-    return 0;
+  // The one exit once a replayer exists: every run, finished, stopped or
+  // cut at a checkpoint, writes --metrics-out.
+  const int status = listen ? ServeListen(flags, *replayer, *cell, options)
+                            : ServeLocal(flags, *replayer, *cell, options);
+  if (flags.Has(kMetricsOut) && !replayer->Metrics().WriteJson(flags.Text(kMetricsOut))) {
+    return Fail("cannot write metrics to " + flags.Text(kMetricsOut));
   }
-
-  if (flags.Has(kCheckpointOut)) {
-    const Interval cut = flags.Has(kCheckpointAt) ? static_cast<Interval>(flags.Int(kCheckpointAt))
-                                                  : cell->num_intervals / 2;
-    if (cut < replayer->next_tick() || cut > cell->num_intervals) {
-      return Fail(Dashed(kCheckpointAt) + "=" + std::to_string(cut) + " is outside [" +
-                  std::to_string(replayer->next_tick()) + ", " +
-                  std::to_string(cell->num_intervals) + "]");
-    }
-    replayer->Advance(cut);
-    if (!SaveCheckpoint(*replayer, checkpoint_out, &error)) {
-      return Fail(error);
-    }
-    std::printf("checkpoint written to %s at tick %d/%d\n", checkpoint_out.c_str(),
-                replayer->next_tick(), cell->num_intervals);
-    if (flags.Has(kStopAfterCheckpoint)) {
-      return 0;
-    }
-  }
-
-  // Chunked replay (day granularity) so SIGINT/SIGTERM can stop between
-  // Advance calls and seal a resumable checkpoint — the same interval-
-  // boundary cut the network shutdown op makes. Chunking never affects
-  // results (Advance is bit-identical under any call slicing).
-  InstallStopHandlers();
-  while (!replayer->Done() && !g_stop.load()) {
-    replayer->Advance(std::min<Interval>(replayer->next_tick() + kIntervalsPerDay,
-                                         cell->num_intervals));
-  }
-  if (!replayer->Done()) {
-    if (flags.Has(kCheckpointOut)) {
-      if (!SaveCheckpoint(*replayer, checkpoint_out, &error)) {
-        return Fail(error);
-      }
-      std::printf("checkpoint written to %s at tick %d/%d\n", checkpoint_out.c_str(),
-                  replayer->next_tick(), cell->num_intervals);
-    }
-    std::fprintf(stderr, "crf: stopped at tick %d/%d%s\n", replayer->next_tick(),
-                 cell->num_intervals,
-                 flags.Has(kCheckpointOut)
-                     ? ""
-                     : (" (no " + Dashed(kCheckpointOut) + "; state discarded)").c_str());
-    return 0;
-  }
-  return PrintServeResults(*replayer, options, metrics_out);
+  return status;
 }
 
 // Drives `crf serve --listen` over loopback/LAN: K client threads stream
