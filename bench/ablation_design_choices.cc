@@ -42,7 +42,6 @@ void PackingAblation(const Context& ctx) {
   options.num_intervals = kIntervalsPerWeek;
   options.warmup = 2 * kIntervalsPerDay;
   options.predictor = ProductionMaxSpec();
-  ApplyClusterEngineEnv(options);
 
   Table table({"packing", "median savings", "median workload/cap", "p90 machine p99-util",
                "median machine p90 latency"});

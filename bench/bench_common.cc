@@ -19,20 +19,6 @@ Context Init(const std::string& name, const std::string& what_it_reproduces) {
   return ctx;
 }
 
-void ApplyClusterEngineEnv(ClusterSimOptions& options) {
-  const std::string engine = GetEnvString("REPRO_CLUSTER_ENGINE", "sharded");
-  if (engine == "serial") {
-    options.parallel = false;
-    options.placement = PlacementEngine::kLinearScan;
-  } else {
-    if (engine != "sharded") {
-      std::printf("REPRO_CLUSTER_ENGINE=%s unknown, using \"sharded\"\n", engine.c_str());
-    }
-    options.parallel = true;
-    options.placement = PlacementEngine::kIndexed;
-  }
-}
-
 CellTrace MakeSimCell(const Context& ctx, char letter, Interval num_intervals,
                       bool rich_stats) {
   CellProfile profile = SimCellProfile(letter);

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "crf/cluster/cell_sim.h"
 #include "crf/stats/ecdf.h"
 #include "crf/trace/generator.h"
 #include "crf/util/env.h"
@@ -35,13 +34,6 @@ struct Context {
 
 // Reads the environment, prints the bench banner, returns the context.
 Context Init(const std::string& name, const std::string& what_it_reproduces);
-
-// Applies $REPRO_CLUSTER_ENGINE to the cluster-sim options:
-//   "sharded" (default) - parallel step loop + indexed placement;
-//   "serial"            - serial step loop + linear-scan reference engine.
-// Both produce byte-identical results for a given seed; the knob exists for
-// A/B timing and for pinning down any future divergence in the field.
-void ApplyClusterEngineEnv(ClusterSimOptions& options);
 
 // Generates a cell from profile `letter` with machine count scaled by
 // REPRO_SCALE, filtered to serving tasks (paper Section 5.1.2).

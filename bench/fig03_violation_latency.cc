@@ -32,7 +32,6 @@ int Main() {
   options.num_intervals = 2 * kIntervalsPerWeek;
   options.warmup = 2 * kIntervalsPerDay;
   options.predictor = BorgDefaultSpec(0.9);
-  ApplyClusterEngineEnv(options);
 
   std::vector<Ecdf> violation_cdfs;
   std::vector<Ecdf> latency_cdfs;

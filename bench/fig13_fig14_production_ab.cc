@@ -34,7 +34,6 @@ int Main() {
   // minute while covering many diurnal cycles (REPRO_SCALE grows machines).
   options.num_intervals = 2 * kIntervalsPerWeek;
   options.warmup = 2 * kIntervalsPerDay;
-  ApplyClusterEngineEnv(options);
 
   std::vector<CellProfile> profiles;
   for (int i = 1; i <= 5; ++i) {

@@ -49,6 +49,7 @@
 #include "crf/util/rng.h"
 #include "crf/util/rss.h"
 #include "crf/util/thread_pool.h"
+#include "reference/linear_scheduler.h"
 
 namespace crf {
 namespace {
@@ -366,19 +367,18 @@ BENCHMARK(BM_SweepGrid)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-// The closed-loop cluster engine, both configurations: Arg(0) = the serial
-// reference (serial step loop + linear-scan placement), Arg(1) = the
-// production path (sharded step loop + indexed placement). Both are
-// byte-identical in output; the counter ratio is the engine speedup.
+// The closed-loop cluster engine on one thread and on the default pool:
+// Arg(0) = a 1-thread pool (the step loop runs inline), Arg(1) =
+// ThreadPool::Default(). Both are byte-identical in output; the counter
+// ratio is the step-loop speedup.
 void BM_ClusterSim(benchmark::State& state) {
-  const bool sharded = state.range(0) != 0;
   CellProfile profile = SimCellProfile('a');
   profile.num_machines = 32;
+  ThreadPool serial(1);
   ClusterSimOptions options;
   options.num_intervals = kIntervalsPerDay;
   options.warmup = kIntervalsPerDay / 4;
-  options.parallel = sharded;
-  options.placement = sharded ? PlacementEngine::kIndexed : PlacementEngine::kLinearScan;
+  options.pool = state.range(0) != 0 ? nullptr : &serial;
   int64_t attempts = 0;
   for (auto _ : state) {
     const ClusterSimResult result = RunClusterSim(profile, options, Rng(7));
@@ -396,18 +396,18 @@ BENCHMARK(BM_ClusterSim)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseReal
 
 // Steady-state placement cost in isolation: one Publish + one Place per
 // iteration against a warm scheduler. Arg(0) = machine count, Arg(1) = 0 for
-// the linear scan, 1 for the tournament tree (O(M) vs O(log M)).
-void BM_SchedulerPlace(benchmark::State& state) {
+// the linear-scan reference (tests/reference), 1 for the library's
+// tournament tree (O(M) vs O(log M)).
+template <typename Placer>
+void RunSchedulerPlace(benchmark::State& state) {
   const int num_machines = static_cast<int>(state.range(0));
-  const PlacementEngine engine =
-      state.range(1) != 0 ? PlacementEngine::kIndexed : PlacementEngine::kLinearScan;
-  Scheduler scheduler(PackingPolicy::kBestFit, Rng(8), engine);
+  Placer scheduler(PackingPolicy::kBestFit, Rng(8));
   Rng rng(9);
   std::vector<double> free(num_machines);
   for (double& f : free) {
     f = 0.3 + 0.7 * rng.UniformDouble();
   }
-  scheduler.UpdateFreeCapacity(free);
+  reference::PublishAll(scheduler, free);
   int machine = 0;
   for (auto _ : state) {
     scheduler.Publish(machine, 0.3 + 0.7 * rng.UniformDouble());
@@ -415,6 +415,14 @@ void BM_SchedulerPlace(benchmark::State& state) {
     benchmark::DoNotOptimize(scheduler.Place(0.05 + 0.1 * rng.UniformDouble(), {}));
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+void BM_SchedulerPlace(benchmark::State& state) {
+  if (state.range(1) != 0) {
+    RunSchedulerPlace<Scheduler>(state);
+  } else {
+    RunSchedulerPlace<reference::LinearScanScheduler>(state);
+  }
 }
 BENCHMARK(BM_SchedulerPlace)
     ->Args({64, 0})
@@ -768,10 +776,8 @@ void RecordClusterBench() {
   ClusterSimOptions options;
   options.num_intervals = kIntervalsPerDay;
   options.warmup = kIntervalsPerDay / 4;
-  // Every lane uses the production placement engine; the matrix isolates the
-  // step-loop threading. (BM_SchedulerPlace still tracks linear-scan vs
-  // indexed placement in isolation.)
-  options.placement = PlacementEngine::kIndexed;
+  // The matrix isolates the step-loop threading. (BM_SchedulerPlace tracks
+  // linear-scan vs indexed placement in isolation.)
 
   struct Lane {
     int threads = 1;
@@ -782,7 +788,6 @@ void RecordClusterBench() {
   for (const int threads : BenchThreadCounts()) {
     ThreadPool pool(threads);
     options.pool = &pool;
-    options.parallel = threads > 1;
     ResetPeakRss();
     Lane lane{threads, TimeClusterSim(profile, options), 0};
     lane.peak_rss_bytes = ReadPeakRssBytes();

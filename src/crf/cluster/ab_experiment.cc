@@ -160,8 +160,10 @@ AbExperimentResult RunAbExperiment(std::span<const CellProfile> profiles,
   }
 
   AbExperimentResult result;
-  result.control = ComputeGroupMetrics("control", control_results);
-  result.experiment = ComputeGroupMetrics("exp", experiment_results);
+  result.control =
+      ComputeGroupMetrics("control", control_results, kIntervalsPerDay, base_options.pool);
+  result.experiment =
+      ComputeGroupMetrics("exp", experiment_results, kIntervalsPerDay, base_options.pool);
   return result;
 }
 

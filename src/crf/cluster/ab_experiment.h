@@ -44,7 +44,11 @@ std::vector<MachineOutcome> AnalyzeMachines(const ClusterSimResult& result,
                                             Interval horizon = kIntervalsPerDay,
                                             ThreadPool* pool = nullptr);
 
-// Group-level metric distributions for the Fig 13/14 plots.
+// Group-level metric distributions for the Fig 13/14 plots. Any ECDF may be
+// empty, so check empty() before Quantile(): relative_savings gets no sample
+// when no post-warmup interval has a resident limit (a run that places no
+// task), task_latency none when no sampled interval has a resident task, and
+// every ECDF stays empty for an empty group.
 struct GroupMetrics {
   std::string label;
   // Per machine (post-warmup).
@@ -81,7 +85,8 @@ struct AbExperimentResult {
   GroupMetrics experiment;
 };
 
-// Runs the paired A/B experiment over the given cell profiles.
+// Runs the paired A/B experiment over the given cell profiles. Simulation and
+// analysis both run on `base_options.pool` (nullptr: ThreadPool::Default()).
 AbExperimentResult RunAbExperiment(std::span<const CellProfile> profiles,
                                    const PredictorSpec& control_spec,
                                    const PredictorSpec& experiment_spec,

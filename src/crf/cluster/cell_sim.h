@@ -15,13 +15,14 @@
 // capacity fits the task limit; packing policy is a knob).
 //
 // Determinism contract: results are bit-identical for a given seed at any
-// thread count and for either placement engine. Machine steps draw only from
-// per-machine RNG streams forked at construction; all shared-state writes
-// during the sharded phase are per-machine slots; cross-machine reductions
-// (resident-task counts) merge per-shard partials in slot order after the
-// join; and the arrival/sampling/scheduling phase is serial. The retained
-// linear-scan scheduler and this serial phase form the reference the
-// differential tests compare against.
+// thread count. Machine steps draw only from per-machine RNG streams forked
+// at construction; all shared-state writes during the sharded phase are
+// per-machine slots; cross-machine reductions (resident-task counts) merge
+// per-shard partials in slot order after the join; and the
+// arrival/sampling/scheduling phase is serial. The loop itself lives in
+// cell_sim_loop.h, templated on the placer: the differential tests run it
+// with the linear-scan reference scheduler in tests/reference and compare
+// against this build byte for byte.
 
 #ifndef CRF_CLUSTER_CELL_SIM_H_
 #define CRF_CLUSTER_CELL_SIM_H_
@@ -29,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "crf/cluster/latency_model.h"
 #include "crf/cluster/machine_series.h"
 #include "crf/cluster/scheduler.h"
 #include "crf/core/predictor_factory.h"
@@ -47,17 +47,10 @@ struct ClusterSimOptions {
   Interval warmup = 2 * kIntervalsPerDay;
   PredictorSpec predictor = BorgDefaultSpec();
   PackingPolicy packing = PackingPolicy::kBestFit;
-  LatencyModelParams latency;
   // Pending tasks older than this are abandoned (counted, not placed).
   Interval pending_timeout = kIntervalsPerDay;
-
-  // Shard the per-interval machine step loop across the thread pool.
-  bool parallel = true;
-  // Placement engine: indexed (tournament tree) or the linear-scan
-  // reference. Both yield byte-identical placements for a given seed.
-  PlacementEngine placement = PlacementEngine::kIndexed;
-  // Pool override for tests (e.g. oversubscribed pools on small hosts);
-  // nullptr uses ThreadPool::Default().
+  // Pool the machine step loop runs on; a 1-thread pool runs it inline on
+  // the caller. nullptr uses ThreadPool::Default().
   ThreadPool* pool = nullptr;
 };
 

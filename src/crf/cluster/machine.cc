@@ -7,11 +7,11 @@
 namespace crf {
 
 ClusterMachine::ClusterMachine(int machine_index, double capacity, const SweepPlan& plan,
-                               const LatencyModelParams& latency, const Rng& rng)
+                               const Rng& rng)
     : machine_index_(machine_index),
       capacity_(capacity),
-      latency_model_(latency, rng.Fork(0x6c6174)),  // "lat"
-      usage_rng_(rng.Fork(0x757367)) {              // "usg"
+      latency_model_(LatencyModelParams{}, rng.Fork(0x6c6174)),  // "lat"
+      usage_rng_(rng.Fork(0x757367)) {                            // "usg"
   CRF_CHECK_GT(capacity, 0.0);
   CRF_CHECK_EQ(plan.num_specs(), 1);
   bank_.Attach(&plan);

@@ -3,12 +3,12 @@
 // Owns the machine-local pieces a Borglet owns: the resident task set (each
 // with its live usage model, held by the same MachineUsageKernel the trace
 // generator runs), the peak predictor's state — a SweepBank attached to the
-// cell's one shared SweepPlan — and the latency tracker. Each interval the
-// machine generates its tasks' usage, measures demand against physical
-// capacity, samples a CPU scheduling latency, feeds the bank, and publishes
-// a prediction. Usage samples are appended to a
-// CellTraceBuilder so the sealed trace can feed post-hoc oracle analysis
-// through the trace-simulator machinery.
+// cell's one shared SweepPlan — and the latency model (default
+// LatencyModelParams). Each interval the machine generates its tasks' usage,
+// measures demand against physical capacity, samples a CPU scheduling
+// latency, feeds the bank, and publishes a prediction. Usage samples are
+// appended to a CellTraceBuilder so the sealed trace can feed post-hoc
+// oracle analysis through the trace-simulator machinery.
 
 #ifndef CRF_CLUSTER_MACHINE_H_
 #define CRF_CLUSTER_MACHINE_H_
@@ -26,8 +26,7 @@ namespace crf {
 class ClusterMachine {
  public:
   // `plan` holds one spec and must outlive the machine.
-  ClusterMachine(int machine_index, double capacity, const SweepPlan& plan,
-                 const LatencyModelParams& latency, const Rng& rng);
+  ClusterMachine(int machine_index, double capacity, const SweepPlan& plan, const Rng& rng);
 
   // Starts running the task registered in the builder at `trace_index` for
   // `runtime` intervals beginning at `now`.

@@ -1,7 +1,6 @@
 #include "crf/cluster/scheduler.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "crf/util/check.h"
 
@@ -27,22 +26,12 @@ std::string PackingPolicyName(PackingPolicy policy) {
   return "unknown";
 }
 
-Scheduler::Scheduler(PackingPolicy policy, const Rng& rng, PlacementEngine engine)
-    : policy_(policy), engine_(engine), rng_(rng) {}
+Scheduler::Scheduler(PackingPolicy policy, const Rng& rng) : policy_(policy), rng_(rng) {}
 
 void Scheduler::Reset(int num_machines) {
   CRF_CHECK_GE(num_machines, 0);
   free_capacity_.assign(num_machines, 0.0);
-  if (engine_ == PlacementEngine::kIndexed) {
-    tree_.Assign(free_capacity_);
-  }
-}
-
-void Scheduler::UpdateFreeCapacity(std::vector<double> free_capacity) {
-  free_capacity_ = std::move(free_capacity);
-  if (engine_ == PlacementEngine::kIndexed) {
-    tree_.Assign(free_capacity_);
-  }
+  tree_.Assign(free_capacity_);
 }
 
 void Scheduler::Publish(int machine, double free) {
@@ -52,13 +41,11 @@ void Scheduler::Publish(int machine, double free) {
     return;
   }
   free_capacity_[machine] = free;
-  if (engine_ == PlacementEngine::kIndexed) {
-    tree_.Update(machine, free);
-  }
+  tree_.Update(machine, free);
 }
 
 int Scheduler::Place(double limit, const std::vector<int>& exclude) {
-  CRF_CHECK_GT(num_machines(), 0) << "UpdateFreeCapacity/Reset not called";
+  CRF_CHECK_GT(num_machines(), 0) << "Reset not called";
   // Two passes: first honoring the anti-affinity exclusions, then ignoring
   // them (a constrained-but-placeable task beats a pending one).
   for (const bool honor_exclusions : {true, false}) {
@@ -66,61 +53,17 @@ int Scheduler::Place(double limit, const std::vector<int>& exclude) {
       break;
     }
     const std::vector<int>* excl = honor_exclusions && !exclude.empty() ? &exclude : nullptr;
-    const int best = engine_ == PlacementEngine::kIndexed ? PlaceOnceIndexed(limit, excl)
-                                                          : PlaceOnceLinear(limit, excl);
+    const int best = PlaceOnce(limit, excl);
     if (best >= 0) {
       free_capacity_[best] -= limit;
-      if (engine_ == PlacementEngine::kIndexed) {
-        tree_.Update(best, free_capacity_[best]);
-      }
+      tree_.Update(best, free_capacity_[best]);
       return best;
     }
   }
   return -1;
 }
 
-int Scheduler::PlaceOnceLinear(double limit, const std::vector<int>* exclude) {
-  const int num = num_machines();
-
-  if (policy_ == PackingPolicy::kRandomFit) {
-    // Uniform over feasible machines: count, draw once, select by rank in
-    // (free, index) order — the same draw the indexed engine makes.
-    auto& candidates = candidates_scratch_;
-    candidates.clear();
-    for (int m = 0; m < num; ++m) {
-      if (free_capacity_[m] >= limit && !Contains(exclude, m)) {
-        candidates.emplace_back(free_capacity_[m], m);
-      }
-    }
-    if (candidates.empty()) {
-      return -1;
-    }
-    const int j = static_cast<int>(rng_.UniformInt(candidates.size()));
-    std::nth_element(candidates.begin(), candidates.begin() + j, candidates.end());
-    return candidates[j].second;
-  }
-
-  // Best/worst fit: the rotation offset randomizes tie-breaking among
-  // machines with exactly equal advertised free capacity.
-  const int offset = static_cast<int>(rng_.UniformInt(num));
-  int best = -1;
-  double best_key = std::numeric_limits<double>::infinity();
-  for (int k = 0; k < num; ++k) {
-    const int m = (k + offset) % num;
-    if (free_capacity_[m] < limit || Contains(exclude, m)) {
-      continue;
-    }
-    const double key =
-        policy_ == PackingPolicy::kBestFit ? free_capacity_[m] : -free_capacity_[m];
-    if (key < best_key) {
-      best_key = key;
-      best = m;
-    }
-  }
-  return best;
-}
-
-int Scheduler::PlaceOnceIndexed(double limit, const std::vector<int>* exclude) {
+int Scheduler::PlaceOnce(double limit, const std::vector<int>* exclude) {
   const int num = num_machines();
 
   if (policy_ == PackingPolicy::kRandomFit) {
@@ -191,7 +134,7 @@ int Scheduler::PlaceOnceIndexed(double limit, const std::vector<int>* exclude) {
 
   // Rotation tie-break among the machines with free == f*: first machine in
   // index order >= offset, wrapping to the lowest indices. This reproduces
-  // the linear scan's "first strict improvement from a random start".
+  // a linear scan's "first strict improvement from a random start".
   for (int rank = tree_.RankOfKey(fstar, offset); rank < num; ++rank) {
     const int m = tree_.MachineAtRank(rank);
     if (free_capacity_[m] != fstar) {

@@ -7,15 +7,12 @@
 // is orthogonal, so the policy is a knob (with an ablation bench comparing
 // them).
 //
-// Two interchangeable placement engines implement the same decision
-// procedure:
-//   kIndexed    - a capacity tournament tree (crf/index/capacity_index):
-//                 O(log M) best/worst-fit with anti-affinity exclusion
-//                 probing, updated incrementally from per-machine deltas.
-//   kLinearScan - the O(M)-per-placement reference scan, retained for the
-//                 differential tests.
-// Both engines draw from the scheduler RNG in exactly the same order, so for
-// a fixed seed they produce byte-identical placement sequences:
+// Placement runs on a capacity tournament tree (crf/index/capacity_index):
+// O(log M) best/worst-fit with anti-affinity exclusion probing, updated
+// incrementally from per-machine deltas. The RNG-draw rule below is part of
+// the contract; the O(M) linear-scan reference in tests/reference follows
+// the same rule, so for a fixed seed both produce byte-identical placement
+// sequences:
 //   best/worst-fit: one uniform draw per attempted pass (the rotation offset
 //                   that randomizes tie-breaking among equal capacities);
 //   random-fit:     one uniform draw per pass with >= 1 feasible machine
@@ -25,7 +22,6 @@
 #define CRF_CLUSTER_SCHEDULER_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "crf/index/capacity_index.h"
@@ -41,30 +37,19 @@ enum class PackingPolicy {
 
 std::string PackingPolicyName(PackingPolicy policy);
 
-enum class PlacementEngine {
-  kIndexed,     // capacity tournament tree, O(log M) per placement
-  kLinearScan,  // full-scan reference, O(M) per placement
-};
-
 // The cell's one scheduler. Owns the advertised-free-capacity vector, the
-// capacity index (kIndexed), and the RNG whose draw order both engines
-// share.
+// capacity index over it, and the RNG.
 class Scheduler {
  public:
-  Scheduler(PackingPolicy policy, const Rng& rng,
-            PlacementEngine engine = PlacementEngine::kIndexed);
+  Scheduler(PackingPolicy policy, const Rng& rng);
 
   // Sizes the scheduler for `num_machines` machines with zero advertised
   // free capacity; Publish() then streams in the real values.
   void Reset(int num_machines);
 
-  // Publishes the latest machine states: advertised free capacity per
-  // machine (capacity - predicted peak). Bulk form of Publish().
-  void UpdateFreeCapacity(std::vector<double> free_capacity);
-
-  // Publishes one machine's advertised free capacity. The hot path: the
-  // simulator streams per-machine deltas each polling interval instead of
-  // copying the whole capacity vector.
+  // Publishes one machine's advertised free capacity (capacity - predicted
+  // peak). The simulator streams per-machine deltas each polling interval
+  // instead of copying the whole capacity vector.
   void Publish(int machine, double free);
 
   // Picks a machine for a task with the given limit, preferring machines not
@@ -75,22 +60,18 @@ class Scheduler {
 
   double free_capacity(int machine) const { return free_capacity_[machine]; }
   int num_machines() const { return static_cast<int>(free_capacity_.size()); }
-  PlacementEngine engine() const { return engine_; }
 
  private:
   // One placement pass; `exclude == nullptr` means no exclusions (the
   // fallback pass). Returns -1 when nothing feasible remains.
-  int PlaceOnceLinear(double limit, const std::vector<int>* exclude);
-  int PlaceOnceIndexed(double limit, const std::vector<int>* exclude);
+  int PlaceOnce(double limit, const std::vector<int>* exclude);
 
   PackingPolicy policy_;
-  PlacementEngine engine_;
   Rng rng_;
   std::vector<double> free_capacity_;
-  CapacityTournamentTree tree_;  // Maintained only for kIndexed.
+  CapacityTournamentTree tree_;
 
   // Scratch for random-fit (kept across calls to avoid reallocation).
-  std::vector<std::pair<double, int>> candidates_scratch_;
   std::vector<int> exclude_scratch_;
   std::vector<int> rank_scratch_;
 };

@@ -90,14 +90,16 @@ void StreamReplayer::AdvanceShard(int shard_index, Interval from, Interval until
   ShardState& shard = shards_[shard_index];
   ShardMetrics& shard_metrics = metrics_.shard(shard_index);
 
-  // Finished machines' bulk pages are returned to the kernel in blocks: a
+  // On an mmap-loaded trace, finished machines' usage pages are evicted as
+  // their final ticks are processed, so replay RSS scales with the machines
+  // in flight rather than the trace (dropped pages refault from the page
+  // cache, so results never change). They are returned in blocks: a
   // per-machine drop would strand the page at every machine boundary (the
   // inward rounding never evicts a shared page), so batch ~128 machines per
   // madvise — the block in flight stays a few MB while the strand count
   // falls from O(machines) to O(machines / block).
   constexpr int kDropBlock = 128;
-  const bool drop_pages = options_.drop_mapped_pages && until == cell_->num_intervals &&
-                          cell_->is_mapped();
+  const bool drop_pages = until == cell_->num_intervals && cell_->is_mapped();
   int drop_from = shard.begin_machine;
 
   for (int m = shard.begin_machine; m < shard.end_machine; ++m) {

@@ -64,13 +64,6 @@ struct ReplayOptions {
   // Pool override (the bench matrix times the same replay at several pool
   // sizes); nullptr uses ThreadPool::Default(). Never affects results.
   ThreadPool* pool = nullptr;
-  // When the trace is mmap-loaded, evict finished machines' usage pages (in
-  // ~128-machine blocks, so page rounding cannot strand every machine
-  // boundary) as their final ticks are processed — replay RSS scales with
-  // the machines in flight rather than the trace. No-op on heap-loaded
-  // traces; never affects results (dropped pages refault from the page
-  // cache).
-  bool drop_mapped_pages = true;
 
   bool operator==(const ReplayOptions&) const = default;
 };

@@ -1,9 +1,25 @@
 #include "crf/cluster/ab_experiment.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <fstream>
+#include <string>
 
 namespace crf {
 namespace {
+
+// This process's OS thread count from /proc/self/status, or -1 without /proc.
+int OsThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoi(line.substr(8));
+    }
+  }
+  return -1;
+}
 
 CellProfile SmallProfile() {
   CellProfile profile = SimCellProfile('a');
@@ -98,6 +114,26 @@ TEST(RunAbExperimentTest, MaxPredictorSavesMoreThanControl) {
   // ~10%); directionally, exp must beat control.
   EXPECT_GT(ab.experiment.relative_savings.Quantile(0.5),
             ab.control.relative_savings.Quantile(0.5));
+}
+
+// The analysis runs on the caller's pool too: with a 1-thread pool the whole
+// experiment stays on the calling thread and ThreadPool::Default() never
+// starts. The child re-executes this one test, so no pool exists before it.
+TEST(RunAbExperimentDeathTest, AnalysisRunsOnTheCallersPool) {
+  if (OsThreadCount() < 0) {
+    GTEST_SKIP() << "/proc/self/status is not available";
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ThreadPool serial(1);
+        ClusterSimOptions options = ShortOptions();
+        options.pool = &serial;
+        const std::vector<CellProfile> profiles{SmallProfile()};
+        RunAbExperiment(profiles, BorgDefaultSpec(0.9), ProductionMaxSpec(), options, Rng(56));
+        _exit(OsThreadCount());
+      },
+      ::testing::ExitedWithCode(1), "");
 }
 
 }  // namespace

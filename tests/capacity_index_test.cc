@@ -8,6 +8,7 @@
 
 #include "crf/cluster/scheduler.h"
 #include "crf/util/rng.h"
+#include "reference/linear_scheduler.h"
 
 namespace crf {
 namespace {
@@ -148,18 +149,18 @@ TEST(CapacityTournamentTreeTest, FullCellZeroFreeEverywhere) {
 // excluded, pass 1 must fail and the fallback pass must pick the machine the
 // policy would choose ignoring exclusions.
 TEST(CapacityTournamentTreeTest, ExclusionProbeFallsBackWhenAllFeasibleExcluded) {
-  Scheduler best(PackingPolicy::kBestFit, Rng(77), PlacementEngine::kIndexed);
-  best.UpdateFreeCapacity({0.6, 0.8, 0.1, 0.05});
+  Scheduler best(PackingPolicy::kBestFit, Rng(77));
+  reference::PublishAll(best, {0.6, 0.8, 0.1, 0.05});
   // Machines 0 and 1 are the only feasible ones and both are excluded.
   EXPECT_EQ(best.Place(0.5, {0, 1}), 0);
 
-  Scheduler worst(PackingPolicy::kWorstFit, Rng(78), PlacementEngine::kIndexed);
-  worst.UpdateFreeCapacity({0.6, 0.8, 0.1, 0.05});
+  Scheduler worst(PackingPolicy::kWorstFit, Rng(78));
+  reference::PublishAll(worst, {0.6, 0.8, 0.1, 0.05});
   EXPECT_EQ(worst.Place(0.5, {0, 1}), 1);
 
-  Scheduler random(PackingPolicy::kRandomFit, Rng(79), PlacementEngine::kIndexed);
+  Scheduler random(PackingPolicy::kRandomFit, Rng(79));
   for (int i = 0; i < 50; ++i) {
-    random.UpdateFreeCapacity({0.6, 0.8, 0.1, 0.05});
+    reference::PublishAll(random, {0.6, 0.8, 0.1, 0.05});
     const int m = random.Place(0.5, {0, 1});
     EXPECT_TRUE(m == 0 || m == 1) << m;
   }
@@ -168,7 +169,7 @@ TEST(CapacityTournamentTreeTest, ExclusionProbeFallsBackWhenAllFeasibleExcluded)
 // The probe must skip an arbitrarily long run of excluded machines at the
 // feasible frontier, not just one.
 TEST(CapacityTournamentTreeTest, ExclusionProbeSkipsLongExcludedRun) {
-  Scheduler best(PackingPolicy::kBestFit, Rng(80), PlacementEngine::kIndexed);
+  Scheduler best(PackingPolicy::kBestFit, Rng(80));
   std::vector<double> free(12, 0.0);
   std::vector<int> exclude;
   for (int m = 0; m < 11; ++m) {
@@ -176,7 +177,7 @@ TEST(CapacityTournamentTreeTest, ExclusionProbeSkipsLongExcludedRun) {
     exclude.push_back(m);
   }
   free[11] = 0.9;
-  best.UpdateFreeCapacity(free);
+  reference::PublishAll(best, free);
   EXPECT_EQ(best.Place(0.4, exclude), 11);
 }
 

@@ -23,7 +23,9 @@ reject such a --metrics-out or --checkpoint-out before it replays anything
 checkpoint --file`, `crf serve --resume`) must be rejected with exit status
 2. The removed placement flags (`--placement-shards`,
 `--rebalance-interval`) must be unknown to `crf generate` and `crf cluster`:
-exit status 2 naming the flag.
+exit status 2 naming the flag. `crf cluster` runs that place no task (one
+interval on four machines; two intervals on one machine) must exit 0 with no
+CHECK on stderr: a metric with no samples prints as n/a.
 
 Every input-file flag the usage text lists (traces: --trace, --replay;
 checkpoints: --resume, --file) given a missing file, a garbage file, or a
@@ -303,6 +305,13 @@ def main():
                 if os.path.exists(out):
                     failures.append("%s: wrote %s" % (" ".join(argv[1:]), out))
                     os.remove(out)
+
+        for args in [["--machines=4", "--days=0.0035"],
+                     ["--machines=1", "--days=0.007", "--seed=2"]]:
+            argv = [crf, "cluster"] + args
+            result = run(argv)
+            if result.returncode != 0 or "CHECK" in result.stderr:
+                failures.append(describe(argv, result))
     for failure in failures:
         print(failure)
     print("%d failures" % len(failures))

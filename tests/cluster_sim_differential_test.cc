@@ -1,6 +1,6 @@
-// Differential test for the cluster engine rewrite: the sharded step loop +
-// indexed placement must be byte-identical to the retained serial loop +
-// linear-scan scheduler, for any thread count, across cell shapes and
+// Differential test for the cluster engine: RunClusterSim (indexed placement)
+// at any pool size must be byte-identical to the same loop run with the
+// linear-scan reference scheduler on one thread, across cell shapes and
 // packing policies. This is the determinism contract in cell_sim.h.
 
 #include <gtest/gtest.h>
@@ -11,24 +11,25 @@
 #include <vector>
 
 #include "crf/cluster/cell_sim.h"
+#include "crf/cluster/cell_sim_loop.h"
 #include "crf/util/thread_pool.h"
+#include "reference/linear_scheduler.h"
 
 namespace crf {
 namespace {
 
 struct EngineConfig {
   std::string label;
-  bool parallel = false;
-  PlacementEngine placement = PlacementEngine::kLinearScan;
+  bool linear = false;  // the reference scheduler instead of the library's
   ThreadPool* pool = nullptr;
 };
 
 ClusterSimResult RunEngine(const CellProfile& profile, ClusterSimOptions options,
-                     const EngineConfig& config, uint64_t seed) {
-  options.parallel = config.parallel;
-  options.placement = config.placement;
+                           const EngineConfig& config, uint64_t seed) {
   options.pool = config.pool;
-  return RunClusterSim(profile, options, Rng(seed));
+  return config.linear
+             ? RunClusterSimWith<reference::LinearScanScheduler>(profile, options, Rng(seed))
+             : RunClusterSim(profile, options, Rng(seed));
 }
 
 // Byte-level equality of everything the simulation produces.
@@ -87,17 +88,18 @@ class ClusterSimDifferentialTest : public ::testing::Test {
  protected:
   void RunAllConfigs(const CellProfile& profile, const ClusterSimOptions& options,
                      uint64_t seed) {
+    ThreadPool pool1(1);
     ThreadPool pool2(2);
     ThreadPool pool4(4);
     ThreadPool pool5(5);
     const ClusterSimResult reference =
-        RunEngine(profile, options, {"serial+linear", false, PlacementEngine::kLinearScan}, seed);
+        RunEngine(profile, options, {"serial+linear", true, &pool1}, seed);
     const std::vector<EngineConfig> configs = {
-        {"serial+indexed", false, PlacementEngine::kIndexed, nullptr},
-        {"sharded2+indexed", true, PlacementEngine::kIndexed, &pool2},
-        {"sharded4+indexed", true, PlacementEngine::kIndexed, &pool4},
-        {"sharded5+indexed", true, PlacementEngine::kIndexed, &pool5},
-        {"sharded4+linear", true, PlacementEngine::kLinearScan, &pool4},
+        {"serial+indexed", false, &pool1},
+        {"sharded2+indexed", false, &pool2},
+        {"sharded4+indexed", false, &pool4},
+        {"sharded5+indexed", false, &pool5},
+        {"sharded4+linear", true, &pool4},
     };
     for (const EngineConfig& config : configs) {
       ExpectIdentical(reference, RunEngine(profile, options, config, seed), config.label);

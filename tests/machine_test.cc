@@ -41,7 +41,7 @@ TaskUsageParams CalmParams(double limit) {
 
 TEST(ClusterMachineTest, EmptyMachinePredictsZero) {
   CellTraceBuilder trace = EmptyBuilder(1, 10);
-  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(1));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), Rng(1));
   const auto stats = machine.Step(0, 1.0, trace);
   EXPECT_EQ(stats.resident_tasks, 0);
   EXPECT_DOUBLE_EQ(stats.prediction, 0.0);
@@ -51,7 +51,7 @@ TEST(ClusterMachineTest, EmptyMachinePredictsZero) {
 
 TEST(ClusterMachineTest, TaskLifecycleRecordsUsage) {
   CellTraceBuilder trace = EmptyBuilder(1, 10);
-  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(2));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), Rng(2));
   const int32_t index = AddTask(trace, 1, 0, 2, 0.4);
   machine.StartTask(trace, index, CalmParams(0.4), 2, 3);
 
@@ -71,7 +71,7 @@ TEST(ClusterMachineTest, TaskLifecycleRecordsUsage) {
 
 TEST(ClusterMachineTest, FreeCapacityIsCapacityMinusPrediction) {
   CellTraceBuilder trace = EmptyBuilder(1, 20);
-  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(3));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), Rng(3));
   const int32_t index = AddTask(trace, 1, 0, 0, 0.3);
   machine.StartTask(trace, index, CalmParams(0.3), 0, 20);
   const auto stats = machine.Step(0, 1.0, trace);
@@ -81,7 +81,7 @@ TEST(ClusterMachineTest, FreeCapacityIsCapacityMinusPrediction) {
 
 TEST(ClusterMachineTest, DemandAggregatesTasks) {
   CellTraceBuilder trace = EmptyBuilder(1, 10);
-  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(4));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), Rng(4));
   const int32_t a = AddTask(trace, 1, 0, 0, 0.4);
   const int32_t b = AddTask(trace, 2, 0, 0, 0.4);
   machine.StartTask(trace, a, CalmParams(0.4), 0, 10);
@@ -96,7 +96,7 @@ TEST(ClusterMachineTest, DemandAggregatesTasks) {
 
 TEST(ClusterMachineTest, SealedTraceCarriesRecordedUsage) {
   CellTraceBuilder trace = EmptyBuilder(1, 10);
-  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(6));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), Rng(6));
   const int32_t index = AddTask(trace, 1, 0, 0, 0.5);
   machine.StartTask(trace, index, CalmParams(0.5), 0, 4);
   for (Interval t = 0; t < 10; ++t) {
@@ -115,7 +115,7 @@ TEST(ClusterMachineTest, SealedTraceCarriesRecordedUsage) {
 
 TEST(ClusterMachineDeathTest, StartTaskValidatesInvariants) {
   CellTraceBuilder trace = EmptyBuilder(2, 10);
-  ClusterMachine machine(0, 1.0, LimitSumPlan(), LatencyModelParams{}, Rng(5));
+  ClusterMachine machine(0, 1.0, LimitSumPlan(), Rng(5));
   // Wrong machine index on the task.
   const int32_t index = AddTask(trace, 1, 1, 0, 0.3);
   EXPECT_DEATH(machine.StartTask(trace, index, CalmParams(0.3), 0, 5), "CHECK failed");

@@ -254,15 +254,14 @@ TEST(ParallelDeterminismStressCluster, ClusterSimPoolSizeInvariance) {
   ClusterSimOptions options;
   options.num_intervals = 60;
   options.warmup = 12;
-  options.placement = PlacementEngine::kIndexed;
-  options.parallel = false;
+  ThreadPool serial(1);
+  options.pool = &serial;
   const ClusterSimResult reference = RunClusterSim(profile, options, Rng(77));
 
   for (const int threads : kGridCounts) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     ThreadPool pool(threads);
     options.pool = &pool;
-    options.parallel = true;
     const ClusterSimResult got = RunClusterSim(profile, options, Rng(77));
 
     EXPECT_EQ(got.tasks_placed, reference.tasks_placed);

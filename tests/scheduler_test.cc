@@ -2,41 +2,77 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
 #include <vector>
+
+#include "reference/linear_scheduler.h"
 
 namespace crf {
 namespace {
 
-// Every behavioral case runs on both placement engines: the indexed
-// tournament tree is contractually byte-identical to the linear reference.
-class SchedulerTest : public ::testing::TestWithParam<PlacementEngine> {
+using reference::LinearScanScheduler;
+using reference::PublishAll;
+
+enum class Placer { kIndexed, kLinear };
+
+// The library's Scheduler or the linear-scan reference behind one surface,
+// so every behavioral case runs on both: the indexed tournament tree is
+// contractually byte-identical to the reference. A value parameter rather
+// than a typed suite keeps the case names (Engines/SchedulerTest.<case>/
+// Indexed and /LinearScan) stable.
+class AnyPlacer {
+ public:
+  AnyPlacer(Placer placer, PackingPolicy policy, uint64_t seed)
+      : impl_(placer == Placer::kIndexed
+                  ? Impl(std::in_place_type<Scheduler>, policy, Rng(seed))
+                  : Impl(std::in_place_type<LinearScanScheduler>, policy, Rng(seed))) {}
+
+  void Reset(int num_machines) {
+    std::visit([&](auto& placer) { placer.Reset(num_machines); }, impl_);
+  }
+  void Publish(int machine, double free) {
+    std::visit([&](auto& placer) { placer.Publish(machine, free); }, impl_);
+  }
+  int Place(double limit, const std::vector<int>& exclude) {
+    return std::visit([&](auto& placer) { return placer.Place(limit, exclude); }, impl_);
+  }
+  double free_capacity(int machine) const {
+    return std::visit([&](const auto& placer) { return placer.free_capacity(machine); }, impl_);
+  }
+
+ private:
+  using Impl = std::variant<Scheduler, LinearScanScheduler>;
+  Impl impl_;
+};
+
+class SchedulerTest : public ::testing::TestWithParam<Placer> {
  protected:
-  Scheduler Make(PackingPolicy policy, uint64_t seed) {
-    return Scheduler(policy, Rng(seed), GetParam());
+  AnyPlacer Make(PackingPolicy policy, uint64_t seed) {
+    return AnyPlacer(GetParam(), policy, seed);
   }
 };
 
 TEST_P(SchedulerTest, BestFitPicksTightestMachine) {
-  Scheduler scheduler = Make(PackingPolicy::kBestFit, 1);
-  scheduler.UpdateFreeCapacity({0.5, 0.2, 0.9});
+  AnyPlacer scheduler = Make(PackingPolicy::kBestFit, 1);
+  PublishAll(scheduler, {0.5, 0.2, 0.9});
   EXPECT_EQ(scheduler.Place(0.2, {}), 1);
 }
 
 TEST_P(SchedulerTest, WorstFitPicksLoosestMachine) {
-  Scheduler scheduler = Make(PackingPolicy::kWorstFit, 2);
-  scheduler.UpdateFreeCapacity({0.5, 0.2, 0.9});
+  AnyPlacer scheduler = Make(PackingPolicy::kWorstFit, 2);
+  PublishAll(scheduler, {0.5, 0.2, 0.9});
   EXPECT_EQ(scheduler.Place(0.2, {}), 2);
 }
 
 TEST_P(SchedulerTest, InfeasibleReturnsMinusOne) {
-  Scheduler scheduler = Make(PackingPolicy::kBestFit, 3);
-  scheduler.UpdateFreeCapacity({0.1, 0.2});
+  AnyPlacer scheduler = Make(PackingPolicy::kBestFit, 3);
+  PublishAll(scheduler, {0.1, 0.2});
   EXPECT_EQ(scheduler.Place(0.5, {}), -1);
 }
 
 TEST_P(SchedulerTest, DebitsPlacedLimits) {
-  Scheduler scheduler = Make(PackingPolicy::kBestFit, 4);
-  scheduler.UpdateFreeCapacity({0.5});
+  AnyPlacer scheduler = Make(PackingPolicy::kBestFit, 4);
+  PublishAll(scheduler, {0.5});
   EXPECT_EQ(scheduler.Place(0.3, {}), 0);
   // Only 0.2 left; a 0.3 task no longer fits without a fresh poll.
   EXPECT_EQ(scheduler.Place(0.3, {}), -1);
@@ -44,16 +80,16 @@ TEST_P(SchedulerTest, DebitsPlacedLimits) {
 }
 
 TEST_P(SchedulerTest, UpdateResetsAccounting) {
-  Scheduler scheduler = Make(PackingPolicy::kBestFit, 5);
-  scheduler.UpdateFreeCapacity({0.5});
+  AnyPlacer scheduler = Make(PackingPolicy::kBestFit, 5);
+  PublishAll(scheduler, {0.5});
   EXPECT_EQ(scheduler.Place(0.5, {}), 0);
   EXPECT_EQ(scheduler.Place(0.5, {}), -1);
-  scheduler.UpdateFreeCapacity({0.5});
+  PublishAll(scheduler, {0.5});
   EXPECT_EQ(scheduler.Place(0.5, {}), 0);
 }
 
 TEST_P(SchedulerTest, IncrementalPublishMatchesBulkUpdate) {
-  Scheduler scheduler = Make(PackingPolicy::kBestFit, 5);
+  AnyPlacer scheduler = Make(PackingPolicy::kBestFit, 5);
   scheduler.Reset(3);
   scheduler.Publish(0, 0.5);
   scheduler.Publish(1, 0.2);
@@ -66,32 +102,32 @@ TEST_P(SchedulerTest, IncrementalPublishMatchesBulkUpdate) {
 }
 
 TEST_P(SchedulerTest, HonorsExclusionsWhenPossible) {
-  Scheduler scheduler = Make(PackingPolicy::kBestFit, 6);
-  scheduler.UpdateFreeCapacity({0.3, 0.5});
+  AnyPlacer scheduler = Make(PackingPolicy::kBestFit, 6);
+  PublishAll(scheduler, {0.3, 0.5});
   // Machine 0 is tighter but excluded (already hosts a sibling task).
   EXPECT_EQ(scheduler.Place(0.2, {0}), 1);
 }
 
 TEST_P(SchedulerTest, FallsBackToExcludedWhenNothingElseFits) {
-  Scheduler scheduler = Make(PackingPolicy::kBestFit, 7);
-  scheduler.UpdateFreeCapacity({0.9, 0.1});
+  AnyPlacer scheduler = Make(PackingPolicy::kBestFit, 7);
+  PublishAll(scheduler, {0.9, 0.1});
   // Only machine 0 fits, despite the exclusion.
   EXPECT_EQ(scheduler.Place(0.5, {0}), 0);
 }
 
 TEST_P(SchedulerTest, WorstFitHonorsExclusions) {
-  Scheduler scheduler = Make(PackingPolicy::kWorstFit, 11);
-  scheduler.UpdateFreeCapacity({0.4, 0.9, 0.6});
+  AnyPlacer scheduler = Make(PackingPolicy::kWorstFit, 11);
+  PublishAll(scheduler, {0.4, 0.9, 0.6});
   EXPECT_EQ(scheduler.Place(0.2, {1}), 2);
   // All feasible machines excluded: the fallback pass ignores exclusions.
   EXPECT_EQ(scheduler.Place(0.65, {1}), 1);
 }
 
 TEST_P(SchedulerTest, RandomFitIsUniformish) {
-  Scheduler scheduler = Make(PackingPolicy::kRandomFit, 8);
+  AnyPlacer scheduler = Make(PackingPolicy::kRandomFit, 8);
   std::vector<int> counts(3, 0);
   for (int i = 0; i < 3000; ++i) {
-    scheduler.UpdateFreeCapacity({1.0, 1.0, 1.0});
+    PublishAll(scheduler, {1.0, 1.0, 1.0});
     const int m = scheduler.Place(0.1, {});
     ASSERT_GE(m, 0);
     ++counts[m];
@@ -103,17 +139,17 @@ TEST_P(SchedulerTest, RandomFitIsUniformish) {
 }
 
 TEST_P(SchedulerTest, RandomFitOnlyFeasible) {
-  Scheduler scheduler = Make(PackingPolicy::kRandomFit, 9);
+  AnyPlacer scheduler = Make(PackingPolicy::kRandomFit, 9);
   for (int i = 0; i < 100; ++i) {
-    scheduler.UpdateFreeCapacity({0.05, 1.0, 0.05});
+    PublishAll(scheduler, {0.05, 1.0, 0.05});
     EXPECT_EQ(scheduler.Place(0.5, {}), 1);
   }
 }
 
 TEST_P(SchedulerTest, RandomFitHonorsExclusions) {
-  Scheduler scheduler = Make(PackingPolicy::kRandomFit, 12);
+  AnyPlacer scheduler = Make(PackingPolicy::kRandomFit, 12);
   for (int i = 0; i < 100; ++i) {
-    scheduler.UpdateFreeCapacity({1.0, 1.0, 1.0});
+    PublishAll(scheduler, {1.0, 1.0, 1.0});
     // Duplicate exclusion entries (pass-2 fallback artifacts) must not skew
     // the count of remaining candidates.
     EXPECT_EQ(scheduler.Place(0.5, {0, 2, 0, 2}), 1);
@@ -121,20 +157,18 @@ TEST_P(SchedulerTest, RandomFitHonorsExclusions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, SchedulerTest,
-                         ::testing::Values(PlacementEngine::kIndexed,
-                                           PlacementEngine::kLinearScan),
-                         [](const ::testing::TestParamInfo<PlacementEngine>& info) {
-                           return info.param == PlacementEngine::kIndexed ? "Indexed"
-                                                                          : "LinearScan";
+                         ::testing::Values(Placer::kIndexed, Placer::kLinear),
+                         [](const ::testing::TestParamInfo<Placer>& info) {
+                           return info.param == Placer::kIndexed ? "Indexed" : "LinearScan";
                          });
 
-// Cross-engine lockstep: identical seeds must yield identical placement
-// sequences and identical RNG consumption through mixed workloads.
+// Lockstep against the reference: identical seeds must yield identical
+// placement sequences and identical RNG consumption through mixed workloads.
 TEST(SchedulerLockstepTest, EnginesAgreeOnPlacementSequences) {
   for (const PackingPolicy policy :
        {PackingPolicy::kBestFit, PackingPolicy::kWorstFit, PackingPolicy::kRandomFit}) {
-    Scheduler indexed(policy, Rng(99), PlacementEngine::kIndexed);
-    Scheduler linear(policy, Rng(99), PlacementEngine::kLinearScan);
+    Scheduler indexed(policy, Rng(99));
+    LinearScanScheduler linear(policy, Rng(99));
     Rng workload(1234);
     const int num_machines = 17;
     indexed.Reset(num_machines);
@@ -172,7 +206,7 @@ TEST(SchedulerTestBasics, PolicyNames) {
 
 TEST(SchedulerDeathTest, PlaceBeforeUpdateAborts) {
   Scheduler scheduler(PackingPolicy::kBestFit, Rng(10));
-  EXPECT_DEATH(scheduler.Place(0.1, {}), "UpdateFreeCapacity");
+  EXPECT_DEATH(scheduler.Place(0.1, {}), "Reset not called");
 }
 
 }  // namespace

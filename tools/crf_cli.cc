@@ -783,20 +783,22 @@ int CmdCluster(const Flags& flags) {
               result.cell_name.c_str(), result.predictor_name.c_str(), packing.c_str(),
               IntervalsToHours(options.num_intervals) / 24.0, profile.num_machines);
   Table table({"metric", "p50", "p90"});
-  table.AddRow("alloc/capacity", {metrics.normalized_allocation.Quantile(0.5),
-                                  metrics.normalized_allocation.Quantile(0.9)});
-  table.AddRow("usage/capacity", {metrics.normalized_workload.Quantile(0.5),
-                                  metrics.normalized_workload.Quantile(0.9)});
-  table.AddRow("relative savings", {metrics.relative_savings.Quantile(0.5),
-                                    metrics.relative_savings.Quantile(0.9)});
-  table.AddRow("machine violation rate",
-               {metrics.violation_rate.Quantile(0.5), metrics.violation_rate.Quantile(0.9)});
-  table.AddRow("severity p999", {metrics.severity_p999.Quantile(0.5),
-                                 metrics.severity_p999.Quantile(0.9)});
-  table.AddRow("max violation streak", {metrics.max_violation_streak.Quantile(0.5),
-                                        metrics.max_violation_streak.Quantile(0.9)});
-  table.AddRow("machine p90 latency", {metrics.machine_p90_latency.Quantile(0.5),
-                                       metrics.machine_p90_latency.Quantile(0.9)});
+  // Any metric may have no samples (a run that places no task has no
+  // savings); its row reads n/a.
+  const auto add_row = [&table](const std::string& name, const Ecdf& ecdf) {
+    if (ecdf.empty()) {
+      table.AddRow({name, "n/a", "n/a"});
+    } else {
+      table.AddRow(name, {ecdf.Quantile(0.5), ecdf.Quantile(0.9)});
+    }
+  };
+  add_row("alloc/capacity", metrics.normalized_allocation);
+  add_row("usage/capacity", metrics.normalized_workload);
+  add_row("relative savings", metrics.relative_savings);
+  add_row("machine violation rate", metrics.violation_rate);
+  add_row("severity p999", metrics.severity_p999);
+  add_row("max violation streak", metrics.max_violation_streak);
+  add_row("machine p90 latency", metrics.machine_p90_latency);
   table.Print();
   std::printf("tasks placed %lld, timed out %lld (%lld placement attempts)\n",
               static_cast<long long>(result.tasks_placed),
