@@ -1354,8 +1354,9 @@ void RecordStreamBench() {
 
   // Integrity gate 1: streamed per-machine metrics must equal the batch
   // engine's bit for bit (the replay.h contract).
+  ThreadPool one_thread(1);
   SimOptions sim_options;
-  sim_options.parallel = false;
+  sim_options.pool = &one_thread;
   const SimResult batch = SimulateCell(cell, spec, sim_options);
   ReplayOptions serial_options = options;
   serial_options.parallel = false;

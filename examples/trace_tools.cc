@@ -24,23 +24,23 @@ int main() {
               cell.name.c_str(), cell.num_machines(), cell.num_tasks(),
               static_cast<long long>(cell.dropped_tasks));
 
-  // 2. Persist and reload — text for diffing, binary for speed. The binary
-  // file is the trace's arena verbatim, so loading is one read into an
-  // aligned slab.
+  // 2. Persist and reload. The binary file is the trace's arena verbatim, so
+  // loading is one read into an aligned slab; it is the only format crf
+  // reads. The text export is for inspection and external tooling.
   const std::string text_path =
       (std::filesystem::temp_directory_path() / "crf_example_cell_c.trace").string();
   const std::string binary_path =
       (std::filesystem::temp_directory_path() / "crf_example_cell_c.crftrace").string();
   std::string error;
-  if (!SaveCellTrace(cell, text_path, &error) ||
-      !SaveCellTraceBinary(cell, binary_path, &error)) {
+  if (!SaveCellTraceBinary(cell, binary_path, &error) ||
+      !ExportCellTraceText(cell, text_path, &error)) {
     std::fprintf(stderr, "save failed: %s\n", error.c_str());
     return 1;
   }
-  std::printf("saved text -> %s (%.1f KiB), binary -> %s (%.1f KiB)\n", text_path.c_str(),
-              std::filesystem::file_size(text_path) / 1024.0, binary_path.c_str(),
-              std::filesystem::file_size(binary_path) / 1024.0);
-  const auto loaded = LoadCellTrace(binary_path);  // Auto-detects the format.
+  std::printf("saved binary -> %s (%.1f KiB), exported text -> %s (%.1f KiB)\n",
+              binary_path.c_str(), std::filesystem::file_size(binary_path) / 1024.0,
+              text_path.c_str(), std::filesystem::file_size(text_path) / 1024.0);
+  const auto loaded = LoadCellTrace(binary_path);
   if (!loaded.has_value()) {
     std::fprintf(stderr, "reload failed\n");
     return 1;

@@ -56,14 +56,14 @@ void WalkMachine(const CellTrace& cell, int machine_index, const SimOptions& opt
 // many threads run them.
 constexpr int kReduceBlocks = 64;
 
-// Runs `simulate(m, series)` for every machine — on the options' pool when
-// options.parallel — and returns the `num_series` per-interval series summed
-// over all machines. Machines are cut into contiguous blocks by the stream
-// replayer's shard rule; a block sums its machines, in index order, into its
-// own partial series, and the partials are added to the total in block
-// order. Every addition is thus fixed by the cell alone, parallel or not. A
-// partial is folded in and freed as soon as every earlier block has been, so
-// only about one partial per thread is alive at a time.
+// Runs `simulate(m, series)` for every machine on the options' pool and
+// returns the `num_series` per-interval series summed over all machines.
+// Machines are cut into contiguous blocks by the stream replayer's shard
+// rule; a block sums its machines, in index order, into its own partial
+// series, and the partials are added to the total in block order. Every
+// addition is thus fixed by the cell alone, parallel or not. A partial is
+// folded in and freed as soon as every earlier block has been, so only about
+// one partial per thread is alive at a time.
 template <typename SimulateOne>
 std::vector<std::vector<double>> RunMachines(const CellTrace& cell, const SimOptions& options,
                                              int num_series, SimulateOne simulate) {
@@ -96,12 +96,8 @@ std::vector<std::vector<double>> RunMachines(const CellTrace& cell, const SimOpt
       }
     }
   };
-  if (options.parallel) {
-    ThreadPool& pool = options.pool != nullptr ? *options.pool : ThreadPool::Default();
-    pool.ParallelForRanges(num_blocks, 1, run_blocks);
-  } else {
-    run_blocks(0, 0, num_blocks);
-  }
+  ThreadPool& pool = options.pool != nullptr ? *options.pool : ThreadPool::Default();
+  pool.ParallelForRanges(num_blocks, 1, run_blocks);
   return total;
 }
 

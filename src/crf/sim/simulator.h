@@ -41,9 +41,8 @@ struct SimOptions {
   // Ablation: use the unfiltered total-usage oracle instead of the exact
   // arrival-filtered oracle.
   bool use_total_usage_oracle = false;
-  // Shard machines across the thread pool.
-  bool parallel = true;
-  // Pool override; nullptr uses ThreadPool::Default(). Never affects results.
+  // The pool machines are sharded across; nullptr uses ThreadPool::Default()
+  // and a ThreadPool(1) runs on the calling thread. Never affects results.
   ThreadPool* pool = nullptr;
   // Optional shared oracle memo. Sweeps running many predictor specs over
   // the same cell should pass one cache for all SimulateCell calls: the

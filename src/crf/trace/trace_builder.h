@@ -10,11 +10,11 @@
 //
 // CellTraceBuilder is for producers that do not know a task's runtime when
 // it starts: the closed-loop cluster simulator (which also reads the partial
-// trace back in its machine step loop) and the text trace loader. It holds
-// per-task row vectors, and Seal() packs them into one arena, validating
-// machine indices on the way (a task with an out-of-range machine index
-// aborts the seal). Distinct tasks may be built concurrently; AddTask and
-// Seal are not thread-safe.
+// trace back in its machine step loop) and tests that build cells by hand.
+// It holds per-task row vectors, and Seal() packs them into one arena,
+// validating machine indices on the way (a task with an out-of-range machine
+// index aborts the seal). Distinct tasks may be built concurrently; AddTask
+// and Seal are not thread-safe.
 
 #ifndef CRF_TRACE_TRACE_BUILDER_H_
 #define CRF_TRACE_TRACE_BUILDER_H_

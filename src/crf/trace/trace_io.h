@@ -1,14 +1,5 @@
-// Trace persistence: a text format and a zero-copy binary format.
-//
-// Text (v1) — line-oriented CSV so generated traces can be inspected or fed
-// to external tooling. Rich within-interval stats are not persisted in text
-// (they are cheap to regenerate and 9x the size); loading a text trace yields
-// has_rich() == false.
-//
-//   # crf-trace v1
-//   cell,<name>,<num_intervals>,<num_machines>,<dropped_tasks>
-//   machine,<index>,<capacity>,<true_peak[0];true_peak[1];...>
-//   task,<task_id>,<job_id>,<machine>,<start>,<limit>,<class>,<u0;u1;...>
+// Trace persistence: one on-disk format, the zero-copy binary CRFTRBIN, and
+// a text export.
 //
 // Binary (v1) — a versioned header followed by the sealed arena verbatim
 // (trace.h describes the slab layout). Because the on-disk payload IS the
@@ -22,11 +13,9 @@
 //   then           cell name, zero-padded so the arena starts 64-aligned
 //   then           the arena blob
 //
-// LoadCellTrace sniffs the leading magic and accepts either format; both
-// loaders return nullopt on missing, malformed, or corrupted input
-// (including truncated slabs and header/arena size mismatches).
-//
-// Binary traces can be loaded two ways (TraceLoadMode):
+// Binary traces are written whole by SaveCellTraceBinary or machine block by
+// machine block by GenerateCellTraceToFile (crf/trace/generator.h), and
+// loaded two ways (TraceLoadMode):
 //   heap — read the arena into an aligned heap buffer (one fread);
 //   mmap — map the file read-only and point the trace's spans straight into
 //          the mapping (trace_internal::TraceArena::MapFromFile). Bit-for-bit
@@ -35,6 +24,18 @@
 //          become resident, the bulk usage slab pages in on demand, and
 //          clean pages are shared across processes. The file must not be
 //          modified while any CellTrace copy is alive.
+// Both return nullopt on missing, malformed, or corrupted input (including
+// truncated slabs and header/arena size mismatches).
+//
+// Text — export only, so a trace can be inspected or fed to external
+// tooling; nothing in crf reads it back, and a loader given one says so.
+// Line-oriented CSV; floats print with %.9g and doubles with %.17g, which
+// round-trip exactly. The rich within-interval stats are not exported.
+//
+//   # crf-trace v1
+//   cell,<name>,<num_intervals>,<num_machines>,<dropped_tasks>
+//   machine,<index>,<capacity>,<true_peak[0];true_peak[1];...>
+//   task,<task_id>,<job_id>,<machine>,<start>,<limit>,<class>,<u0;u1;...>
 
 #ifndef CRF_TRACE_TRACE_IO_H_
 #define CRF_TRACE_TRACE_IO_H_
@@ -46,35 +47,37 @@
 
 namespace crf {
 
-// Write `cell` to `path` in the text / binary format. Paths are operator
-// input: an I/O error returns false with `*error` naming the path. The binary
-// writer is atomic (crf/util/atomic_file.h); the text one may leave a part.
-bool SaveCellTrace(const CellTrace& cell, const std::string& path, std::string* error);
+// Write `cell` to `path` in the binary format / export it as text. Paths are
+// operator input: an I/O error returns false with `*error` naming the path.
+// Both writers are atomic (crf/util/atomic_file.h): `path` ends up holding
+// its previous contents or the whole new file, so a trace can be exported
+// over the very file it was loaded (or mapped) from.
 bool SaveCellTraceBinary(const CellTrace& cell, const std::string& path, std::string* error);
+bool ExportCellTraceText(const CellTrace& cell, const std::string& path, std::string* error);
 
 enum class TraceLoadMode {
-  kAuto,    // heap load, either format (the historical default)
-  kHeap,    // heap load; rejects text input
-  kMapped,  // zero-copy mmap load; rejects text input
+  kHeap,    // read the arena into a heap buffer
+  kMapped,  // zero-copy mmap load
 };
 
 struct TraceLoadOptions {
-  TraceLoadMode mode = TraceLoadMode::kAuto;
+  TraceLoadMode mode = TraceLoadMode::kHeap;
 };
 
-// Loads a trace in either format; returns nullopt if the file is missing or
-// malformed.
+// Loads a binary trace onto the heap; returns nullopt if the file is missing
+// or malformed.
 std::optional<CellTrace> LoadCellTrace(const std::string& path);
 
-// Checks by the header alone that `path` holds a trace: a valid binary
-// header (magic, version, counts) whose arena size matches the file, or the
-// text format's first line. Costs the same on any file size; the
-// command-line parser runs it before any work. False with `*error` if not.
+// Checks by the header alone that `path` holds a binary trace: a valid
+// header (magic, version, counts) whose arena size matches the file. Costs
+// the same on any file size; the command-line parser runs it before any
+// work. False with `*error` if not.
 bool CheckCellTraceHeader(const std::string& path, std::string* error);
 
 // Load with an explicit mode and precise diagnostics: on failure returns
 // nullopt and, when `error` is non-null, a message naming what was wrong
-// (truncation byte counts, corrupt offset-table entries, bad header fields).
+// (truncation byte counts, corrupt offset-table entries, bad header fields,
+// a text export).
 std::optional<CellTrace> LoadCellTrace(const std::string& path, const TraceLoadOptions& options,
                                        std::string* error = nullptr);
 

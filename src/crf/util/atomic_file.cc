@@ -11,18 +11,6 @@
 namespace crf {
 namespace {
 
-bool WriteAll(int fd, std::span<const uint8_t> bytes) {
-  while (!bytes.empty()) {
-    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
-    if (n > 0) {
-      bytes = bytes.subspan(static_cast<size_t>(n));
-    } else if (n == 0 || errno != EINTR) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Records "<what>: <errno text>" — call right after the failing syscall.
 bool Fail(std::string* error, const std::string& what) {
   if (error != nullptr) {
@@ -38,6 +26,18 @@ std::string DirectoryOf(const std::string& path) {
 }
 
 }  // namespace
+
+bool WriteAll(int fd, std::span<const uint8_t> bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n > 0) {
+      bytes = bytes.subspan(static_cast<size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
+}
 
 bool CheckAtomicTarget(const std::string& path, std::string* error) {
   const std::string directory = DirectoryOf(path);

@@ -6,8 +6,9 @@
 // point leaves either the previous file or the complete new one at `path` —
 // never a truncated or torn mix — which is what lets a checkpoint overwrite
 // the very file it was resumed from. A writer that fills the file some other
-// way (StreamingTraceWriter maps it) creates AtomicTempPath(path) itself and
-// finishes with CommitAtomicFile.
+// way (StreamingTraceWriter maps it; the text trace export writes it in
+// chunks) creates AtomicTempPath(path) itself and finishes with
+// CommitAtomicFile.
 
 #ifndef CRF_UTIL_ATOMIC_FILE_H_
 #define CRF_UTIL_ATOMIC_FILE_H_
@@ -31,6 +32,11 @@ bool WriteFileAtomic(const std::string& path, std::string_view text, std::string
 // directory. Lets a command reject an output flag before doing the work
 // whose result it would write. Returns false with a diagnostic in `*error`.
 bool CheckAtomicTarget(const std::string& path, std::string* error);
+
+// Writes all of `bytes` to `fd`, retrying short writes and EINTR. False on
+// an error, with errno set. For writers that fill AtomicTempPath(path) in
+// pieces before CommitAtomicFile.
+bool WriteAll(int fd, std::span<const uint8_t> bytes);
 
 // A temporary path next to `path` (same directory, so the rename cannot
 // cross filesystems), unique per process and call.

@@ -48,21 +48,6 @@ std::string FormatDouble(double value) {
   return buffer;
 }
 
-std::vector<std::string_view> SplitCsvLine(std::string_view line) {
-  std::vector<std::string_view> fields;
-  size_t start = 0;
-  while (true) {
-    const size_t comma = line.find(',', start);
-    if (comma == std::string_view::npos) {
-      fields.push_back(line.substr(start));
-      break;
-    }
-    fields.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return fields;
-}
-
 bool EnsureDirectory(const std::string& dir) {
   if (dir.empty()) {
     return true;

@@ -1,11 +1,10 @@
-// Minimal CSV writing/parsing used for bench output and trace persistence.
+// Minimal CSV writing for bench output.
 
 #ifndef CRF_UTIL_CSV_H_
 #define CRF_UTIL_CSV_H_
 
 #include <fstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace crf {
@@ -36,10 +35,6 @@ class CsvWriter {
 
 // Formats a double compactly but losslessly enough for analysis (%.10g).
 std::string FormatDouble(double value);
-
-// Splits one CSV line on commas. No quoting support: the formats written by
-// this codebase never contain commas inside fields.
-std::vector<std::string_view> SplitCsvLine(std::string_view line);
 
 // Creates `dir` (and parents). Returns true on success or if it exists.
 bool EnsureDirectory(const std::string& dir);

@@ -13,24 +13,27 @@ before a 512-machine week is synthesized, `crf serve` must not take --trace
 (it reads --replay), and `crf generate --rich=1` must be rejected even where
 the usage text cannot be read.
 
-Then fixed probes: `crf generate` (heap and --stream), `crf simulate`,
-`crf serve`, `crf loadgen` and `crf cluster` with each bad value of their
-numeric and cell-synthesis flags must exit 2 with a message that names the
-flag; `crf generate` (text, --binary and --stream) into a directory that does
-not exist must exit 2 with a message that names the path; `crf serve` must
-reject such a --metrics-out or --checkpoint-out before it replays anything
-(empty stdout). A directory given where a checkpoint file is read (`crf
+Then fixed probes: `crf generate`, `crf simulate`, `crf serve`, `crf loadgen`
+and `crf cluster` with each bad value of their numeric and cell-synthesis
+flags must exit 2 with a message that names the flag; `crf generate` into a
+directory that does not exist must exit 2 with a message that names the
+path; `crf serve` must reject such a --metrics-out or --checkpoint-out
+before it replays anything (empty stdout). A directory given where a checkpoint file is read (`crf
 checkpoint --file`, `crf serve --resume`) must be rejected with exit status
 2. The removed placement flags (`--placement-shards`,
-`--rebalance-interval`) must be unknown to `crf generate` and `crf cluster`:
-exit status 2 naming the flag. `crf cluster` runs that place no task (one
+`--rebalance-interval`) must be unknown to `crf generate` and `crf cluster`,
+and the removed output flags (`--binary`, `--stream`, `generate --trace`)
+unknown to `crf generate` and `crf convert`: exit status 2 naming the flag.
+`crf convert --mmap` exporting a trace over its own file must exit 0 and
+leave the whole text export there. `crf cluster` runs that place no task (one
 interval on four machines; two intervals on one machine) must exit 0 with no
 CHECK on stderr: a metric with no samples prints as n/a.
 
 Every input-file flag the usage text lists (traces: --trace, --replay;
-checkpoints: --resume, --file) given a missing file, a garbage file, or a
-file of the other kind (wrong magic) must exit 2 naming the flag within
-0.1 s, before a 256-machine cell is synthesized. Last, `crf serve
+checkpoints: --resume, --file) given a missing file, a garbage file, a text
+trace export, or a file of the other kind (wrong magic) must exit 2 naming
+the flag within 0.1 s, before a 256-machine cell is synthesized; a trace flag
+given a text export must also say that text is export-only. Last, `crf serve
 --metrics-out` must write the file on every exit: a finished replay, a
 `--stop-after-checkpoint` cut, and a local replay stopped by SIGINT.
 Usage: cli_flags_test.py <path to crf>.
@@ -100,7 +103,7 @@ def flag_matrix(crf, scratch, failures):
     """Probes every flag the usage text lists; see the module docstring."""
     small = os.path.join(scratch, "small.crftrace")
     checkpoint = os.path.join(scratch, "small.ckpt")
-    run([crf, "generate", "--machines=2", "--days=1", "--binary", "--out=" + small])
+    run([crf, "generate", "--machines=2", "--days=1", "--out=" + small])
     run([crf, "serve", "--replay=" + small, "--checkpoint-out=" + checkpoint,
          "--stop-after-checkpoint"])
     synth = ["--machines=2", "--days=1"]
@@ -165,14 +168,15 @@ def input_probes(crf, scratch, failures):
     trace = os.path.join(scratch, "inputs.crftrace")
     checkpoint = os.path.join(scratch, "inputs.ckpt")
     garbage = os.path.join(scratch, "garbage.bin")
-    run([crf, "generate", "--machines=2", "--days=1", "--binary", "--out=" + trace])
+    text = os.path.join(scratch, "inputs.trace")
+    run([crf, "generate", "--machines=2", "--days=1", "--out=" + trace])
     run([crf, "serve", "--replay=" + trace, "--checkpoint-out=" + checkpoint,
          "--stop-after-checkpoint"])
+    run([crf, "convert", "--trace=" + trace, "--out=" + text])
     with open(garbage, "wb") as out:
         out.write(bytes((i * 151 + 7) % 256 for i in range(4096)))
     # A trace flag replaces cell synthesis; --resume must fail before it.
-    base = {"generate": ["--out=" + os.path.join(scratch, "inputs_out.crftrace")],
-            "convert": ["--out=" + os.path.join(scratch, "inputs_out.trace")],
+    base = {"convert": ["--out=" + os.path.join(scratch, "inputs_out.trace")],
             "loadgen": ["--connect=127.0.0.1:1"]}
     synth = ["--machines=256", "--days=3"]
     for command, flags in read_usage(crf).items():
@@ -183,7 +187,7 @@ def input_probes(crf, scratch, failures):
                 failures.append("%s --%s: input flag of unknown kind" % (command, flag))
                 continue
             wrong = checkpoint if flag in TRACE_INPUTS else trace
-            for path in [os.path.join(scratch, "missing.file"), garbage, wrong]:
+            for path in [os.path.join(scratch, "missing.file"), garbage, text, wrong]:
                 args = synth if flag == "resume" else base.get(command, [])
                 argv = [crf, command] + args + ["--%s=%s" % (flag, path)]
                 # The best of three runs, so a loaded host does not fail a fast check.
@@ -194,8 +198,10 @@ def input_probes(crf, scratch, failures):
                     elapsed.append(time.monotonic() - start)
                     if elapsed[-1] <= INPUT_DEADLINE_S:
                         break
+                export_only = path != text or flag not in TRACE_INPUTS or \
+                    "text is export-only" in result.stderr
                 if (result.returncode != 2 or ("--" + flag) not in result.stderr or
-                        result.stdout or min(elapsed) > INPUT_DEADLINE_S):
+                        result.stdout or not export_only or min(elapsed) > INPUT_DEADLINE_S):
                     failures.append("%s (%.3f s)" % (describe(argv, result), min(elapsed)))
     return trace
 
@@ -221,7 +227,7 @@ def sigint_when_handled(argv):
 def metrics_probes(crf, scratch, failures):
     """`crf serve --metrics-out` writes on every exit; see the module docstring."""
     trace = os.path.join(scratch, "metrics.crftrace")
-    run([crf, "generate", "--machines=64", "--days=7", "--binary", "--out=" + trace])
+    run([crf, "generate", "--machines=64", "--days=7", "--out=" + trace])
     metrics = os.path.join(scratch, "metrics.json")
     serve = [crf, "serve", "--replay=" + trace, "--metrics-out=" + metrics, "--threads=1"]
     cut = ["--checkpoint-out=" + os.path.join(scratch, "metrics.ckpt"), "--checkpoint-at=50",
@@ -248,12 +254,11 @@ def main():
     failures = []
     with tempfile.TemporaryDirectory() as scratch:
         flag_matrix(crf, scratch, failures)
-        input_probes(crf, scratch, failures)
+        trace = input_probes(crf, scratch, failures)
         metrics_probes(crf, scratch, failures)
         out = os.path.join(scratch, "never_written.crftrace")
         cases = [
-            (["generate", "--binary", "--out=" + out], CELL_FLAGS),
-            (["generate", "--stream", "--out=" + out], CELL_FLAGS),
+            (["generate", "--out=" + out], CELL_FLAGS),
             (["simulate"], dict(CELL_FLAGS, **HORIZON_FLAGS)),
             (["serve", "--checkpoint-out=" + out], dict(HORIZON_FLAGS, **CHECKPOINT_FLAGS)),
             (["loadgen", "--connect=127.0.0.1:1"], HORIZON_FLAGS),
@@ -273,12 +278,11 @@ def main():
                         os.remove(out)
 
         unwritable = os.path.join(scratch, "missing", "trace.crftrace")
-        for mode in [[], ["--binary"], ["--stream"]]:
-            argv = [crf, "generate", "--machines=2", "--days=1", "--out=" + unwritable] + mode
-            result = run(argv)
-            if result.returncode != 2 or unwritable not in result.stderr:
-                failures.append("%s: exit %d, stderr %r" %
-                                (" ".join(argv[1:]), result.returncode, result.stderr))
+        argv = [crf, "generate", "--machines=2", "--days=1", "--out=" + unwritable]
+        result = run(argv)
+        if result.returncode != 2 or unwritable not in result.stderr:
+            failures.append("%s: exit %d, stderr %r" %
+                            (" ".join(argv[1:]), result.returncode, result.stderr))
         for flag in ["metrics-out", "checkpoint-out"]:
             argv = [crf, "serve", "--machines=2", "--days=1", "--%s=%s" % (flag, unwritable)]
             result = run(argv)
@@ -294,9 +298,15 @@ def main():
                 failures.append("%s: exit %d, stderr %r" %
                                 (" ".join(argv[1:]), result.returncode, result.stderr))
 
-        for command in [["generate", "--binary", "--out=" + out], ["cluster"]]:
-            for flag in ["placement-shards=4", "rebalance-interval=8"]:
-                argv = [crf] + command + ["--machines=2", "--days=1", "--" + flag]
+        removed = ["placement-shards=4", "rebalance-interval=8"]
+        synth = ["--machines=2", "--days=1"]
+        for command, flags in [(["generate", "--out=" + out] + synth,
+                                removed + ["binary", "stream", "trace=" + trace]),
+                               (["convert", "--trace=" + trace, "--out=" + out],
+                                ["binary", "stream"]),
+                               (["cluster"] + synth, removed)]:
+            for flag in flags:
+                argv = [crf] + command + ["--" + flag]
                 result = run(argv)
                 name = "--" + flag.split("=")[0]
                 if result.returncode != 2 or ("unknown flag " + name) not in result.stderr:
@@ -305,6 +315,21 @@ def main():
                 if os.path.exists(out):
                     failures.append("%s: wrote %s" % (" ".join(argv[1:]), out))
                     os.remove(out)
+
+        in_place = os.path.join(scratch, "in_place.crftrace")
+        generated = run([crf, "generate", "--machines=16", "--days=1", "--out=" + in_place])
+        counts = re.search(r"(\d+) machines, (\d+) tasks", generated.stdout)
+        argv = [crf, "convert", "--trace=" + in_place, "--mmap", "--out=" + in_place]
+        result = run(argv)
+        with open(in_place) as exported:
+            lines = exported.read().splitlines()
+        want = 2 + int(counts.group(1)) + int(counts.group(2)) if counts else -1
+        leftovers = [name for name in os.listdir(scratch) if ".tmp." in name]
+        if result.returncode != 0 or len(lines) != want or lines[0] != "# crf-trace v1" or \
+                leftovers:
+            failures.append("%s: %d lines (want %d), temp files %s; %s" %
+                            (" ".join(argv[1:]), len(lines), want, leftovers,
+                             describe(argv, result)))
 
         for args in [["--machines=4", "--days=0.0035"],
                      ["--machines=1", "--days=0.007", "--seed=2"]]:

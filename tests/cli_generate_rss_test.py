@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
 """`crf generate` of a 512-machine week stays under a peak-RSS budget.
 
-Runs `crf generate --cell=a --machines=512 --days=7` with `--binary` (the
-heap path: usage is generated straight into the sealed arena) and with
-`--stream` (usage goes straight into the mapped file), each at
-`--threads=1` and `--threads=4`, and reads each child's peak resident set
-(`ru_maxrss`) from os.wait4. Every run must stay at or under 120 MB. The
-trace itself is about 70 MB, so a path that holds a second copy of the
-usage samples (per-task row vectors next to the arena, or unused per-task
-reservations next to the mapped file) fails. Exits 77 (skipped) where
+Runs `crf generate --cell=a --machines=512 --days=7` (usage goes straight
+into the mapped output file) at `--threads=1` and `--threads=4`, and reads
+each child's peak resident set (`ru_maxrss`) from os.wait4. Every run must
+stay at or under 120 MB. The trace itself is about 70 MB, so a generator
+that holds a second copy of the usage samples (per-task row vectors or
+unused per-task reservations next to the mapped file) fails. Exits 77 (skipped) where
 os.wait4 or /proc is missing. Usage: cli_generate_rss_test.py <path to crf>.
 """
 
@@ -38,15 +36,14 @@ def main():
     failures = []
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "cell.crftrace")
-        for mode in ["--binary", "--stream"]:
-            for threads in ["1", "4"]:
-                args = ["generate", "--cell=a", "--machines=512", "--days=7", mode,
-                        "--threads=" + threads, "--out=" + out]
-                status, stderr, peak = peak_rss_mb([crf] + args)
-                print("%s: exit %d, peak %.1f MB" % (" ".join(args[4:6]), status, peak))
-                if status != 0 or peak > BUDGET_MB:
-                    failures.append("%s: exit %d, peak %.1f MB (budget %d MB), stderr %r" %
-                                    (" ".join(args), status, peak, BUDGET_MB, stderr))
+        for threads in ["1", "4"]:
+            args = ["generate", "--cell=a", "--machines=512", "--days=7",
+                    "--threads=" + threads, "--out=" + out]
+            status, stderr, peak = peak_rss_mb([crf] + args)
+            print("%s: exit %d, peak %.1f MB" % (args[4], status, peak))
+            if status != 0 or peak > BUDGET_MB:
+                failures.append("%s: exit %d, peak %.1f MB (budget %d MB), stderr %r" %
+                                (" ".join(args), status, peak, BUDGET_MB, stderr))
     for failure in failures:
         print(failure)
     print("%d failures" % len(failures))

@@ -44,7 +44,7 @@ def main():
     with tempfile.TemporaryDirectory() as scratch:
         trace = os.path.join(scratch, "cell.crftrace")
         runs = [
-            ["generate", "--cell=a", "--machines=512", "--days=2", "--binary", "--out=" + trace],
+            ["generate", "--cell=a", "--machines=512", "--days=2", "--out=" + trace],
             ["simulate", "--trace=" + trace],
             ["serve", "--replay=" + trace],
             ["cluster", "--machines=256", "--days=2"],

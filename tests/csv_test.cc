@@ -57,27 +57,6 @@ TEST(FormatDoubleTest, RoundTripsTypicalValues) {
   }
 }
 
-TEST(SplitCsvLineTest, SplitsFields) {
-  const auto fields = SplitCsvLine("a,b,,d");
-  ASSERT_EQ(fields.size(), 4u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[1], "b");
-  EXPECT_EQ(fields[2], "");
-  EXPECT_EQ(fields[3], "d");
-}
-
-TEST(SplitCsvLineTest, SingleField) {
-  const auto fields = SplitCsvLine("alone");
-  ASSERT_EQ(fields.size(), 1u);
-  EXPECT_EQ(fields[0], "alone");
-}
-
-TEST(SplitCsvLineTest, EmptyLineIsOneEmptyField) {
-  const auto fields = SplitCsvLine("");
-  ASSERT_EQ(fields.size(), 1u);
-  EXPECT_EQ(fields[0], "");
-}
-
 TEST(EnsureDirectoryTest, CreatesAndIsIdempotent) {
   const std::string dir = TempPath("ensure_dir") + "/a/b";
   std::filesystem::remove_all(TempPath("ensure_dir"));

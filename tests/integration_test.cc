@@ -41,30 +41,12 @@ TEST(IntegrationTest, FullSimPipelineProducesSensibleMetrics) {
   }
 }
 
-TEST(IntegrationTest, SavedTraceSimulatesIdentically) {
-  const CellTrace cell = Pipeline(91);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "crf_integration.trace").string();
-  ASSERT_TRUE(SaveCellTrace(cell, path, nullptr));
-  const auto loaded = LoadCellTrace(path);
-  ASSERT_TRUE(loaded.has_value());
-
-  const SimResult original = SimulateCell(cell, SimulationMaxSpec());
-  const SimResult replayed = SimulateCell(*loaded, SimulationMaxSpec());
-  ASSERT_EQ(original.machines.size(), replayed.machines.size());
-  for (size_t m = 0; m < original.machines.size(); ++m) {
-    EXPECT_EQ(original.machines[m].violations, replayed.machines[m].violations);
-    EXPECT_NEAR(original.machines[m].savings_ratio, replayed.machines[m].savings_ratio, 1e-6);
-  }
-  std::remove(path.c_str());
-}
-
 TEST(IntegrationTest, BinaryTraceSimulatesExactly) {
   const CellTrace cell = Pipeline(94);
   const std::string path =
       (std::filesystem::temp_directory_path() / "crf_integration.crftrace").string();
   ASSERT_TRUE(SaveCellTraceBinary(cell, path, nullptr));
-  const auto loaded = LoadCellTrace(path);  // auto-detects the binary format
+  const auto loaded = LoadCellTrace(path);
   ASSERT_TRUE(loaded.has_value());
 
   // Binary persistence is lossless, so the simulation replays bit-for-bit.

@@ -137,10 +137,10 @@ TEST(MappedTraceTest, BitIdenticalWithEmptyMachinesAndEmptyTasks) {
 TEST(MappedTraceTest, RejectsTextTraceWithDiagnostic) {
   const CellTrace original = SmallCell(3);
   const std::string path = TempPath("text.trace");
-  ASSERT_TRUE(SaveCellTrace(original, path, nullptr));
+  ASSERT_TRUE(ExportCellTraceText(original, path, nullptr));
   std::string error;
   EXPECT_FALSE(LoadMapped(path, &error).has_value());
-  EXPECT_NE(error.find("mmap loading requires the binary format"), std::string::npos) << error;
+  EXPECT_NE(error.find("a text trace: text is export-only"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 
@@ -194,9 +194,9 @@ TEST(MappedTraceTest, RejectsBitFlippedHeaderFields) {
     const char* expect;
   };
   const Case cases[] = {
-      // A flipped magic byte makes the sniffer stop treating the file as a
-      // binary trace at all (the mapped loader refuses non-binary input).
-      {0, int64_t{'X'}, 1, "is not a binary trace"},
+      // The mapped loader runs the heap load's header validator, which
+      // checks the magic first.
+      {0, int64_t{'X'}, 1, "bad magic: not a crf binary trace"},
       {8, 999, 4, "unsupported binary trace version"},
       {12, 0xFF, 4, "unknown header flags"},
       {16, -1, 8, "header field num_tasks out of range"},

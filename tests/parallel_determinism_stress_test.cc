@@ -139,8 +139,9 @@ TEST_P(ParallelDeterminismStressTest, StreamShardThreadGridBitIdenticalToSerial)
   const CellTrace cell = ChurnCell(seed);
   const PredictorSpec spec = SpecForCase(case_index);
 
+  ThreadPool one_thread(1);
   SimOptions sim_options;
-  sim_options.parallel = false;
+  sim_options.pool = &one_thread;
   const SimResult batch = SimulateCell(cell, spec, sim_options);
 
   for (const int num_shards : kGridCounts) {
@@ -222,15 +223,15 @@ TEST(ParallelDeterminismStressBatch, CellSeriesByteIdenticalToSerialOverRepeats)
     specs.push_back(SpecForCase(i));
   }
 
+  ThreadPool one_thread(1);
   SimOptions serial;
-  serial.parallel = false;
+  serial.pool = &one_thread;
   const SimResult single_reference = SimulateCell(cell, specs.back(), serial);
   const std::vector<SimResult> multi_reference = SimulateCellMulti(cell, specs, serial);
   // The blocks follow the replayer's shard rule, at 64 blocks.
   EXPECT_TRUE(BytesEqual(Replay(cell, specs.back(), 64, false, nullptr).cell_savings_series,
                          single_reference.cell_savings_series));
   SimOptions parallel;
-  parallel.parallel = true;
   for (int repeat = 0; repeat < 20; ++repeat) {
     SCOPED_TRACE(::testing::Message() << "repeat=" << repeat);
     const SimResult single = SimulateCell(cell, specs.back(), parallel);

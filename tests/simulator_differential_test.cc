@@ -18,6 +18,7 @@
 #include "crf/core/predictor_factory.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/util/rng.h"
+#include "crf/util/thread_pool.h"
 
 namespace crf {
 namespace {
@@ -291,8 +292,9 @@ TEST_P(SimulatorDifferentialTest, FusedMatchesNaiveReference) {
   }
 
   // Serial fused engine.
+  ThreadPool one_thread(1);
   SimOptions serial = options;
-  serial.parallel = false;
+  serial.pool = &one_thread;
   ExpectResultsMatch(SimulateCell(cell, spec, serial), NaiveSimulateCell(cell, spec, serial),
                      seed);
 
@@ -300,7 +302,6 @@ TEST_P(SimulatorDifferentialTest, FusedMatchesNaiveReference) {
   // second pass exercises the cache-hit path end to end.
   OracleCache cache;
   SimOptions parallel_cached = options;
-  parallel_cached.parallel = true;
   parallel_cached.oracle_cache = &cache;
   const SimResult naive = NaiveSimulateCell(cell, spec, options);
   ExpectResultsMatch(SimulateCell(cell, spec, parallel_cached), naive, seed);

@@ -45,14 +45,14 @@ TEST(SimulatorTest, BorgDefaultSavingsIsExactlyOneMinusPhi) {
 }
 
 TEST(SimulatorTest, ParallelMatchesSerial) {
+  ThreadPool one_thread(1);
   SimOptions serial;
-  serial.parallel = false;
+  serial.pool = &one_thread;
   const SimResult a = SimulateCell(TestCell(), SimulationMaxSpec(), serial);
   // The default pool, then a caller's 3-thread pool.
   ThreadPool pool(3);
   for (ThreadPool* chosen : {static_cast<ThreadPool*>(nullptr), &pool}) {
     SimOptions parallel;
-    parallel.parallel = true;
     parallel.pool = chosen;
     const SimResult b = SimulateCell(TestCell(), SimulationMaxSpec(), parallel);
     ASSERT_EQ(a.machines.size(), b.machines.size());

@@ -19,6 +19,7 @@
 #include "crf/sim/simulator.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/util/rng.h"
+#include "crf/util/thread_pool.h"
 
 namespace crf {
 namespace {
@@ -115,8 +116,9 @@ TEST_P(StreamReplayTest, MatchesBatchEngineBitForBit) {
   const CellTrace cell = RandomCell(seed);
   const PredictorSpec spec = SpecForCase(case_index);
 
+  ThreadPool one_thread(1);
   SimOptions sim_options;
-  sim_options.parallel = false;
+  sim_options.pool = &one_thread;
   sim_options.use_total_usage_oracle = case_index % 4 == 3;
   sim_options.horizon = case_index % 3 == 0 ? 1 : (case_index % 3 == 1 ? 6 : cell.num_intervals + 4);
   const SimResult batch = SimulateCell(cell, spec, sim_options);

@@ -26,6 +26,7 @@
 #include "crf/trace/trace.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/trace/trace_io.h"
+#include "crf/util/thread_pool.h"
 
 namespace crf {
 namespace {
@@ -154,8 +155,9 @@ TEST(StreamTraceTest, SimulationAgreesBatchVsStreamed) {
   const auto streamed = LoadCellTrace(path, {TraceLoadMode::kMapped}, &error);
   ASSERT_TRUE(streamed.has_value()) << error;
 
+  ThreadPool one_thread(1);
   SimOptions sim_options;
-  sim_options.parallel = false;
+  sim_options.pool = &one_thread;
   const SimResult a = SimulateCell(batch, ProductionMaxSpec(), sim_options);
   const SimResult b = SimulateCell(*streamed, ProductionMaxSpec(), sim_options);
   ASSERT_EQ(a.machines.size(), b.machines.size());

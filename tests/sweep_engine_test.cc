@@ -32,6 +32,7 @@
 #include "crf/trace/trace_builder.h"
 #include "crf/util/byte_io.h"
 #include "crf/util/rng.h"
+#include "crf/util/thread_pool.h"
 #include "reference/predictors.h"
 
 namespace crf {
@@ -343,8 +344,9 @@ void RunDifferential(const CellTrace& cell) {
   }
 
   // Serial: the grid in one pass, and each spec on its own.
+  ThreadPool one_thread(1);
   SimOptions serial;
-  serial.parallel = false;
+  serial.pool = &one_thread;
   const std::vector<SimResult> multi_serial = SimulateCellMulti(cell, specs, serial);
   ASSERT_EQ(multi_serial.size(), specs.size());
   for (size_t s = 0; s < specs.size(); ++s) {
@@ -357,7 +359,6 @@ void RunDifferential(const CellTrace& cell) {
   // exercises the cache-hit and bank-reuse paths end to end.
   OracleCache cache;
   SimOptions parallel;
-  parallel.parallel = true;
   parallel.oracle_cache = &cache;
   const std::vector<SimResult> multi_parallel = SimulateCellMulti(cell, specs, parallel);
   const std::vector<SimResult> multi_again = SimulateCellMulti(cell, specs, parallel);

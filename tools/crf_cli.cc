@@ -82,8 +82,8 @@ struct Flag {
 std::string Dashed(const Flag& flag) { return std::string("--") + flag.name; }
 
 // The flag table.
-const Flag kTrace{"trace", Kind::kTraceIn, "trace file to read (text or binary)"};
-const Flag kReplay{"replay", Kind::kTraceIn, "trace file to replay (text or binary)"};
+const Flag kTrace{"trace", Kind::kTraceIn, "binary trace file to read"};
+const Flag kReplay{"replay", Kind::kTraceIn, "binary trace file to replay"};
 const Flag kMmap{"mmap", Kind::kBool, "map the binary trace zero-copy instead of loading it"};
 const Flag kCell{"cell", Kind::kCell, "cell to synthesize: a..h, cell_a..cell_h, production_1..5"};
 const Flag kMachines{"machines", Kind::kInt, "machines (default: the cell's)", 1, 1000000};
@@ -97,10 +97,7 @@ const Flag kPredictor{"predictor", Kind::kSpec, "peak predictor"};
 const Flag kHorizon{"horizon-hours", Kind::kDuration, "oracle horizon in hours", 0, 24 * 3650,
                     kIntervalsPerHour};
 const Flag kAllClasses{"all-classes", Kind::kBool, "keep every task class, not just serving"};
-const Flag kOut{"out", Kind::kOutput, "trace file to write"};
-const Flag kBinary{"binary", Kind::kBool, "write the binary arena format, not text"};
-const Flag kStream{"stream", Kind::kBool, "generate straight into a binary file, machine block "
-                                          "by machine block, tasks renumbered machine-major"};
+const Flag kOut{"out", Kind::kOutput, "file to write"};
 const Flag kPacking{"packing", Kind::kChoice, "packing policy", 0, 0, 0,
                     "best-fit|worst-fit|random-fit"};
 const Flag kShards{"shards", Kind::kInt, "ingestion shards; fixes the cell-series rounding", 1,
@@ -389,64 +386,41 @@ std::optional<CellTrace> LoadOrSynthesize(const Flags& flags, const Flag& source
 // pool with no workers, so the whole run stays on the calling thread.
 int ThreadsFrom(const Flags& flags) { return static_cast<int>(flags.Int(kThreads)); }
 
+// Generation streams the cell into the file (GenerateCellTraceToFile): it
+// never holds the sealed cell, and a killed run leaves the previous file.
 int CmdGenerate(const Flags& flags) {
   const std::string& out = flags.Text(kOut);
-  const bool binary = flags.Has(kBinary);
   ThreadPool pool(ThreadsFrom(flags));
+  const CellProfile profile = ProfileFrom(flags);
+  const GeneratorOptions options = GeneratorFrom(flags, pool);
+  StreamedTraceInfo info;
   std::string error;
-  if (flags.Has(kStream)) {
-    // Streaming generation writes the binary file directly; it never holds
-    // the sealed cell, so it cannot start from a trace or emit text.
-    if (flags.Has(kTrace)) {
-      return Fail(Dashed(kStream) + " generates a fresh cell; it cannot re-save " +
-                  Dashed(kTrace));
-    }
-    if (!CheckSource(flags, kTrace, &error)) {
-      return Fail(error);
-    }
-    const CellProfile profile = ProfileFrom(flags);
-    const GeneratorOptions options = GeneratorFrom(flags, pool);
-    StreamedTraceInfo info;
-    if (!GenerateCellTraceToFile(profile, options, SeedFrom(flags), out, &error, &info)) {
-      return Fail(error);
-    }
-    std::printf("wrote %s (binary, streamed): %d machines, %lld tasks, %d intervals,"
-                " %llu bytes\n",
-                out.c_str(), profile.num_machines, static_cast<long long>(info.num_tasks),
-                options.num_intervals, static_cast<unsigned long long>(info.file_bytes));
-    std::fprintf(stderr, "crf: placement %.0f ms (%lld attempts, %.0f placements/s)\n",
-                 info.placement_ms, static_cast<long long>(info.placement_attempts),
-                 info.placement_ms > 0.0 ? info.placement_attempts * 1000.0 / info.placement_ms
-                                         : 0.0);
-    return 0;
-  }
-  const auto cell = LoadOrSynthesize(flags, kTrace, pool, &error);
-  if (!cell.has_value()) {
+  if (!GenerateCellTraceToFile(profile, options, SeedFrom(flags), out, &error, &info)) {
     return Fail(error);
   }
-  if (!(binary ? SaveCellTraceBinary(*cell, out, &error) : SaveCellTrace(*cell, out, &error))) {
-    return Fail(error);
-  }
-  std::printf("wrote %s (%s): %d machines, %d tasks, %d intervals\n", out.c_str(),
-              binary ? "binary" : "text", cell->num_machines(), cell->num_tasks(),
-              cell->num_intervals);
+  std::printf("wrote %s: %d machines, %lld tasks, %d intervals, %llu bytes\n", out.c_str(),
+              profile.num_machines, static_cast<long long>(info.num_tasks),
+              options.num_intervals, static_cast<unsigned long long>(info.file_bytes));
+  std::fprintf(stderr, "crf: placement %.0f ms (%lld attempts, %.0f placements/s)\n",
+               info.placement_ms, static_cast<long long>(info.placement_attempts),
+               info.placement_ms > 0.0 ? info.placement_attempts * 1000.0 / info.placement_ms
+                                       : 0.0);
   return 0;
 }
 
 int CmdConvert(const Flags& flags) {
   const std::string& out = flags.Text(kOut);
-  const bool binary = flags.Has(kBinary);
   std::string error;
   const auto cell = LoadTrace(flags, kTrace, &error);
   if (!cell.has_value()) {
     return Fail(error);
   }
-  if (!(binary ? SaveCellTraceBinary(*cell, out, &error) : SaveCellTrace(*cell, out, &error))) {
+  if (!ExportCellTraceText(*cell, out, &error)) {
     return Fail(error);
   }
-  std::printf("converted %s -> %s (%s): %d machines, %d tasks, %d intervals\n",
-              flags.Text(kTrace).c_str(), out.c_str(), binary ? "binary" : "text",
-              cell->num_machines(), cell->num_tasks(), cell->num_intervals);
+  std::printf("exported %s -> %s (text): %d machines, %d tasks, %d intervals\n",
+              flags.Text(kTrace).c_str(), out.c_str(), cell->num_machines(), cell->num_tasks(),
+              cell->num_intervals);
   return 0;
 }
 
@@ -815,13 +789,13 @@ struct Command {
 };
 
 const Command kCommands[] = {
-    {"generate", "synthesize a cell trace and save it (text by default)",
-     Join({{{&kOut, nullptr, true}, {&kBinary}, {&kStream}}, kTraceRows, kThreadRows}),
-     CmdGenerate},
+    {"generate",
+     "synthesize a cell straight into a binary trace file, machine block by machine block",
+     Join({{{&kOut, nullptr, true}}, kCellRows, kThreadRows}), CmdGenerate},
     {"info", "print a trace's workload statistics (with --mmap, its page residency)",
      Join({kTraceRows, kThreadRows}), CmdInfo},
-    {"convert", "re-encode a trace between the text and binary formats",
-     {{&kTrace, nullptr, true}, {&kOut, nullptr, true}, {&kBinary}, {&kMmap}}, CmdConvert},
+    {"convert", "export a binary trace as text (export only: crf reads binary traces)",
+     {{&kTrace, nullptr, true}, {&kOut, nullptr, true}, {&kMmap}}, CmdConvert},
     {"simulate", "run the trace-driven simulator; prints violation and savings metrics",
      Join({kTraceRows, kThreadRows, kPredictorRows}), CmdSimulate},
     {"cluster", "run the closed-loop Borg-like cell simulation; prints group metrics",
