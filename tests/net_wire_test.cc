@@ -321,6 +321,66 @@ TEST(NetWireTest, InPlaceFrameEqualsCopiedFrameAndCarriesVersionTwo) {
   EXPECT_EQ(payload_hash, Xxh64(payload.bytes()));
 }
 
+// Frames `message` in place, checks that the frame decodes and re-encodes
+// to the same bytes, and returns the frame's XXH64.
+template <typename T>
+uint64_t PinnedFrameHash(WireOp op, const T& message) {
+  std::vector<uint8_t> frame;
+  AppendMessageFrame(op, message, frame);
+  T decoded;
+  MustDecode(frame, op, decoded);
+  std::vector<uint8_t> again;
+  AppendMessageFrame(op, decoded, again);
+  EXPECT_EQ(again, frame) << WireOpName(op);
+  return Xxh64(frame);
+}
+
+// The wire is a file format between builds: pins the bytes of one frame of
+// every message type, each filled with edge values its decoder still
+// accepts (extreme integers, signed zero, subnormal, infinite and NaN
+// doubles where no check forbids them, embedded NUL and high bytes).
+TEST(NetWireGoldenTest, EveryMessageFrameMatchesRecordedHash) {
+  constexpr int32_t kMaxI32 = std::numeric_limits<int32_t>::max();
+  constexpr int32_t kMinI32 = std::numeric_limits<int32_t>::min();
+  constexpr double kSubnormal = std::numeric_limits<double>::denorm_min();
+  constexpr double kHuge = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::bit_cast<double>(uint64_t{0x7ff8000000000123});
+  const std::string bytes("a\0\xff\x7f z", 6);
+
+  EXPECT_EQ(PinnedFrameHash(WireOp::kHello, HelloRequest{bytes}), 0x7b6a1aa8d4ada739ull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kHello,
+                            HelloResponse{"", bytes, kMaxI32, 0, 1, kMaxI32 - 1}),
+            0xfc4ebdb40a9def8aull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kIngestBatch, EdgeIngest()), 0x2c9657ef76b8ed07ull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kIngestBatch, IngestBatchResponse{nan, -0.0, kMinI32}),
+            0xe52ccace8779c0d6ull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kMachineQuery, MachineQueryRequest{kMaxI32}),
+            0xf1e426b081548b66ull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kMachineQuery,
+                            MachineQueryResponse{-1, -kInf, kSubnormal, kMaxI32,
+                                                 std::numeric_limits<uint64_t>::max()}),
+            0x445f4facdd728f49ull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kCellQuery, CellQueryRequest{}), 0x9f5c680b91294618ull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kCellQuery,
+                            CellQueryResponse{0, kMinI32, kMaxI32, kHuge, nan, uint64_t{1} << 63}),
+            0xc7b279bb14980eb0ull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kAdmissionCheck, AdmissionCheckRequest{0, kHuge}),
+            0x61d21cfe5f4ec56full);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kAdmissionCheck,
+                            AdmissionCheckResponse{true, kSubnormal, -0.0, -kHuge}),
+            0x61a53b680c3df00aull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kMetricsSnapshot, MetricsSnapshotRequest{}),
+            0xa6a5133f239702e5ull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kMetricsSnapshot,
+                            MetricsSnapshotResponse{"{\"net\": {}}" + bytes}),
+            0xf78db9a89c2295edull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kShutdown, ShutdownRequest{false}), 0x63f964add3ce9192ull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kShutdown, ShutdownResponse{true, kMaxI32, bytes}),
+            0x91b12b18df029627ull);
+  EXPECT_EQ(PinnedFrameHash(WireOp::kError, ErrorResponse{""}), 0xc195c62ad5872d6full);
+}
+
 TEST(NetWireCorruptionTest, VersionOneFrameIsRejectedByVersion) {
   auto frame = Frame(WireOp::kIngestBatch, SampleIngest());
   const uint32_t version_one = 1;

@@ -536,20 +536,33 @@ TEST(StreamCheckpointAtomicWriteTest, FailedOverwriteKeepsPreviousCheckpoint) {
 // The sealed bytes are a file format: a checkpoint written by one build must
 // resume under the next. Pins the whole file of a fixed replay, so any
 // change to what a machine, a bank or an accumulator serializes shows here.
+// Each CI smoke spec is one input, so every family's record is pinned: the
+// simulation max, chance quant windows beside flex ratio windows, and the
+// autopilot percentile windows beside borg-default.
 TEST(StreamCheckpointGoldenTest, SealedBytesMatchRecordedHash) {
   CellProfile profile = SimCellProfile('a');
   profile.num_machines = 4;
   GeneratorOptions generator;
   generator.num_intervals = kIntervalsPerDay;
   const CellTrace cell = GenerateCellTrace(profile, generator, Rng(2021));
-  StreamReplayer replayer(cell, SimulationMaxSpec());
-  replayer.Advance(100);
-  const std::string path = TempPath("golden.crfckpt");
-  std::string error;
-  ASSERT_TRUE(SaveCheckpoint(replayer, path, &error)) << error;
-  const std::vector<uint8_t> bytes = ReadAll(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(Xxh64(bytes), 0xb3283c838f0563c6ull);
+  const struct {
+    PredictorSpec spec;
+    uint64_t hash;
+  } cases[] = {
+      {SimulationMaxSpec(), 0xb3283c838f0563c6ull},
+      {*ParsePredictorSpec("max(chance:0.02,flex:95:1.2)"), 0x4750c4522e66fac9ull},
+      {*ParsePredictorSpec("max(borg-default:0.9,autopilot:98:1.1)"), 0x5a18e6e097da8348ull},
+  };
+  for (const auto& c : cases) {
+    StreamReplayer replayer(cell, c.spec);
+    replayer.Advance(100);
+    const std::string path = TempPath("golden.crfckpt");
+    std::string error;
+    ASSERT_TRUE(SaveCheckpoint(replayer, path, &error)) << error;
+    const std::vector<uint8_t> bytes = ReadAll(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(Xxh64(bytes), c.hash) << c.spec.Name();
+  }
 }
 
 }  // namespace
