@@ -35,47 +35,31 @@ void AggregateWindow::Reset() {
   sumsq_ = 0.0;
 }
 
-void AggregateWindow::SaveState(ByteWriter& out) const {
-  out.Write<int32_t>(static_cast<int32_t>(window_.size()));
-  out.Write<int32_t>(head_);
-  out.Write<int32_t>(count_);
-  out.Write<double>(sum_);
-  out.Write<double>(sumsq_);
+template <typename Io, typename Self>
+void AggregateWindow::Transfer(Io& io, Self& self) {
+  const int capacity = static_cast<int>(self.window_.size());
+  io.Expect(int32_t{capacity});
+  io.Fields(self.head_, self.count_, self.sum_, self.sumsq_);
   // The full physical ring: live samples sit at fixed physical positions and
   // the restored layout must match so future evictions read the same slots.
-  out.WriteVec(window_);
-}
-
-bool AggregateWindow::LoadState(ByteReader& in) {
-  const int32_t capacity = in.Read<int32_t>();
-  const int32_t head = in.Read<int32_t>();
-  const int32_t count = in.Read<int32_t>();
-  const double sum = in.Read<double>();
-  const double sumsq = in.Read<double>();
-  std::vector<double> window;
-  if (!in.ReadVec(window, window_.size())) {
-    return false;
-  }
-  if (!in.ok() || capacity != static_cast<int32_t>(window_.size()) ||
-      window.size() != window_.size() || count < 0 || count > capacity || head < 0 ||
-      (count == capacity ? head >= capacity : head != 0) || !std::isfinite(sum) ||
-      !std::isfinite(sumsq)) {
-    in.Fail();
-    return false;
-  }
-  for (int i = 0; i < count; ++i) {
-    if (!std::isfinite(window[(head + i) % window.size()])) {
-      in.Fail();
+  io.Field(self.window_, capacity);
+  io.Check([&] {
+    const int head = self.head_;
+    const int count = self.count_;
+    if (static_cast<int>(self.window_.size()) != capacity || count < 0 || count > capacity ||
+        head < 0 || (count == capacity ? head >= capacity : head != 0) ||
+        !std::isfinite(self.sum_) || !std::isfinite(self.sumsq_)) {
       return false;
     }
-  }
-  window_ = std::move(window);
-  head_ = head;
-  count_ = count;
-  sum_ = sum;
-  sumsq_ = sumsq;
-  return true;
+    for (int i = 0; i < count; ++i) {
+      if (!std::isfinite(self.window_[(head + i) % capacity])) {
+        return false;
+      }
+    }
+    return true;
+  });
 }
+CRF_INSTANTIATE_TRANSFER(AggregateWindow);
 
 double AggregateWindow::Stddev() {
   const double mean = Mean();

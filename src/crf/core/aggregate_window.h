@@ -13,9 +13,6 @@
 
 namespace crf {
 
-class ByteReader;
-class ByteWriter;
-
 class AggregateWindow {
  public:
   explicit AggregateWindow(int capacity);
@@ -35,13 +32,13 @@ class AggregateWindow {
   // Non-const: may recompute and refresh the running moments exactly.
   double Stddev();
 
-  // Checkpoint support (crf/serve): serializes the ring layout and the
-  // incrementally maintained moments, so a restored window continues
-  // bit-identically (the running sums carry drift that a recompute from the
-  // samples would cancel differently). LoadState validates against this
-  // window's capacity and returns false on any mismatch.
-  void SaveState(ByteWriter& out) const;
-  bool LoadState(ByteReader& in);
+  // Checkpoint support (crf/serve): the ring layout and the incrementally
+  // maintained moments, so a restored window continues bit-identically (the
+  // running sums carry drift that a recompute from the samples would cancel
+  // differently). A load expects this window's capacity and fails on any
+  // mismatch.
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self);
 
  private:
   std::vector<double> window_;

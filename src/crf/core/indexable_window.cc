@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "crf/util/byte_io.h"
 #include "crf/util/check.h"
 
 namespace crf {
@@ -130,41 +129,30 @@ double IndexableWindow::Mean() const {
   return sum_ / static_cast<double>(ring_.size());
 }
 
-void IndexableWindow::SaveState(ByteWriter& out) const {
-  out.Write<int32_t>(capacity_);
-  out.Write<int32_t>(head_);
-  out.WriteVec(ring_);
-  out.Write<double>(sum_);
-  out.Write<int32_t>(pushes_until_sum_refresh_);
-}
-
-bool IndexableWindow::LoadState(ByteReader& in) {
-  const int32_t capacity = in.Read<int32_t>();
-  const int32_t head = in.Read<int32_t>();
-  std::vector<float> ring;
-  if (!in.ReadVec(ring, static_cast<uint64_t>(capacity_))) {
-    return false;
+template <typename Io, typename Self>
+void IndexableWindow::Transfer(Io& io, Self& self) {
+  io.Expect(int32_t{self.capacity_});
+  io.Field(self.head_);
+  io.Field(self.ring_, self.capacity_);
+  io.Fields(self.sum_, self.pushes_until_sum_refresh_);
+  io.Check([&] {
+    const int count = static_cast<int>(self.ring_.size());
+    const int refresh = self.pushes_until_sum_refresh_;
+    return self.head_ >= 0 &&
+           (count < self.capacity_ ? self.head_ == 0 : self.head_ < self.capacity_) &&
+           std::isfinite(self.sum_) && refresh > 0 && refresh <= kSumRefreshPeriod &&
+           std::ranges::all_of(self.ring_, [](float v) { return std::isfinite(v); });
+  });
+  if constexpr (Io::kLoading) {
+    if (io.ok()) {
+      const auto live = self.sorted_.begin() + self.size();
+      std::copy(self.ring_.begin(), self.ring_.end(), self.sorted_.begin());
+      std::sort(self.sorted_.begin(), live);
+      std::fill(live, self.sorted_.end(), kPadding);
+    }
   }
-  const double sum = in.Read<double>();
-  const int32_t refresh = in.Read<int32_t>();
-  const int count = static_cast<int>(ring.size());
-  if (!in.ok() || capacity != capacity_ || head < 0 ||
-      (count < capacity_ ? head != 0 : head >= capacity_) || !std::isfinite(sum) ||
-      refresh <= 0 || refresh > kSumRefreshPeriod ||
-      !std::all_of(ring.begin(), ring.end(), [](float v) { return std::isfinite(v); })) {
-    in.Fail();
-    return false;
-  }
-  // Copy into the existing storage, which already holds `capacity` floats.
-  ring_.assign(ring.begin(), ring.end());
-  head_ = head;
-  std::copy(ring.begin(), ring.end(), sorted_.begin());
-  std::sort(sorted_.begin(), sorted_.begin() + count);
-  std::fill(sorted_.begin() + count, sorted_.end(), kPadding);
-  sum_ = sum;
-  pushes_until_sum_refresh_ = refresh;
-  return true;
 }
+CRF_INSTANTIATE_TRANSFER(IndexableWindow);
 
 float IndexableWindow::Latest() const {
   CRF_CHECK(!ring_.empty());

@@ -21,10 +21,9 @@
 
 #include <vector>
 
-namespace crf {
+#include "crf/util/byte_io.h"
 
-class ByteReader;
-class ByteWriter;
+namespace crf {
 
 class IndexableWindow {
  public:
@@ -54,14 +53,17 @@ class IndexableWindow {
   // Newest sample; requires non-empty.
   float Latest() const;
 
-  // Checkpoint support (crf/serve): serializes the ring, the running sum and
-  // the refresh countdown — the state a restored window needs to continue
+  // Checkpoint support (crf/serve): the ring, the running sum and the
+  // refresh countdown — the state a restored window needs to continue
   // bit-identically (the sum's drift depends on more than the sample
-  // multiset). The sorted view is rebuilt from the ring on load. LoadState
-  // validates every field and returns false (leaving the reader failed) on
-  // any mismatch, including a stored capacity different from this window's.
-  void SaveState(ByteWriter& out) const;
-  bool LoadState(ByteReader& in);
+  // multiset). The sorted view is rebuilt from the ring on load. A load
+  // validates every field, including a stored capacity different from this
+  // window's, and fails (leaving the reader failed, LoadState leaving the
+  // window unchanged) on any mismatch.
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self);
+  void SaveState(ByteWriter& out) const { out.Field(*this); }
+  bool LoadState(ByteReader& in) { return in.Load(*this); }
 
  private:
   // Windows up to this capacity locate values by counting over the padded

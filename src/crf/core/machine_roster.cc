@@ -271,11 +271,4 @@ bool MachineRoster::Apply(Interval tau, std::span<const StreamEvent> events,
   return true;
 }
 
-void MachineRoster::Restore(std::vector<int32_t> indices, std::vector<TaskSample> samples,
-                            double limit_sum) {
-  indices_ = std::move(indices);
-  samples_ = std::move(samples);
-  limit_sum_ = limit_sum;
-}
-
 }  // namespace crf

@@ -96,10 +96,11 @@ class MachineRoster {
   // task in roster order.
   bool Apply(Interval tau, std::span<const StreamEvent> events, std::string* error);
 
-  // Replaces the state with a restored checkpoint's (equal-length arrays).
-  void Restore(std::vector<int32_t> indices, std::vector<TaskSample> samples, double limit_sum);
-
  private:
+  // The service's machine record lists the resident set (indices, samples,
+  // limit sum) among its checkpoint fields.
+  friend class OvercommitService;
+
   template <typename Tick>
   void Update(const Tick& tick);
   // Applies the walk's events up to `tau`; returns this tick's departure

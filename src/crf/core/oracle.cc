@@ -1,6 +1,7 @@
 #include "crf/core/oracle.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "crf/util/check.h"
 
@@ -101,6 +102,15 @@ std::vector<double> ComputeTotalUsageOracle(const CellTrace& cell, int machine_i
   return oracle;
 }
 
+void ComputeOracleInto(const CellTrace& cell, int machine_index, Interval horizon,
+                       OracleKind kind, OracleScratch& scratch, std::vector<double>& out) {
+  if (kind == OracleKind::kPeak) {
+    ComputePeakOracleInto(cell, machine_index, horizon, scratch, out);
+  } else {
+    ComputeTotalUsageOracleInto(cell, machine_index, horizon, scratch, out);
+  }
+}
+
 size_t OracleCache::KeyHash::operator()(const Key& key) const {
   // FNV-style combine; the fields are small and well-distributed enough.
   size_t h = std::hash<const void*>()(key.cell);
@@ -125,9 +135,10 @@ OracleCache::Series OracleCache::GetOrCompute(const CellTrace& cell, int machine
   // Compute outside the lock so distinct machines fill the cache in
   // parallel; a racing duplicate computation of the same key is wasted work
   // but harmless (first insert wins below).
-  auto series = std::make_shared<const std::vector<double>>(
-      kind == OracleKind::kPeak ? ComputePeakOracle(cell, machine_index, horizon)
-                                : ComputeTotalUsageOracle(cell, machine_index, horizon));
+  OracleScratch scratch;
+  std::vector<double> oracle;
+  ComputeOracleInto(cell, machine_index, horizon, kind, scratch, oracle);
+  auto series = std::make_shared<const std::vector<double>>(std::move(oracle));
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = entries_.emplace(key, std::move(series));
   return it->second;

@@ -61,6 +61,11 @@ void ComputeTotalUsageOracleInto(const CellTrace& cell, int machine_index,
 std::vector<double> ComputeTotalUsageOracle(const CellTrace& cell, int machine_index,
                                             Interval horizon = kIntervalsPerDay);
 
+// The series of `kind` for one machine: the one place that picks between
+// the two definitions above.
+void ComputeOracleInto(const CellTrace& cell, int machine_index, Interval horizon,
+                       OracleKind kind, OracleScratch& scratch, std::vector<double>& out);
+
 // Thread-safe memo of oracle series keyed by (cell identity, machine,
 // horizon, kind). Cell identity is the CellTrace's address: the caller owns
 // the cache's scope and must not mutate or destroy a cell while its entries

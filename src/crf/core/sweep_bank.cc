@@ -394,94 +394,60 @@ void SweepBank::Observe(Interval /*now*/, std::span<const TaskSample> tasks) {
   }
 }
 
-void SweepBank::SaveState(ByteWriter& out) const {
-  CRF_CHECK(plan_ != nullptr);
-  out.Write<uint8_t>(kStateTag);
-  out.Write<uint32_t>(static_cast<uint32_t>(window_groups_.size()));
-  out.Write<uint32_t>(static_cast<uint32_t>(agg_windows_.size()));
-  out.Write<uint32_t>(static_cast<uint32_t>(quant_windows_.size()));
-  out.Write<uint32_t>(static_cast<uint32_t>(ratio_windows_.size()));
-  out.WriteVec(roster_ids_);
-  out.WriteVec(samples_seen_);
+template <typename Io, typename Self>
+void SweepBank::Transfer(Io& io, Self& self) {
+  CRF_CHECK(self.plan_ != nullptr);
+  const SweepPlan& plan = *self.plan_;
+  io.Expect(kStateTag);
+  for (const size_t groups : {self.window_groups_.size(), self.agg_windows_.size(),
+                              self.quant_windows_.size(), self.ratio_windows_.size()}) {
+    io.Expect(static_cast<uint32_t>(groups));
+  }
+  io.Field(self.roster_ids_, kMaxRosterTasks);
+  io.Field(self.samples_seen_, kMaxRosterTasks);
+  io.Check([&] {
+    return self.samples_seen_.size() == self.roster_ids_.size() &&
+           (plan.tracks_tasks() || self.roster_ids_.empty()) &&
+           std::ranges::all_of(self.samples_seen_, [](Interval seen) {
+             return seen >= 0 && seen <= kMaxSamplesSeen;
+           });
+  });
   // Per-task windows in roster order; pooled free windows carry no state.
-  for (const WindowGroupState& group : window_groups_) {
-    for (const int32_t w : group.slot_window) {
-      group.windows[w].SaveState(out);
+  // A load rebuilds each group's pool as one window per roster slot.
+  for (size_t g = 0; g < self.window_groups_.size(); ++g) {
+    auto& group = self.window_groups_[g];
+    if constexpr (Io::kLoading) {
+      group.windows.clear();
+      group.free_list.clear();
+      group.slot_window.clear();
     }
-  }
-  for (const AggregateWindow& window : agg_windows_) {
-    window.SaveState(out);
-  }
-  for (const IndexableWindow& window : quant_windows_) {
-    window.SaveState(out);
-  }
-  for (const IndexableWindow& window : ratio_windows_) {
-    window.SaveState(out);
-  }
-  out.WriteVec(spec_predictions_);
-}
-
-bool SweepBank::LoadState(ByteReader& in) {
-  CRF_CHECK(plan_ != nullptr);
-  const uint8_t tag = in.Read<uint8_t>();
-  const uint32_t num_window = in.Read<uint32_t>();
-  const uint32_t num_agg = in.Read<uint32_t>();
-  const uint32_t num_quant = in.Read<uint32_t>();
-  const uint32_t num_ratio = in.Read<uint32_t>();
-  std::vector<TaskId> roster_ids;
-  std::vector<Interval> samples_seen;
-  if (!in.ok() || tag != kStateTag || num_window != plan_->window_groups().size() ||
-      num_agg != plan_->agg_groups().size() || num_quant != plan_->quant_groups().size() ||
-      num_ratio != plan_->ratio_groups().size() ||
-      !in.ReadVec(roster_ids, kMaxRosterTasks) || !in.ReadVec(samples_seen, kMaxRosterTasks) ||
-      samples_seen.size() != roster_ids.size() ||
-      (!plan_->tracks_tasks() && !roster_ids.empty()) ||
-      std::ranges::any_of(samples_seen,
-                          [](Interval seen) { return seen < 0 || seen > kMaxSamplesSeen; })) {
-    in.Fail();
-    return false;
-  }
-  for (size_t g = 0; g < window_groups_.size(); ++g) {
-    WindowGroupState& group = window_groups_[g];
-    group.windows.clear();
-    group.free_list.clear();
-    group.slot_window.resize(roster_ids.size());
-    for (size_t i = 0; i < roster_ids.size(); ++i) {
-      group.windows.emplace_back(plan_->window_groups()[g].capacity);
-      group.slot_window[i] = static_cast<int32_t>(i);
-      if (!group.windows.back().LoadState(in)) {
-        return false;
+    for (size_t i = 0; i < self.roster_ids_.size() && io.ok(); ++i) {
+      if constexpr (Io::kLoading) {
+        group.windows.emplace_back(plan.window_groups()[g].capacity);
+        group.slot_window.push_back(static_cast<int32_t>(i));
       }
+      io.Field(group.windows[group.slot_window[i]]);
     }
   }
-  for (AggregateWindow& window : agg_windows_) {
-    if (!window.LoadState(in)) {
-      return false;
-    }
+  for (auto& window : self.agg_windows_) {
+    io.Field(window);
   }
-  for (IndexableWindow& window : quant_windows_) {
-    if (!window.LoadState(in)) {
-      return false;
-    }
+  for (auto& window : self.quant_windows_) {
+    io.Field(window);
   }
-  for (IndexableWindow& window : ratio_windows_) {
-    if (!window.LoadState(in)) {
-      return false;
-    }
+  for (auto& window : self.ratio_windows_) {
+    io.Field(window);
   }
-  std::vector<double> predictions;
-  if (!in.ReadVec(predictions, spec_predictions_.size()) ||
-      predictions.size() != spec_predictions_.size() ||
-      !std::ranges::all_of(predictions,
-                           [](double value) { return std::isfinite(value) && value >= 0.0; })) {
-    in.Fail();
-    return false;
+  io.Field(self.spec_predictions_, static_cast<uint64_t>(plan.num_specs()));
+  io.Check([&] {
+    return self.spec_predictions_.size() == static_cast<size_t>(plan.num_specs()) &&
+           std::ranges::all_of(self.spec_predictions_,
+                               [](double value) { return std::isfinite(value) && value >= 0.0; });
+  });
+  if constexpr (Io::kLoading) {
+    std::fill(self.node_values_.begin(), self.node_values_.end(), 0.0);
   }
-  roster_ids_ = std::move(roster_ids);
-  samples_seen_ = std::move(samples_seen);
-  spec_predictions_ = std::move(predictions);
-  std::fill(node_values_.begin(), node_values_.end(), 0.0);
-  return true;
 }
+CRF_INSTANTIATE_TRANSFER(SweepBank);
 
 }  // namespace crf

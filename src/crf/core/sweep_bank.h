@@ -188,13 +188,17 @@ class SweepBank {
   // Checkpoint support (crf/serve): the current machine's complete state —
   // roster and warm-up counters, every window, the last predictions — so a
   // bank attached to a plan built from the same specs resumes
-  // bit-identically. LoadState checks the payload against the attached plan
-  // (group counts, window capacities, roster length) and returns false,
-  // latching the reader's failure flag, on any malformed or mismatched
-  // bytes; the bank is then unspecified and must be re-attached or
-  // discarded.
-  void SaveState(ByteWriter& out) const;
-  bool LoadState(ByteReader& in);
+  // bit-identically. A load checks the payload against the attached plan
+  // (group counts, window capacities, roster length) and fails, latching
+  // the reader's failure flag, on any malformed or mismatched bytes; the
+  // bank is then unspecified and must be re-attached or discarded.
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self);
+  void SaveState(ByteWriter& out) const { out.Field(*this); }
+  bool LoadState(ByteReader& in) {
+    in.Field(*this);
+    return in.ok();
+  }
 
  private:
   struct WindowGroupState {

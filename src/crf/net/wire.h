@@ -21,13 +21,16 @@
 // Decoding is incremental and never trusts the peer: DecodeFrame returns
 // kNeedMore on a partial frame, and any malformed byte — bad magic, unknown
 // version or op, oversized length, checksum mismatch — yields kMalformed
-// with a diagnostic. Payload decoders bounds-check every field (byte_io
-// latches failure instead of aborting), so a truncated or bit-flipped frame
-// is an error on the connection, never a crash in the server.
+// with a diagnostic. Each payload struct lists its layout once, in its
+// Transfer (crf/util/byte_io.h); the read bounds-checks every field and
+// validates after it (byte_io latches failure instead of aborting), so a
+// truncated or bit-flipped frame is an error on the connection, never a
+// crash in the server.
 
 #ifndef CRF_NET_WIRE_H_
 #define CRF_NET_WIRE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -49,6 +52,10 @@ inline constexpr uint64_t kMaxFramePayload = uint64_t{1} << 28;
 // Hard cap on the events in one ingest batch (well above any real frame:
 // the load generator bounds frames by ticks, not this).
 inline constexpr uint64_t kMaxBatchEvents = uint64_t{1} << 24;
+// Caps for variable-length fields: well above anything legitimate, small
+// enough that a corrupted length cannot allocate unreasonably.
+inline constexpr uint64_t kMaxWireStringBytes = uint64_t{1} << 20;
+inline constexpr uint64_t kMaxMetricsJsonBytes = uint64_t{1} << 26;
 
 // Operation codes. A response frame echoes the request's op, or carries
 // kError with an ErrorResponse payload.
@@ -94,7 +101,7 @@ void AppendMessageFrame(WireOp op, const Message& message, std::vector<uint8_t>&
   const size_t frame_start = out.size();
   ByteWriter writer(std::move(out));
   writer.Extend(kFrameHeaderBytes);
-  message.EncodeTo(writer);
+  writer.Field(message);
   out = writer.Release();
   SealFrame(op, frame_start, out);
 }
@@ -108,22 +115,27 @@ FrameStatus DecodeFrame(std::span<const uint8_t> buffer, WireOp* op,
                         std::string* error);
 
 // ---------------------------------------------------------------------------
-// Payloads. Each struct encodes with EncodeTo and decodes with DecodeFrom;
-// DecodeFrom validates every field and returns false (latching the reader's
-// failure flag) on anything malformed. DecodePayload additionally requires
-// the payload to be fully consumed — trailing bytes are an error.
+// Payloads. Each struct's Transfer is its one layout, for the encoder and
+// the decoder alike; a decode validates every field after reading it.
+// DecodePayload additionally requires the payload to be fully consumed —
+// trailing bytes are an error.
 
 template <typename T>
 bool DecodePayload(std::span<const uint8_t> payload, T& out) {
   ByteReader reader(payload);
-  return out.DecodeFrom(reader) && reader.ok() && reader.AtEnd();
+  reader.Field(out);
+  return reader.ok() && reader.AtEnd();
 }
+
+inline bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0.0; }
 
 struct HelloRequest {
   std::string client_name;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Field(self.client_name, kMaxWireStringBytes);
+  }
 };
 
 // The server's identity: the trace it scores against, the predictor it
@@ -137,8 +149,16 @@ struct HelloResponse {
   int32_t num_shards = 0;
   Interval next_tick = 0;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Field(self.trace_name, kMaxWireStringBytes);
+    io.Field(self.spec_name, kMaxWireStringBytes);
+    io.Fields(self.num_machines, self.num_intervals, self.num_shards, self.next_tick);
+    io.Check([&] {
+      return self.num_machines >= 0 && self.num_intervals >= 0 && self.num_shards >= 0 &&
+             self.next_tick >= 0;
+    });
+  }
 };
 
 // One machine's canonical event stream for ticks [from_tick, until_tick),
@@ -154,8 +174,21 @@ struct IngestBatchRequest {
   Interval window_until = 0;
   std::vector<StreamEvent> events;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Fields(self.machine, self.from_tick, self.until_tick, self.window_until);
+    io.Check([&] {
+      return self.machine >= 0 && self.from_tick >= 0 && self.from_tick < self.until_tick &&
+             self.until_tick <= self.window_until;
+    });
+    TransferEvents(io, self);
+  }
+  // The events: a u64 count, then 33 packed bytes each (kind u8,
+  // task_index i32, tick i32, task_id i64, usage f64, limit f64). The
+  // ingest hot path: written in one pass, read by one bounds-checked loop
+  // that validates each event against the batch's tick range.
+  static void TransferEvents(ByteWriter& out, const IngestBatchRequest& self);
+  static void TransferEvents(ByteReader& in, IngestBatchRequest& self);
 };
 
 struct IngestBatchResponse {
@@ -163,15 +196,20 @@ struct IngestBatchResponse {
   double limit_sum = 0.0;
   Interval last_tick = -1;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Fields(self.prediction, self.limit_sum, self.last_tick);
+  }
 };
 
 struct MachineQueryRequest {
   int32_t machine = -1;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Field(self.machine);
+    io.Check([&] { return self.machine >= 0; });
+  }
 };
 
 struct MachineQueryResponse {
@@ -184,13 +222,17 @@ struct MachineQueryResponse {
   // hash, not a frame check: it stays FNV-1a across wire versions.)
   uint64_t roster_hash = 0;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Fields(self.last_tick, self.prediction, self.limit_sum, self.roster_size,
+              self.roster_hash);
+    io.Check([&] { return self.roster_size >= 0; });
+  }
 };
 
 struct CellQueryRequest {
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io&, Self&) {}
 };
 
 struct CellQueryResponse {
@@ -202,16 +244,23 @@ struct CellQueryResponse {
   double limit_sum = 0.0;
   uint64_t events_ingested = 0;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Fields(self.num_machines, self.min_last_tick, self.max_last_tick, self.prediction_sum,
+              self.limit_sum, self.events_ingested);
+    io.Check([&] { return self.num_machines >= 0; });
+  }
 };
 
 struct AdmissionCheckRequest {
   int32_t machine = -1;
   double task_limit = 0.0;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Fields(self.machine, self.task_limit);
+    io.Check([&] { return self.machine >= 0 && FiniteNonNegative(self.task_limit); });
+  }
 };
 
 struct AdmissionCheckResponse {
@@ -222,20 +271,24 @@ struct AdmissionCheckResponse {
   double capacity = 0.0;
   double headroom = 0.0;  // capacity - predicted_peak
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Fields(self.admitted, self.predicted_peak, self.capacity, self.headroom);
+  }
 };
 
 struct MetricsSnapshotRequest {
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io&, Self&) {}
 };
 
 struct MetricsSnapshotResponse {
   std::string json;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Field(self.json, kMaxMetricsJsonBytes);
+  }
 };
 
 struct ShutdownRequest {
@@ -243,8 +296,10 @@ struct ShutdownRequest {
   // server seals a CRFCKPT1 at the committed boundary before closing.
   bool seal_checkpoint = true;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Field(self.seal_checkpoint);
+  }
 };
 
 struct ShutdownResponse {
@@ -252,15 +307,21 @@ struct ShutdownResponse {
   Interval next_tick = 0;
   std::string checkpoint_path;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Fields(self.sealed, self.next_tick);
+    io.Check([&] { return self.next_tick >= 0; });
+    io.Field(self.checkpoint_path, kMaxWireStringBytes);
+  }
 };
 
 struct ErrorResponse {
   std::string message;
 
-  void EncodeTo(ByteWriter& out) const;
-  bool DecodeFrom(ByteReader& in);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Field(self.message, kMaxWireStringBytes);
+  }
 };
 
 }  // namespace crf

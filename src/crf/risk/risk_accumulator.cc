@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "crf/util/byte_io.h"
-
 namespace crf {
 
 RiskAccumulator::RiskAccumulator()
@@ -85,62 +83,27 @@ RiskTailSummary RiskAccumulator::TailSummary() const {
   return tail;
 }
 
-void RiskAccumulator::SaveState(ByteWriter& out) const {
-  out.Write<int64_t>(intervals_);
-  out.Write<int64_t>(violations_);
-  out.Write<int64_t>(occupied_intervals_);
-  out.Write<int64_t>(occupied_violations_);
-  out.Write<double>(severity_sum_);
-  out.Write<double>(savings_sum_);
-  out.Write<double>(prediction_sum_);
-  out.Write<double>(limit_sum_total_);
-  out.Write<int64_t>(current_streak_);
-  out.Write<int64_t>(max_streak_);
-  out.Write<int64_t>(streak_count_);
-  out.Write<int64_t>(streak_len_sum_);
-  severity_p99_.SaveState(out);
-  severity_p999_.SaveState(out);
-  streak_p99_.SaveState(out);
-  streak_p999_.SaveState(out);
-  savings_p05_.SaveState(out);
+template <typename Io, typename Self>
+void RiskAccumulator::Transfer(Io& io, Self& self) {
+  io.Fields(self.intervals_, self.violations_, self.occupied_intervals_,
+            self.occupied_violations_, self.severity_sum_, self.savings_sum_,
+            self.prediction_sum_, self.limit_sum_total_, self.current_streak_, self.max_streak_,
+            self.streak_count_, self.streak_len_sum_);
+  io.Check([&] {
+    return self.intervals_ >= 0 && self.violations_ >= 0 && self.occupied_intervals_ >= 0 &&
+           self.occupied_violations_ >= 0 && self.current_streak_ >= 0 &&
+           self.max_streak_ >= 0 && self.streak_count_ >= 0 && self.streak_len_sum_ >= 0 &&
+           self.violations_ <= self.intervals_ &&
+           self.occupied_intervals_ <= self.intervals_ &&
+           self.occupied_violations_ <= self.occupied_intervals_ &&
+           self.occupied_violations_ <= self.violations_ &&
+           self.current_streak_ <= self.violations_ && std::isfinite(self.severity_sum_) &&
+           std::isfinite(self.savings_sum_) && std::isfinite(self.prediction_sum_) &&
+           std::isfinite(self.limit_sum_total_);
+  });
+  io.Fields(self.severity_p99_, self.severity_p999_, self.streak_p99_, self.streak_p999_,
+            self.savings_p05_);
 }
-
-bool RiskAccumulator::LoadState(ByteReader& in) {
-  RiskAccumulator loaded;
-  loaded.intervals_ = in.Read<int64_t>();
-  loaded.violations_ = in.Read<int64_t>();
-  loaded.occupied_intervals_ = in.Read<int64_t>();
-  loaded.occupied_violations_ = in.Read<int64_t>();
-  loaded.severity_sum_ = in.Read<double>();
-  loaded.savings_sum_ = in.Read<double>();
-  loaded.prediction_sum_ = in.Read<double>();
-  loaded.limit_sum_total_ = in.Read<double>();
-  loaded.current_streak_ = in.Read<int64_t>();
-  loaded.max_streak_ = in.Read<int64_t>();
-  loaded.streak_count_ = in.Read<int64_t>();
-  loaded.streak_len_sum_ = in.Read<int64_t>();
-  const bool counters_ok =
-      in.ok() && loaded.intervals_ >= 0 && loaded.violations_ >= 0 &&
-      loaded.occupied_intervals_ >= 0 && loaded.occupied_violations_ >= 0 &&
-      loaded.current_streak_ >= 0 && loaded.max_streak_ >= 0 && loaded.streak_count_ >= 0 &&
-      loaded.streak_len_sum_ >= 0 && loaded.violations_ <= loaded.intervals_ &&
-      loaded.occupied_intervals_ <= loaded.intervals_ &&
-      loaded.occupied_violations_ <= loaded.occupied_intervals_ &&
-      loaded.occupied_violations_ <= loaded.violations_ &&
-      loaded.current_streak_ <= loaded.violations_ &&
-      std::isfinite(loaded.severity_sum_) && std::isfinite(loaded.savings_sum_) &&
-      std::isfinite(loaded.prediction_sum_) && std::isfinite(loaded.limit_sum_total_);
-  if (!counters_ok) {
-    in.Fail();
-    return false;
-  }
-  if (!loaded.severity_p99_.LoadState(in) || !loaded.severity_p999_.LoadState(in) ||
-      !loaded.streak_p99_.LoadState(in) || !loaded.streak_p999_.LoadState(in) ||
-      !loaded.savings_p05_.LoadState(in)) {
-    return false;
-  }
-  *this = loaded;
-  return true;
-}
+CRF_INSTANTIATE_TRANSFER(RiskAccumulator);
 
 }  // namespace crf

@@ -32,11 +32,9 @@
 #include <cstdint>
 
 #include "crf/stats/p2_quantile.h"
+#include "crf/util/byte_io.h"
 
 namespace crf {
-
-class ByteReader;
-class ByteWriter;
 
 // Relative tolerance when comparing a prediction against the oracle: both
 // are sums of the same float samples accumulated along different paths, so
@@ -102,10 +100,12 @@ class RiskAccumulator {
 
   // Checkpoint support (crf/serve): complete state, including the P² marker
   // arrays and the open streak, so a restored accumulator continues
-  // bit-identically. LoadState validates counters and finiteness and returns
-  // false (latching the reader) on malformed payloads.
-  void SaveState(ByteWriter& out) const;
-  bool LoadState(ByteReader& in);
+  // bit-identically. A load validates counters and finiteness and fails
+  // (latching the reader, this accumulator unchanged) on malformed payloads.
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self);
+  void SaveState(ByteWriter& out) const { out.Field(*this); }
+  bool LoadState(ByteReader& in) { return in.Load(*this); }
 
  private:
   int64_t intervals_ = 0;

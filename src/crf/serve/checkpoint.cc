@@ -1,8 +1,5 @@
 #include "crf/serve/checkpoint.h"
 
-#include <sys/stat.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -11,6 +8,7 @@
 
 #include "crf/util/atomic_file.h"
 #include "crf/util/byte_io.h"
+#include "crf/util/regular_file.h"
 
 namespace crf {
 namespace {
@@ -52,48 +50,30 @@ static_assert(sizeof(CheckpointHeader) == 64, "checkpoint header layout drifted"
 
 // Structural PredictorSpec encoding: every knob, recursively. The name alone
 // would be ambiguous (it omits warm-up/history) and not machine-parseable.
-void WriteSpec(ByteWriter& out, const PredictorSpec& spec) {
-  out.Write<uint8_t>(static_cast<uint8_t>(spec.type));
-  out.Write<double>(spec.phi);
-  out.Write<double>(spec.percentile);
-  out.Write<double>(spec.n_sigma);
-  out.Write<double>(spec.margin);
-  out.Write<double>(spec.target);
-  out.Write<int32_t>(spec.config.min_num_samples);
-  out.Write<int32_t>(spec.config.max_num_samples);
-  out.Write<uint32_t>(static_cast<uint32_t>(spec.components.size()));
-  for (const PredictorSpec& component : spec.components) {
-    WriteSpec(out, component);
+// Only the node type and the depth limit (predictor_factory.h) are checked
+// while reading: the depth bounds the recursion, and components are
+// appended one at a time, so the spec blob's length bounds the allocation.
+// The caller validates the whole decoded spec with ValidatePredictorSpec,
+// so a corrupted file produces an error, not a SweepPlan CHECK failure.
+template <typename Io, typename Spec>
+void TransferSpec(Io& io, Spec& spec, int depth) {
+  auto type = static_cast<uint8_t>(spec.type);
+  auto num_components = static_cast<uint32_t>(spec.components.size());
+  io.Fields(type, spec.phi, spec.percentile, spec.n_sigma, spec.margin, spec.target,
+            spec.config.min_num_samples, spec.config.max_num_samples, num_components);
+  io.Check([&] {
+    return type <= static_cast<uint8_t>(PredictorSpec::Type::kMax) && depth <= kMaxSpecDepth;
+  });
+  if constexpr (Io::kLoading) {
+    spec.type = static_cast<PredictorSpec::Type>(type);
+    spec.components.clear();
   }
-}
-
-// Only the depth limit (predictor_factory.h) is checked while reading: it
-// bounds the recursion, and components are appended one at a time, so the
-// spec blob's length bounds the allocation. The caller validates the whole
-// decoded spec with ValidatePredictorSpec, so a corrupted file produces an
-// error, not a SweepPlan CHECK failure.
-bool ReadSpec(ByteReader& in, PredictorSpec& spec, int depth) {
-  const uint8_t type = in.Read<uint8_t>();
-  spec.phi = in.Read<double>();
-  spec.percentile = in.Read<double>();
-  spec.n_sigma = in.Read<double>();
-  spec.margin = in.Read<double>();
-  spec.target = in.Read<double>();
-  spec.config.min_num_samples = in.Read<int32_t>();
-  spec.config.max_num_samples = in.Read<int32_t>();
-  const uint32_t num_components = in.Read<uint32_t>();
-  if (!in.ok() || type > static_cast<uint8_t>(PredictorSpec::Type::kMax) ||
-      depth > kMaxSpecDepth) {
-    in.Fail();
-    return false;
-  }
-  spec.type = static_cast<PredictorSpec::Type>(type);
-  for (uint32_t i = 0; i < num_components; ++i) {
-    if (!ReadSpec(in, spec.components.emplace_back(), depth + 1)) {
-      return false;
+  for (uint32_t i = 0; i < num_components && io.ok(); ++i) {
+    if constexpr (Io::kLoading) {
+      spec.components.emplace_back();
     }
+    TransferSpec(io, spec.components[i], depth + 1);
   }
-  return true;
 }
 
 bool SetError(std::string* error, const std::string& message) {
@@ -101,25 +81,6 @@ bool SetError(std::string* error, const std::string& message) {
     *error = message;
   }
   return false;
-}
-
-// Only a regular file has a size to read: a directory opens under glibc
-// but reports a nonsense length, and a pipe or device has none. Returns the
-// open file and its size in `*size`, or nullptr with `*error` set.
-FILE* OpenRegularFile(const std::string& path, uint64_t* size, std::string* error) {
-  FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    SetError(error, "cannot open checkpoint " + path + ": " + std::strerror(errno));
-    return nullptr;
-  }
-  struct stat status{};
-  if (::fstat(::fileno(file), &status) != 0 || !S_ISREG(status.st_mode)) {
-    std::fclose(file);
-    SetError(error, "checkpoint " + path + " is not a regular file");
-    return nullptr;
-  }
-  *size = static_cast<uint64_t>(status.st_size);
-  return file;
 }
 
 bool ReadFile(const std::string& path, std::vector<uint8_t>& out, std::string* error) {
@@ -179,7 +140,8 @@ bool ParseCheckpoint(const std::vector<uint8_t>& bytes, CheckpointHeader& header
   trace_name.assign(reinterpret_cast<const char*>(cursor), header.name_length);
   cursor += header.name_length;
   ByteReader spec_reader(std::span<const uint8_t>(cursor, header.spec_length));
-  if (!ReadSpec(spec_reader, spec, 0) || !spec_reader.AtEnd() ||
+  TransferSpec(spec_reader, spec, 0);
+  if (!spec_reader.ok() || !spec_reader.AtEnd() ||
       !ValidatePredictorSpec(spec, nullptr)) {
     return SetError(error, "checkpoint predictor spec is corrupt");
   }
@@ -198,7 +160,7 @@ bool SaveCheckpoint(const StreamReplayer& replayer, const std::string& path,
   ByteWriter payload;
   replayer.SaveStateTo(payload);
   ByteWriter spec_blob;
-  WriteSpec(spec_blob, replayer.spec());
+  TransferSpec(spec_blob, replayer.spec(), 0);
   const std::string& trace_name = replayer.cell().name;
 
   CheckpointHeader header{};

@@ -48,13 +48,9 @@ void StreamReplayer::EnsureOracle(ShardState& shard, int machine) {
   if (shard.oracle_machine == machine) {
     return;
   }
-  if (options_.use_total_usage_oracle) {
-    ComputeTotalUsageOracleInto(*cell_, machine, options_.horizon, shard.oracle_scratch,
-                                shard.oracle);
-  } else {
-    ComputePeakOracleInto(*cell_, machine, options_.horizon, shard.oracle_scratch,
-                          shard.oracle);
-  }
+  ComputeOracleInto(*cell_, machine, options_.horizon,
+                    options_.use_total_usage_oracle ? OracleKind::kTotalUsage : OracleKind::kPeak,
+                    shard.oracle_scratch, shard.oracle);
   shard.oracle_machine = machine;
 }
 
@@ -229,60 +225,40 @@ const ServeMetrics& StreamReplayer::Metrics() {
   return metrics_;
 }
 
-void StreamReplayer::SaveStateTo(ByteWriter& out) const {
-  out.Write<int32_t>(options_.num_shards);
-  out.Write<int32_t>(next_tick_);
-  for (int s = 0; s < options_.num_shards; ++s) {
-    const ShardState& shard = shards_[s];
-    const ShardMetrics& shard_metrics = metrics_.shard(s);
-    out.Write<uint64_t>(shard_metrics.sequence);
-    out.Write<uint64_t>(shard_metrics.ticks);
-    out.Write<int64_t>(shard_metrics.max_batch_events);
-    out.WriteVec(shard.cell_limit);
-    out.WriteVec(shard.cell_prediction);
+template <typename Io, typename Self>
+void StreamReplayer::Transfer(Io& io, Self& self) {
+  const uint64_t num_intervals = static_cast<uint64_t>(self.cell_->num_intervals);
+  io.Expect(int32_t{self.options_.num_shards});
+  io.Expect(int32_t{self.next_tick_});
+  for (int s = 0; s < self.options_.num_shards; ++s) {
+    auto& shard = self.shards_[s];
+    auto& shard_metrics = self.metrics_.shard(s);
+    io.Fields(shard_metrics.sequence, shard_metrics.ticks, shard_metrics.max_batch_events);
+    io.Field(shard.cell_limit, num_intervals);
+    io.Field(shard.cell_prediction, num_intervals);
+    io.Check([&] {
+      return shard.cell_limit.size() == num_intervals &&
+             shard.cell_prediction.size() == num_intervals &&
+             shard_metrics.max_batch_events >= 0;
+    });
   }
-  for (int m = 0; m < cell_->num_machines(); ++m) {
-    service_.SaveMachine(m, out);
-    accums_[m].risk.SaveState(out);
+  for (int m = 0; m < self.cell_->num_machines() && io.ok(); ++m) {
+    OvercommitService::TransferMachine(io, self.service_, m);
+    io.Field(self.accums_[m].risk);
   }
 }
+CRF_INSTANTIATE_TRANSFER(StreamReplayer);
 
 bool StreamReplayer::LoadStateFrom(ByteReader& in, Interval resume_tick) {
-  const Interval num_intervals = cell_->num_intervals;
-  if (resume_tick < 0 || resume_tick > num_intervals) {
+  if (resume_tick < 0 || resume_tick > cell_->num_intervals) {
     in.Fail();
     return false;
   }
-  const int32_t num_shards = in.Read<int32_t>();
-  const int32_t saved_tick = in.Read<int32_t>();
-  if (!in.ok() || num_shards != options_.num_shards || saved_tick != resume_tick) {
-    in.Fail();
+  // The stored tick must be the one the caller resumes at.
+  next_tick_ = resume_tick;
+  in.Field(*this);
+  if (!in.ok()) {
     return false;
-  }
-  for (int s = 0; s < options_.num_shards; ++s) {
-    ShardState& shard = shards_[s];
-    ShardMetrics& shard_metrics = metrics_.shard(s);
-    shard_metrics.sequence = in.Read<uint64_t>();
-    shard_metrics.ticks = in.Read<uint64_t>();
-    shard_metrics.max_batch_events = in.Read<int64_t>();
-    if (!in.ReadVec(shard.cell_limit, static_cast<uint64_t>(num_intervals)) ||
-        !in.ReadVec(shard.cell_prediction, static_cast<uint64_t>(num_intervals))) {
-      return false;
-    }
-    if (shard.cell_limit.size() != static_cast<size_t>(num_intervals) ||
-        shard.cell_prediction.size() != static_cast<size_t>(num_intervals) ||
-        shard_metrics.max_batch_events < 0) {
-      in.Fail();
-      return false;
-    }
-  }
-  for (int m = 0; m < cell_->num_machines(); ++m) {
-    if (!service_.LoadMachine(m, in)) {
-      return false;
-    }
-    if (!accums_[m].risk.LoadState(in)) {
-      return false;
-    }
   }
 
   // Restart the trace walks and cross-check the restored rosters against the
@@ -307,7 +283,6 @@ bool StreamReplayer::LoadStateFrom(ByteReader& in, Interval resume_tick) {
       return false;
     }
   }
-  next_tick_ = resume_tick;
   return true;
 }
 

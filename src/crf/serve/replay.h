@@ -38,11 +38,9 @@
 #include "crf/serve/service.h"
 #include "crf/sim/metrics.h"
 #include "crf/trace/trace.h"
+#include "crf/util/byte_io.h"
 
 namespace crf {
-
-class ByteReader;
-class ByteWriter;
 
 class ThreadPool;
 
@@ -141,8 +139,10 @@ class StreamReplayer {
   // against their trace-derived resident sets. LoadStateFrom returns false
   // on any malformed or inconsistent payload (the replayer must be
   // discarded).
-  void SaveStateTo(ByteWriter& out) const;
+  void SaveStateTo(ByteWriter& out) const { out.Field(*this); }
   bool LoadStateFrom(ByteReader& in, Interval resume_tick);
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self);
 
  private:
   // Per-machine risk accounting (crf/risk), the streaming twin of the batch

@@ -1,8 +1,8 @@
 #include "crf/serve/service.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <utility>
 
 #include "crf/util/byte_io.h"
 #include "crf/util/check.h"
@@ -39,48 +39,31 @@ bool OvercommitService::IngestTick(int machine, Interval tau,
   return true;
 }
 
-void OvercommitService::SaveMachine(int machine, ByteWriter& out) const {
-  const MachineState& state = machines_[machine];
-  out.Write<int32_t>(state.last_tick);
-  out.Write<double>(state.roster.limit_sum());
-  out.Write<double>(Predict(machine));
-  out.WriteVec(state.roster.indices());
-  out.WriteVec(state.roster.samples());
-  state.bank.SaveState(out);
+template <typename Io, typename Self>
+void OvercommitService::TransferMachine(Io& io, Self& service, int machine) {
+  auto& state = service.machines_[machine];
+  auto& roster = state.roster;
+  // The published prediction is written twice, here and in the bank; a load
+  // requires both copies to agree.
+  double prediction = state.bank.Predictions()[0];
+  io.Fields(state.last_tick, roster.limit_sum_, prediction);
+  io.Field(roster.indices_, kMaxRosterTasks);
+  io.Field(roster.samples_, kMaxRosterTasks);
+  io.Check([&] {
+    return state.last_tick >= -1 && std::isfinite(roster.limit_sum_) &&
+           roster.limit_sum_ >= 0.0 && roster.samples_.size() == roster.indices_.size() &&
+           std::ranges::all_of(roster.samples_, [](const TaskSample& sample) {
+             return std::isfinite(sample.usage) && std::isfinite(sample.limit) &&
+                    sample.limit >= 0.0;
+           });
+  });
+  io.Field(state.bank);
+  io.Check([&] {
+    return std::bit_cast<uint64_t>(prediction) ==
+           std::bit_cast<uint64_t>(state.bank.Predictions()[0]);
+  });
 }
-
-bool OvercommitService::LoadMachine(int machine, ByteReader& in) {
-  MachineState& state = machines_[machine];
-  const Interval last_tick = in.Read<int32_t>();
-  const double limit_sum = in.Read<double>();
-  const double last_prediction = in.Read<double>();
-  std::vector<int32_t> roster_index;
-  std::vector<TaskSample> roster;
-  if (!in.ReadVec(roster_index, kMaxRosterTasks) || !in.ReadVec(roster, kMaxRosterTasks)) {
-    return false;
-  }
-  if (!in.ok() || last_tick < -1 || !std::isfinite(limit_sum) || limit_sum < 0.0 ||
-      roster.size() != roster_index.size()) {
-    in.Fail();
-    return false;
-  }
-  for (const TaskSample& sample : roster) {
-    if (!std::isfinite(sample.usage) || !std::isfinite(sample.limit) || sample.limit < 0.0) {
-      in.Fail();
-      return false;
-    }
-  }
-  if (!state.bank.LoadState(in)) {
-    return false;
-  }
-  // The published prediction is written twice; both copies must agree.
-  if (std::bit_cast<uint64_t>(last_prediction) != std::bit_cast<uint64_t>(Predict(machine))) {
-    in.Fail();
-    return false;
-  }
-  state.last_tick = last_tick;
-  state.roster.Restore(std::move(roster_index), std::move(roster), limit_sum);
-  return true;
-}
+template void OvercommitService::TransferMachine(ByteWriter&, const OvercommitService&, int);
+template void OvercommitService::TransferMachine(ByteReader&, OvercommitService&, int);
 
 }  // namespace crf

@@ -27,9 +27,6 @@
 
 namespace crf {
 
-class ByteReader;
-class ByteWriter;
-
 class OvercommitService {
  public:
   OvercommitService(const PredictorSpec& spec, int num_machines);
@@ -58,12 +55,12 @@ class OvercommitService {
   int num_machines() const { return static_cast<int>(machines_.size()); }
   const PredictorSpec& spec() const { return plan_->spec(0); }
 
-  // Checkpoint support: serializes / restores one machine's complete state
-  // (roster, limit sum, bank state, last prediction). LoadMachine
-  // validates structural consistency and returns false on malformed input,
-  // leaving the machine unspecified (the caller discards the service).
-  void SaveMachine(int machine, ByteWriter& out) const;
-  bool LoadMachine(int machine, ByteReader& in);
+  // Checkpoint support: machine `machine`'s complete state (last tick,
+  // limit sum, published prediction, roster, bank) as one record. A load
+  // validates structural consistency and fails on malformed input, leaving
+  // the machine unspecified (the caller discards the service).
+  template <typename Io, typename Self>
+  static void TransferMachine(Io& io, Self& service, int machine);
 
  private:
   struct MachineState {

@@ -25,12 +25,7 @@ std::span<const double> FetchOracle(const CellTrace& cell, int machine_index,
     cached = options.oracle_cache->GetOrCompute(cell, machine_index, options.horizon, kind);
     return *cached;
   }
-  if (options.use_total_usage_oracle) {
-    ComputeTotalUsageOracleInto(cell, machine_index, options.horizon, ws.oracle_scratch,
-                                ws.oracle);
-  } else {
-    ComputePeakOracleInto(cell, machine_index, options.horizon, ws.oracle_scratch, ws.oracle);
-  }
+  ComputeOracleInto(cell, machine_index, options.horizon, kind, ws.oracle_scratch, ws.oracle);
   return ws.oracle;
 }
 

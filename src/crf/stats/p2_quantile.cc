@@ -87,57 +87,36 @@ void P2Quantile::Reset() {
   desired_ = {1.0, 1.0 + 2.0 * quantile_, 1.0 + 4.0 * quantile_, 3.0 + 2.0 * quantile_, 5.0};
 }
 
-void P2Quantile::SaveState(ByteWriter& out) const {
-  out.Write<double>(quantile_);
-  out.Write<int64_t>(count_);
-  for (const double h : heights_) {
-    out.Write<double>(h);
-  }
-  for (const double p : positions_) {
-    out.Write<double>(p);
-  }
-  for (const double d : desired_) {
-    out.Write<double>(d);
-  }
-}
-
-bool P2Quantile::LoadState(ByteReader& in) {
-  const double quantile = in.Read<double>();
-  const int64_t count = in.Read<int64_t>();
-  std::array<double, 5> heights;
-  std::array<double, 5> positions;
-  std::array<double, 5> desired;
-  for (double& h : heights) {
-    h = in.Read<double>();
-  }
-  for (double& p : positions) {
-    p = in.Read<double>();
-  }
-  for (double& d : desired) {
-    d = in.Read<double>();
-  }
-  bool valid = in.ok() && quantile == quantile_ && count >= 0;
-  for (int i = 0; valid && i < 5; ++i) {
-    valid = std::isfinite(heights[i]) && std::isfinite(positions[i]) && std::isfinite(desired[i]);
-  }
-  if (valid && count >= 5) {
+template <typename Io, typename Self>
+void P2Quantile::Transfer(Io& io, Self& self) {
+  io.Expect(self.quantile_);
+  io.Fields(self.count_, self.heights_, self.positions_, self.desired_);
+  io.Check([&] {
+    if (self.count_ < 0) {
+      return false;
+    }
+    for (int i = 0; i < 5; ++i) {
+      if (!std::isfinite(self.heights_[i]) || !std::isfinite(self.positions_[i]) ||
+          !std::isfinite(self.desired_[i])) {
+        return false;
+      }
+    }
+    if (self.count_ < 5) {
+      return true;
+    }
     // Past the warm-up buffer the markers are ordered: heights non-decreasing,
     // positions strictly increasing from 1 with the last marker at `count`.
     for (int i = 1; i < 5; ++i) {
-      valid = valid && heights[i] >= heights[i - 1] && positions[i] > positions[i - 1];
+      if (self.heights_[i] < self.heights_[i - 1] ||
+          self.positions_[i] <= self.positions_[i - 1]) {
+        return false;
+      }
     }
-    valid = valid && positions[0] == 1.0 && positions[4] == static_cast<double>(count);
-  }
-  if (!valid) {
-    in.Fail();
-    return false;
-  }
-  count_ = count;
-  heights_ = heights;
-  positions_ = positions;
-  desired_ = desired;
-  return true;
+    return self.positions_[0] == 1.0 &&
+           self.positions_[4] == static_cast<double>(self.count_);
+  });
 }
+CRF_INSTANTIATE_TRANSFER(P2Quantile);
 
 double P2Quantile::Value() const {
   if (count_ == 0) {

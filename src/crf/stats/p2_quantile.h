@@ -13,9 +13,6 @@
 
 namespace crf {
 
-class ByteReader;
-class ByteWriter;
-
 class P2Quantile {
  public:
   // quantile in (0, 1), e.g. 0.99 for the 99th percentile.
@@ -32,13 +29,13 @@ class P2Quantile {
   // Discards all samples, keeping the target quantile.
   void Reset();
 
-  // Checkpoint support (crf/serve): serializes the complete marker state so
-  // a restored estimator continues bit-identically to the uninterrupted one.
-  // LoadState validates the stored target quantile against this instance's
-  // and every structural invariant of the marker arrays; it returns false
-  // (latching the reader's failure flag) on any mismatch.
-  void SaveState(ByteWriter& out) const;
-  bool LoadState(ByteReader& in);
+  // Checkpoint support (crf/serve): the complete marker state, so a
+  // restored estimator continues bit-identically to the uninterrupted one.
+  // A load expects this instance's target quantile, validates every
+  // structural invariant of the marker arrays, and fails (latching the
+  // reader's failure flag) on any mismatch.
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self);
 
  private:
   double quantile_;

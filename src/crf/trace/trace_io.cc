@@ -14,6 +14,7 @@
 #include "crf/trace/trace_format.h"
 #include "crf/util/atomic_file.h"
 #include "crf/util/check.h"
+#include "crf/util/regular_file.h"
 
 namespace crf {
 namespace {
@@ -251,14 +252,12 @@ std::optional<CellTrace> LoadCellTraceBinary(std::FILE* file, std::string* error
 // the mapped load and CheckCellTraceHeader.
 bool ReadBinaryHeader(const std::string& path, BinaryHeader& header,
                       trace_internal::ArenaLayout& layout, std::string& name, std::string* error) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
+  uint64_t file_size = 0;
+  std::FILE* file = OpenRegularFile(path, &file_size, error);
   if (file == nullptr) {
-    SetError(error, "cannot open " + path + ": " + std::strerror(errno));
     return false;
   }
   const bool header_ok = ReadHeaderAndName(file, header, layout, name, error);
-  const uint64_t file_size =
-      header_ok && std::fseek(file, 0, SEEK_END) == 0 ? static_cast<uint64_t>(std::ftell(file)) : 0;
   std::fclose(file);
   if (!header_ok) {
     return false;
@@ -420,9 +419,9 @@ std::optional<CellTrace> LoadCellTrace(const std::string& path, const TraceLoadO
   if (options.mode == TraceLoadMode::kMapped) {
     return LoadCellTraceBinaryMapped(path, error);
   }
-  std::FILE* file = std::fopen(path.c_str(), "rb");
+  uint64_t file_size = 0;
+  std::FILE* file = OpenRegularFile(path, &file_size, error);
   if (file == nullptr) {
-    SetError(error, "cannot open " + path + ": " + std::strerror(errno));
     return std::nullopt;
   }
   auto cell = LoadCellTraceBinary(file, error);

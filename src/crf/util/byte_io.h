@@ -1,13 +1,36 @@
 // Bounds-checked binary serialization primitives for checkpoint payloads.
 //
-// ByteWriter appends little-endian POD values and length-prefixed vectors to
-// a growable buffer; ByteReader walks the same encoding with every read
+// ByteWriter appends little-endian POD values and length-prefixed sequences
+// to a growable buffer; ByteReader walks the same encoding with every read
 // bounds-checked. A reader never throws or aborts on malformed input — it
 // latches a failure flag and returns zeros, so callers can decode untrusted
 // bytes (a truncated or bit-flipped checkpoint) and reject them with one
 // ok() check at the end. Length prefixes are validated against an explicit
 // element cap before any allocation, so a corrupted length cannot trigger a
 // multi-gigabyte resize.
+//
+// Both classes implement one symmetric field API, so a serialized record
+// writes its layout down once, in a static member template
+//
+//   template <typename Io, typename Self>
+//   static void Transfer(Io& io, Self& self);
+//
+// that lists its fields with io.Field / io.Fields / io.Expect. ByteWriter
+// runs it with `Self = const T` and appends every field; ByteReader runs it
+// with `Self = T` and reads the same fields back, in the same order. A
+// load validates after reading, with io.Check (a writer skips the check);
+// `if constexpr (Io::kLoading)` guards what only a load does, such as
+// rebuilding a derived view. The fields:
+//  * arithmetic and enum scalars, in their own width;
+//  * bool as one byte; a read rejects any value above 1;
+//  * std::array, element by element;
+//  * strings and vectors of trivially copyable elements, as a u64 length
+//    and the elements; the read-side cap is the second argument;
+//  * Expect(value): written on save; on load, a stored value that differs
+//    fails the load (capacities, group counts, format tags);
+//  * nested records, through their own Transfer.
+// A Transfer defined in a .cc is instantiated for both directions there
+// with CRF_INSTANTIATE_TRANSFER.
 //
 // Two 64-bit hashes live here: Fnv1a64 (byte-serial; the CRFCKPT1 payload
 // check and the machine-query roster hash) and Xxh64 (word-parallel; the
@@ -17,17 +40,35 @@
 #ifndef CRF_UTIL_BYTE_IO_H_
 #define CRF_UTIL_BYTE_IO_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace crf {
 
+class ByteWriter;
+
+// A type that lists its serialized layout in a static Transfer template.
+template <typename T>
+concept Transferable = requires(ByteWriter& out, const T& value) { T::Transfer(out, value); };
+
+// A std::string or std::vector of trivially copyable elements: stored as a
+// u64 length and the elements' bytes.
+template <typename T>
+concept Sequence = requires(T& values) {
+  values.resize(0);
+  values.data();
+} && std::is_trivially_copyable_v<typename T::value_type>;
+
 class ByteWriter {
  public:
+  static constexpr bool kLoading = false;
+
   ByteWriter() = default;
   // Appends to `buffer` (its bytes are kept), so a caller can encode into a
   // reusable buffer and take it back with Release() without a copy.
@@ -38,18 +79,6 @@ class ByteWriter {
   void Write(T value) {
     static_assert(std::is_trivially_copyable_v<T> && !std::is_pointer_v<T>);
     std::memcpy(Extend(sizeof(T)), &value, sizeof(T));
-  }
-
-  // Appends a u64 element count followed by the elements.
-  template <typename T>
-  void WriteVec(std::span<const T> values) {
-    static_assert(std::is_trivially_copyable_v<T> && !std::is_pointer_v<T>);
-    Write<uint64_t>(values.size());
-    WriteBytes(values.data(), values.size() * sizeof(T));
-  }
-  template <typename T>
-  void WriteVec(const std::vector<T>& values) {
-    WriteVec(std::span<const T>(values));
   }
 
   void WriteBytes(const void* data, size_t size) {
@@ -67,6 +96,42 @@ class ByteWriter {
     return bytes_.data() + offset;
   }
 
+  // --- Symmetric field API (see the file comment). ---
+  template <typename T>
+  void Field(const T& value) {
+    if constexpr (Transferable<T>) {
+      T::Transfer(*this, value);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      Write<uint8_t>(value ? 1 : 0);
+    } else {
+      static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
+      Write(value);
+    }
+  }
+  template <typename T, size_t N>
+  void Field(const std::array<T, N>& values) {
+    for (const T& value : values) {
+      Field(value);
+    }
+  }
+  // The cap bounds only a read.
+  template <Sequence T>
+  void Field(const T& values, uint64_t /*max_elements*/) {
+    Write<uint64_t>(values.size());
+    WriteBytes(values.data(), values.size() * sizeof(typename T::value_type));
+  }
+  template <typename... Ts>
+  void Fields(const Ts&... values) {
+    (Field(values), ...);
+  }
+  template <typename T>
+  void Expect(const T& value) {
+    Field(value);
+  }
+  template <typename Valid>
+  void Check(Valid&& /*valid*/) {}
+  bool ok() const { return true; }
+
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   size_t size() const { return bytes_.size(); }
   std::vector<uint8_t> Release() { return std::move(bytes_); }
@@ -77,6 +142,8 @@ class ByteWriter {
 
 class ByteReader {
  public:
+  static constexpr bool kLoading = true;
+
   explicit ByteReader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
 
   // Reads one scalar; on underflow latches failure and returns T{}.
@@ -93,24 +160,6 @@ class ByteReader {
     return value;
   }
 
-  // Reads a length-prefixed vector. Fails (without allocating) if the
-  // declared element count exceeds `max_elements` or the remaining bytes.
-  template <typename T>
-  bool ReadVec(std::vector<T>& out, uint64_t max_elements) {
-    static_assert(std::is_trivially_copyable_v<T> && !std::is_pointer_v<T>);
-    const uint64_t count = Read<uint64_t>();
-    if (!ok_ || count > max_elements || bytes_.size() - position_ < count * sizeof(T)) {
-      ok_ = false;
-      return false;
-    }
-    out.resize(count);
-    if (count > 0) {
-      std::memcpy(out.data(), bytes_.data() + position_, count * sizeof(T));
-    }
-    position_ += count * sizeof(T);
-    return true;
-  }
-
   bool ReadBytes(void* out, size_t size) {
     if (!ok_ || bytes_.size() - position_ < size) {
       ok_ = false;
@@ -120,6 +169,71 @@ class ByteReader {
       std::memcpy(out, bytes_.data() + position_, size);
     }
     position_ += size;
+    return true;
+  }
+
+  // --- Symmetric field API (see the file comment). ---
+  template <typename T>
+  void Field(T& value) {
+    if constexpr (Transferable<T>) {
+      T::Transfer(*this, value);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      const uint8_t byte = Read<uint8_t>();
+      Check([byte] { return byte <= 1; });
+      value = byte == 1;
+    } else {
+      static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
+      value = Read<T>();
+    }
+  }
+  template <typename T, size_t N>
+  void Field(std::array<T, N>& values) {
+    for (T& value : values) {
+      Field(value);
+    }
+  }
+  // Fails (without allocating) if the stored length exceeds `max_elements`
+  // or the remaining bytes.
+  template <Sequence T>
+  void Field(T& values, uint64_t max_elements) {
+    constexpr size_t kWidth = sizeof(typename T::value_type);
+    const uint64_t count = Read<uint64_t>();
+    if (!ok_ || count > max_elements || remaining() / kWidth < count) {
+      ok_ = false;
+      return;
+    }
+    values.resize(count);
+    ReadBytes(values.data(), count * kWidth);
+  }
+  template <typename... Ts>
+  void Fields(Ts&... values) {
+    (Field(values), ...);
+  }
+  template <typename T>
+  void Expect(const T& expected) {
+    T value{};
+    Field(value);
+    Check([&] { return value == expected; });
+  }
+  // Fails the load unless `valid()` holds; not called once a read failed,
+  // so a check never sees the zeros a failed read returns.
+  template <typename Valid>
+  void Check(Valid&& valid) {
+    if (ok_ && !valid()) {
+      ok_ = false;
+    }
+  }
+
+  // Reads `record` into a copy and commits the copy only when every field
+  // read and validated, so a failed load leaves `record` as it was.
+  template <Transferable T>
+  bool Load(T& record) {
+    T loaded = record;
+    Field(loaded);
+    if (!ok_) {
+      return false;
+    }
+    record = std::move(loaded);
     return true;
   }
 
@@ -137,6 +251,12 @@ class ByteReader {
   size_t position_ = 0;
   bool ok_ = true;
 };
+
+// Instantiates the Transfer of record T, defined in the including .cc, for
+// saving and for loading.
+#define CRF_INSTANTIATE_TRANSFER(T)                 \
+  template void T::Transfer(ByteWriter&, const T&); \
+  template void T::Transfer(ByteReader&, T&)
 
 // FNV-1a 64-bit hash, used as the checkpoint payload integrity check.
 uint64_t Fnv1a64(std::span<const uint8_t> bytes);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -33,21 +35,23 @@ TEST(ByteIoTest, ScalarRoundTrip) {
 TEST(ByteIoTest, VectorRoundTrip) {
   const std::vector<double> values = {1.5, -2.0, 0.0, 1e300};
   ByteWriter writer;
-  writer.WriteVec(values);
+  writer.Field(values, 100);
 
   ByteReader reader(writer.bytes());
   std::vector<double> decoded;
-  ASSERT_TRUE(reader.ReadVec(decoded, 100));
+  reader.Field(decoded, 100);
+  ASSERT_TRUE(reader.ok());
   EXPECT_EQ(decoded, values);
   EXPECT_TRUE(reader.AtEnd());
 }
 
 TEST(ByteIoTest, EmptyVectorRoundTrip) {
   ByteWriter writer;
-  writer.WriteVec(std::vector<int32_t>{});
+  writer.Field(std::vector<int32_t>{}, 10);
   ByteReader reader(writer.bytes());
   std::vector<int32_t> decoded = {1, 2, 3};
-  ASSERT_TRUE(reader.ReadVec(decoded, 10));
+  reader.Field(decoded, 10);
+  ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(decoded.empty());
   EXPECT_TRUE(reader.AtEnd());
 }
@@ -68,28 +72,28 @@ TEST(ByteIoTest, OversizedVectorCountRejectedBeforeAllocation) {
   writer.Write<uint64_t>(uint64_t{1} << 60);  // Absurd element count.
   ByteReader reader(writer.bytes());
   std::vector<double> decoded;
-  EXPECT_FALSE(reader.ReadVec(decoded, uint64_t{1} << 59));
+  reader.Field(decoded, uint64_t{1} << 59);
   EXPECT_FALSE(reader.ok());
   EXPECT_TRUE(decoded.empty());
 }
 
 TEST(ByteIoTest, VectorCountAboveCapRejected) {
   ByteWriter writer;
-  writer.WriteVec(std::vector<int32_t>{1, 2, 3, 4});
+  writer.Field(std::vector<int32_t>{1, 2, 3, 4}, 4);
   ByteReader reader(writer.bytes());
   std::vector<int32_t> decoded;
-  EXPECT_FALSE(reader.ReadVec(decoded, 3));
+  reader.Field(decoded, 3);
   EXPECT_FALSE(reader.ok());
 }
 
 TEST(ByteIoTest, TruncatedVectorPayloadRejected) {
   ByteWriter writer;
-  writer.WriteVec(std::vector<int64_t>{1, 2, 3});
+  writer.Field(std::vector<int64_t>{1, 2, 3}, 10);
   std::vector<uint8_t> bytes = writer.bytes();
   bytes.resize(bytes.size() - 1);
   ByteReader reader(bytes);
   std::vector<int64_t> decoded;
-  EXPECT_FALSE(reader.ReadVec(decoded, 10));
+  reader.Field(decoded, 10);
   EXPECT_FALSE(reader.ok());
 }
 
@@ -112,6 +116,116 @@ TEST(ByteIoTest, ReadBytesRoundTripAndUnderflow) {
   EXPECT_EQ(std::string(out, 6), "abcdef");
   EXPECT_FALSE(reader.ReadBytes(out, 1));
   EXPECT_FALSE(reader.ok());
+}
+
+// A record with one field of each kind the symmetric API takes.
+struct Sample {
+  int32_t tag = 7;
+  bool flag = false;
+  std::array<double, 2> pair{};
+  std::string name;
+  std::vector<float> values;
+  int32_t checked = 0;
+  bool operator==(const Sample&) const = default;
+
+  template <typename Io, typename Self>
+  static void Transfer(Io& io, Self& self) {
+    io.Expect(self.tag);
+    io.Fields(self.flag, self.pair);
+    io.Field(self.name, 8);
+    io.Field(self.values, 4);
+    io.Field(self.checked);
+    io.Check([&] { return self.checked >= 0; });
+  }
+};
+
+Sample FilledSample() {
+  Sample sample;
+  sample.flag = true;
+  sample.pair = {-0.0, 1e300};
+  sample.name = std::string("a\0z", 3);
+  sample.values = {1.5f, -2.0f};
+  sample.checked = 41;
+  return sample;
+}
+
+std::vector<uint8_t> Saved(const Sample& sample) {
+  ByteWriter writer;
+  writer.Field(sample);
+  return writer.Release();
+}
+
+TEST(ByteIoFieldTest, RecordRoundTripsInTheLayoutItLists) {
+  const Sample sample = FilledSample();
+  const std::vector<uint8_t> bytes = Saved(sample);
+  // tag, flag, pair, name (length + 3), values (length + 2 floats), checked.
+  ByteWriter expected;
+  expected.Write<int32_t>(7);
+  expected.Write<uint8_t>(1);
+  expected.Write<double>(-0.0);
+  expected.Write<double>(1e300);
+  expected.Write<uint64_t>(3);
+  expected.WriteBytes("a\0z", 3);
+  expected.Write<uint64_t>(2);
+  expected.Write<float>(1.5f);
+  expected.Write<float>(-2.0f);
+  expected.Write<int32_t>(41);
+  EXPECT_EQ(bytes, expected.bytes());
+
+  Sample loaded;
+  ByteReader reader(bytes);
+  ASSERT_TRUE(reader.Load(loaded));
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(loaded, sample);
+}
+
+TEST(ByteIoFieldTest, FailedLoadLeavesTheRecordUnchanged) {
+  const Sample sample = FilledSample();
+  const std::vector<uint8_t> good = Saved(sample);
+  const auto load_fails = [&](std::vector<uint8_t> bytes) {
+    Sample target;
+    target.checked = 99;
+    ByteReader reader(bytes);
+    const bool loaded = reader.Load(target);
+    Sample untouched;
+    untouched.checked = 99;
+    EXPECT_EQ(target, untouched);
+    return !loaded && !reader.ok();
+  };
+  // Every truncation.
+  for (size_t length = 0; length < good.size(); ++length) {
+    EXPECT_TRUE(load_fails({good.begin(), good.begin() + static_cast<std::ptrdiff_t>(length)}))
+        << "length=" << length;
+  }
+  std::vector<uint8_t> bytes = good;
+  bytes[0] = 8;  // Expect: a stored tag other than this record's.
+  EXPECT_TRUE(load_fails(bytes));
+  bytes = good;
+  bytes[4] = 2;  // A bool above 1.
+  EXPECT_TRUE(load_fails(bytes));
+  bytes = good;
+  bytes[21] = 9;  // A name length above its cap of 8.
+  EXPECT_TRUE(load_fails(bytes));
+  bytes = good;
+  bytes[32] = 5;  // A vector length above its cap of 4.
+  EXPECT_TRUE(load_fails(bytes));
+  bytes = good;
+  bytes.back() = 0x80;  // Check: `checked` turns negative.
+  EXPECT_TRUE(load_fails(bytes));
+}
+
+TEST(ByteIoFieldTest, CheckIsSkippedOnceAReadFailed) {
+  ByteReader reader(std::span<const uint8_t>{});
+  int32_t value = 5;
+  reader.Field(value);
+  bool called = false;
+  reader.Check([&] {
+    called = true;
+    return true;
+  });
+  EXPECT_FALSE(reader.ok());
+  EXPECT_FALSE(called);
+  EXPECT_EQ(value, 0);
 }
 
 TEST(ByteIoTest, Fnv1a64KnownVectors) {

@@ -31,9 +31,11 @@ CHECK on stderr: a metric with no samples prints as n/a.
 
 Every input-file flag the usage text lists (traces: --trace, --replay;
 checkpoints: --resume, --file) given a missing file, a garbage file, a text
-trace export, or a file of the other kind (wrong magic) must exit 2 naming
-the flag within 0.1 s, before a 256-machine cell is synthesized; a trace flag
-given a text export must also say that text is export-only. Last, `crf serve
+trace export, a file of the other kind (wrong magic) or a directory must
+exit 2 naming the flag within 0.1 s, before a 256-machine cell is
+synthesized; a trace flag given a text export must also say that text is
+export-only, and every flag given a directory that it is not a regular
+file. Last, `crf serve
 --metrics-out` must write the file on every exit: a finished replay, a
 `--stop-after-checkpoint` cut, and a local replay stopped by SIGINT.
 Usage: cli_flags_test.py <path to crf>.
@@ -187,7 +189,7 @@ def input_probes(crf, scratch, failures):
                 failures.append("%s --%s: input flag of unknown kind" % (command, flag))
                 continue
             wrong = checkpoint if flag in TRACE_INPUTS else trace
-            for path in [os.path.join(scratch, "missing.file"), garbage, text, wrong]:
+            for path in [os.path.join(scratch, "missing.file"), garbage, text, wrong, scratch]:
                 args = synth if flag == "resume" else base.get(command, [])
                 argv = [crf, command] + args + ["--%s=%s" % (flag, path)]
                 # The best of three runs, so a loaded host does not fail a fast check.
@@ -200,8 +202,10 @@ def input_probes(crf, scratch, failures):
                         break
                 export_only = path != text or flag not in TRACE_INPUTS or \
                     "text is export-only" in result.stderr
+                named = path != scratch or "not a regular file" in result.stderr
                 if (result.returncode != 2 or ("--" + flag) not in result.stderr or
-                        result.stdout or not export_only or min(elapsed) > INPUT_DEADLINE_S):
+                        result.stdout or not export_only or not named or
+                        min(elapsed) > INPUT_DEADLINE_S):
                     failures.append("%s (%.3f s)" % (describe(argv, result), min(elapsed)))
     return trace
 

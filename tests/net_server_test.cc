@@ -143,7 +143,7 @@ IngestBatchRequest HonestBatch(const std::vector<std::vector<StreamEvent>>& tick
 template <typename Request>
 std::string ExpectErrorFrame(NetClient& client, WireOp op, const Request& request) {
   ByteWriter payload;
-  request.EncodeTo(payload);
+  payload.Field(request);
   WireOp response_op = op;
   std::span<const uint8_t> response;
   std::string error;

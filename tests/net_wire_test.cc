@@ -30,7 +30,7 @@ constexpr size_t kHeaderBytes = 32;
 template <typename T>
 std::vector<uint8_t> Frame(WireOp op, const T& message) {
   ByteWriter payload;
-  message.EncodeTo(payload);
+  payload.Field(message);
   std::vector<uint8_t> out;
   AppendFrame(op, payload, out);
   return out;
@@ -278,7 +278,7 @@ IngestBatchRequest EdgeIngest() {
 TEST(NetWireTest, IngestEncodingMatchesTheFieldByFieldLayout) {
   const IngestBatchRequest request = EdgeIngest();
   ByteWriter payload;
-  request.EncodeTo(payload);
+  payload.Field(request);
   const std::vector<uint8_t> expected = ReferenceIngestPayload(request);
   EXPECT_EQ(expected.size(), 24 + 33 * request.events.size());
   EXPECT_EQ(payload.bytes(), expected);
@@ -304,7 +304,7 @@ TEST(NetWireTest, InPlaceFrameEqualsCopiedFrameAndCarriesVersionTwo) {
   std::vector<uint8_t> copied = in_place;
   AppendMessageFrame(WireOp::kIngestBatch, request, in_place);
   ByteWriter payload;
-  request.EncodeTo(payload);
+  payload.Field(request);
   AppendFrame(WireOp::kIngestBatch, payload, copied);
   EXPECT_EQ(in_place, copied);
 
@@ -497,7 +497,7 @@ TEST(NetWireCorruptionTest, UnknownVersionOpAndNonzeroReservedAreMalformed) {
 TEST(NetWireCorruptionTest, IngestPayloadValidationRejectsProtocolViolations) {
   const auto decode = [](const IngestBatchRequest& request) {
     ByteWriter payload;
-    request.EncodeTo(payload);
+    payload.Field(request);
     IngestBatchRequest out;
     return DecodePayload(std::span<const uint8_t>(payload.bytes()), out);
   };
@@ -539,7 +539,7 @@ TEST(NetWireCorruptionTest, IngestPayloadValidationRejectsProtocolViolations) {
 
 TEST(NetWireCorruptionTest, TrailingPayloadBytesAreRejected) {
   ByteWriter payload;
-  MachineQueryRequest{}.EncodeTo(payload);
+  payload.Field(MachineQueryRequest{});
   std::vector<uint8_t> padded(payload.bytes().begin(), payload.bytes().end());
   padded.push_back(0);
   MachineQueryRequest out;

@@ -316,6 +316,24 @@ TEST(TraceIoTest, MissingFileReturnsNullopt) {
   EXPECT_FALSE(LoadCellTrace("/nonexistent/path/file.trace").has_value());
 }
 
+// A directory opens under glibc and only fails the first read; every
+// loader and the header check must name it for what it is.
+TEST(TraceIoTest, DirectoryIsRejected) {
+  const std::filesystem::path dir = TempPath("trace_dir");
+  std::filesystem::create_directories(dir);
+  for (const TraceLoadMode mode : {TraceLoadMode::kHeap, TraceLoadMode::kMapped}) {
+    TraceLoadOptions options;
+    options.mode = mode;
+    std::string error;
+    EXPECT_FALSE(LoadCellTrace(dir.string(), options, &error).has_value());
+    EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  }
+  std::string error;
+  EXPECT_FALSE(CheckCellTraceHeader(dir.string(), &error));
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TraceIoTest, WrongMagicReturnsNullopt) {
   const std::string path = TempPath("bad_magic.trace");
   {
